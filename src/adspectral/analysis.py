@@ -277,9 +277,7 @@ def bench_solve(problem: ADProblem, config: SolverConfig, repeats: int,
         solved = _solve_positive_modes(problem, config, tq, spectrum, parallel=False)
         t2 = time.perf_counter()
         sol = _complete_solution(problem, config, basis, tgrid, solved)
-        grid = sol.grid
-        for t in tgrid.nodes:
-            evaluate_u(sol, grid, float(t))
+        evaluate_u(sol, sol.grid, tgrid.nodes)
         t3 = time.perf_counter()
         samples["assembly"].append(t1 - t0)
         samples["solve"].append(t2 - t1)

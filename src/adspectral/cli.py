@@ -8,9 +8,8 @@ fields carry 17 significant digits so reruns round-trip doubles exactly.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ from .analysis import (ErrorReport, _report_from_solution, bench_solve,
                        conditioning_study, convergence_sweep)
 from .fourier import FourierGrid, synthesize_derivative, synthesize_field
 from .gegenbauer import build_basis, time_grid
-from .problems import ConfigError, SolverConfig, load_config, parse_config_pairs
+from .problems import ConfigError, config_from_pairs, parse_config_pairs
 from .semianalytic import sa_coefficient_map, sa_field
 from .solver import evaluate_u, evaluate_ux, solve_modes
 
@@ -33,19 +32,24 @@ class RunManifest:
     parallel: bool = False
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+INT, FLOAT = "%d", "%.17g"
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_table(path: Path, header, formats, rows) -> None:
+    """Write a header line, then one line per row with formats[j] for column j.
+
+    ``rows`` is a 2-D array or a list of rows. Integer columns take "%d",
+    floats "%.17g" and text "%s"; the whole table is formatted by one
+    C-level % operation.
+    """
+    if isinstance(rows, np.ndarray):
+        values = rows.ravel().tolist()
+    else:
+        values = [cell for row in rows for cell in row]
+    line = ",".join(formats) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell if isinstance(cell, str) else _fmt(cell)
-                             for cell in row])
+        handle.write(",".join(header) + "\n")
+        handle.write((line * len(rows)) % tuple(values))
 
 
 def _ensure_outdir(path: Path) -> None:
@@ -55,9 +59,8 @@ def _ensure_outdir(path: Path) -> None:
 
 
 def _load(manifest: RunManifest):
-    problem, config = load_config(manifest.config_path)
     extras = parse_config_pairs(manifest.config_path)
-    t_final = float(extras.get("t_final", problem.T))
+    problem, config, t_final = config_from_pairs(extras)
     # t_final is the terminal time of the run: it becomes the solve horizon.
     problem = problem.with_horizon(t_final)
     return problem, config, extras, t_final
@@ -99,29 +102,24 @@ def _parse_int_list(text: str, key: str) -> list[int]:
         raise ConfigError(f"invalid value for key '{key}': {text!r}") from exc
 
 
-def _solution_rows(problem, config, times, u_of_t, ux_of_t):
-    grid = FourierGrid(L=problem.L, N=config.N)
-    has_exact = problem.exact is not None
-    rows = []
-    for t in times:
-        u = u_of_t(t)
-        ux = ux_of_t(t)
-        for j, x in enumerate(grid.nodes):
-            row = [x, t, u[j], ux[j]]
-            if has_exact:
-                exact = float(problem.exact(x, t))
-                row += [exact, abs(u[j] - exact)]
-            rows.append(row)
+def _write_solution(path: Path, problem, grid, times, u, ux) -> None:
+    # u and ux hold one row of N grid values per time; rows run x fastest.
+    columns = [np.broadcast_to(grid.nodes, u.shape),
+               np.broadcast_to(times[:, None], u.shape), u, ux]
     header = ["x", "t", "u", "ux"]
-    if has_exact:
+    if problem.exact is not None:
+        exact = np.array([problem.exact(grid.nodes, t) for t in times],
+                         dtype=float)
+        columns += [exact, np.abs(u - exact)]
         header += ["u_exact", "abs_err"]
-    return header, rows
+    table = np.stack(columns, axis=-1).reshape(-1, len(columns))
+    _write_table(path, header, [FLOAT] * len(columns), table)
 
 
-def _report_rows(report):
-    header = ["N", "M", "lambda", "N0", "t_final", "pointwise_max", "dne"]
-    n, m, lam, n0, t_final = report.grid_desc
-    return header, [[n, m, lam, n0, t_final, report.pointwise_max, report.dne]]
+def _write_report(path: Path, report) -> None:
+    _write_table(path, ["N", "M", "lambda", "N0", "t_final", "pointwise_max", "dne"],
+                 [INT, INT, FLOAT, INT, FLOAT, FLOAT, FLOAT],
+                 [[*report.grid_desc, report.pointwise_max, report.dne]])
 
 
 def cmd_solve(manifest: RunManifest) -> None:
@@ -129,24 +127,22 @@ def cmd_solve(manifest: RunManifest) -> None:
     sol = solve_modes(problem, config, parallel=manifest.parallel)
     grid = sol.grid
 
-    times = [float(t) for t in sol.time_grid.nodes] + [t_final]
-    header, rows = _solution_rows(
-        problem, config, times,
-        lambda t: evaluate_u(sol, grid, t),
-        lambda t: evaluate_ux(sol, grid, t))
-    _write_csv(manifest.output_dir / "solution.csv", header, rows)
+    times = np.append(sol.time_grid.nodes, t_final)
+    _write_solution(manifest.output_dir / "solution.csv", problem, grid, times,
+                    evaluate_u(sol, grid, times), evaluate_ux(sol, grid, times))
 
-    coeff_rows = []
-    for k in sorted(sol.psi):
-        for l, t_node in enumerate(sol.time_grid.nodes):
-            value = sol.psi[k][l]
-            coeff_rows.append([k, l, t_node, value.real, value.imag])
-    _write_csv(manifest.output_dir / "coefficients.csv",
-               ["k", "l", "t_node", "re_psi", "im_psi"], coeff_rows)
+    ks = sorted(sol.psi)
+    psi = np.array([sol.psi[k] for k in ks])
+    k, l = np.meshgrid(ks, np.arange(config.M + 1), indexing="ij")
+    t_node = np.broadcast_to(sol.time_grid.nodes, psi.shape)
+    table = np.stack([k, l, t_node, psi.real, psi.imag], axis=-1).reshape(-1, 5)
+    _write_table(manifest.output_dir / "coefficients.csv",
+                 ["k", "l", "t_node", "re_psi", "im_psi"],
+                 [INT, INT, FLOAT, FLOAT, FLOAT], table)
 
     if problem.exact is not None:
-        header, rows = _report_rows(_report_from_solution(sol, t_final))
-        _write_csv(manifest.output_dir / "report.csv", header, rows)
+        _write_report(manifest.output_dir / "report.csv",
+                      _report_from_solution(sol, t_final))
 
 
 def cmd_sa(manifest: RunManifest) -> None:
@@ -155,27 +151,22 @@ def cmd_sa(manifest: RunManifest) -> None:
     grid = FourierGrid(L=problem.L, N=config.N)
     tgrid = time_grid(build_basis(config.lam, config.M), problem.T)
 
-    def u_of_t(t):
-        return synthesize_field(sa_coefficient_map(field, t), grid,
-                                float(problem.g(t)))
-
-    def ux_of_t(t):
-        return synthesize_derivative(sa_coefficient_map(field, t), grid)
-
-    times = [float(t) for t in tgrid.nodes] + [t_final]
-    header, rows = _solution_rows(problem, config, times, u_of_t, ux_of_t)
-    _write_csv(manifest.output_dir / "solution.csv", header, rows)
+    times = np.append(tgrid.nodes, t_final)
+    maps = [sa_coefficient_map(field, float(t)) for t in times]
+    u = np.array([synthesize_field(c, grid, float(problem.g(float(t))))
+                  for c, t in zip(maps, times)])
+    ux = np.array([synthesize_derivative(c, grid) for c in maps])
+    _write_solution(manifest.output_dir / "solution.csv", problem, grid, times,
+                    u, ux)
 
     if problem.exact is not None:
-        numeric = u_of_t(t_final)
         exact = np.asarray(problem.exact(grid.nodes, t_final), dtype=float)
-        diff = numeric - exact
+        diff = u[-1] - exact
         report = ErrorReport(
             pointwise_max=float(np.max(np.abs(diff))),
             dne=float(np.sqrt(problem.L / config.N * np.sum(diff ** 2))),
             grid_desc=(config.N, config.M, config.lam, config.N0, t_final))
-        header, rows = _report_rows(report)
-        _write_csv(manifest.output_dir / "report.csv", header, rows)
+        _write_report(manifest.output_dir / "report.csv", report)
 
 
 def cmd_convergence(manifest: RunManifest) -> None:
@@ -183,8 +174,9 @@ def cmd_convergence(manifest: RunManifest) -> None:
     n_range = _parse_range(extras.get("N_range", str(config.N)), "N_range")
     m_range = _parse_range(extras.get("M_range", str(config.M)), "M_range")
     result = convergence_sweep(problem, n_range, m_range, config.lam, t_final)
-    _write_csv(manifest.output_dir / "sweep.csv",
-               ["N", "M", "dne", "log10_dne"], result.rows)
+    _write_table(manifest.output_dir / "sweep.csv",
+                 ["N", "M", "dne", "log10_dne"], [INT, INT, FLOAT, FLOAT],
+                 result.rows)
 
 
 def cmd_conditioning(manifest: RunManifest) -> None:
@@ -195,21 +187,22 @@ def cmd_conditioning(manifest: RunManifest) -> None:
     reports, _ = conditioning_study(problem, config, lams, ms)
     rows = [[r.kind, r.n, r.lam, r.M, r.sigma_max, r.sigma_min, r.cond]
             for r in reports]
-    _write_csv(manifest.output_dir / "conditioning.csv",
-               ["matrix", "n", "lambda", "M", "sigma_max", "sigma_min", "cond"],
-               rows)
+    _write_table(manifest.output_dir / "conditioning.csv",
+                 ["matrix", "n", "lambda", "M", "sigma_max", "sigma_min", "cond"],
+                 ["%s", INT, FLOAT, INT, FLOAT, FLOAT, FLOAT], rows)
 
 
 def cmd_bench(manifest: RunManifest) -> None:
     problem, config, extras, _ = _load(manifest)
     repeats = int(extras.get("repeats", "5"))
     result = bench_solve(problem, config, repeats, parallel=manifest.parallel)
-    ratio = "" if result.parallel_ratio is None else _fmt(result.parallel_ratio)
-    _write_csv(manifest.output_dir / "bench.csv",
-               ["repeats", "median_total_s", "assembly_s", "solve_s",
-                "synthesis_s", "parallel_ratio"],
-               [[repeats, result.median_total, result.stages["assembly"],
-                 result.stages["solve"], result.stages["synthesis"], ratio]])
+    ratio = "" if result.parallel_ratio is None else FLOAT % result.parallel_ratio
+    _write_table(manifest.output_dir / "bench.csv",
+                 ["repeats", "median_total_s", "assembly_s", "solve_s",
+                  "synthesis_s", "parallel_ratio"],
+                 [INT, FLOAT, FLOAT, FLOAT, FLOAT, "%s"],
+                 [[repeats, result.median_total, result.stages["assembly"],
+                   result.stages["solve"], result.stages["synthesis"], ratio]])
 
 
 _COMMANDS = {
@@ -246,7 +239,6 @@ def main(argv=None) -> int:
                            output_dir=Path(args.out),
                            seed=args.seed,
                            parallel=args.parallel)
-    np.random.seed(manifest.seed)
     try:
         _ensure_outdir(manifest.output_dir)
         _COMMANDS[manifest.command](manifest)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
@@ -165,16 +166,32 @@ def _get(pairs: dict, key: str, cast, required: bool = False, default=None):
         raise ConfigError(f"invalid value for key '{key}': {pairs[key]!r}") from exc
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def load_config(path) -> tuple[ADProblem, SolverConfig]:
     """Build the problem and solver configuration described by a config file.
 
     Built-in problems are selected with problem_id (T may be overridden);
     custom problems give mu, nu, L, T plus u0/g chosen from the named
-    samplers. Run-level extras (t_final, sweep ranges, repeats) are read
-    separately with parse_config_pairs.
+    samplers. Run-level extras (t_final, sweep ranges, repeats) stay in the
+    pairs; config_from_pairs also returns the validated t_final.
     """
-    pairs = parse_config_pairs(path)
+    problem, config, _ = config_from_pairs(parse_config_pairs(path))
+    return problem, config
 
+
+def config_from_pairs(pairs: dict) -> tuple[ADProblem, SolverConfig, float]:
+    """Validate parsed key=value pairs into (problem, config, t_final).
+
+    t_final defaults to the problem's T. Every real-valued key must be
+    finite; mu, nu, L, T, lambda and t_final are rejected here, with their
+    key named, rather than deep inside a linear solve.
+    """
     if "problem_id" in pairs:
         forbidden = {"mu", "nu", "L", "u0", "g"} & pairs.keys()
         if forbidden:
@@ -182,16 +199,16 @@ def load_config(path) -> tuple[ADProblem, SolverConfig]:
                 f"keys {sorted(forbidden)} not allowed together with problem_id"
             )
         problem = test_problem(_get(pairs, "problem_id", int, required=True))
-        T = _get(pairs, "T", float)
+        T = _get(pairs, "T", _finite)
         if T is not None:
             if not T > 0:
                 raise ConfigError(f"invalid value for key 'T': must be positive")
             problem = problem.with_horizon(T)
     else:
-        mu = _get(pairs, "mu", float, required=True)
-        nu = _get(pairs, "nu", float, required=True)
-        L = _get(pairs, "L", float, required=True)
-        T = _get(pairs, "T", float, required=True)
+        mu = _get(pairs, "mu", _finite, required=True)
+        nu = _get(pairs, "nu", _finite, required=True)
+        L = _get(pairs, "L", _finite, required=True)
+        T = _get(pairs, "T", _finite, required=True)
         u0_name = _get(pairs, "u0", str, required=True)
         g_name = _get(pairs, "g", str, required=True)
         if u0_name not in _U0_SAMPLERS:
@@ -214,15 +231,14 @@ def load_config(path) -> tuple[ADProblem, SolverConfig]:
     N = _get(pairs, "N", int, required=True)
     M = _get(pairs, "M", int, required=True)
     N0 = _get(pairs, "N0", int, default=0)
-    lam = _get(pairs, "lambda", float, default=DEFAULT_LAMBDA)
+    lam = _get(pairs, "lambda", _finite, default=DEFAULT_LAMBDA)
     try:
         config = SolverConfig(N=N, M=M, N0=N0, lam=lam)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    if "t_final" in pairs:
-        t_final = _get(pairs, "t_final", float)
-        if not t_final > 0:
-            raise ConfigError("invalid value for key 't_final': must be positive")
+    t_final = _get(pairs, "t_final", _finite, default=problem.T)
+    if not t_final > 0:
+        raise ConfigError("invalid value for key 't_final': must be positive")
 
-    return problem, config
+    return problem, config, t_final

@@ -20,7 +20,7 @@ from scipy.linalg import lu_factor, lu_solve
 from .fourier import FourierGrid, InitialSpectrum, dft_coefficients, \
     synthesize_derivative, synthesize_field
 from .gegenbauer import GegenbauerBasis, IntegrationMatrix, TimeGrid, \
-    bary_interpolate, build_basis, build_integration_matrix, \
+    _lagrange_matrix, build_basis, build_integration_matrix, \
     shift_integration_matrix, time_grid
 from .problems import ADProblem, SolverConfig
 
@@ -148,27 +148,42 @@ def solve_modes(problem: ADProblem, config: SolverConfig,
     return _complete_solution(problem, config, basis, tgrid, solved)
 
 
-def coefficients_at(sol: SpectralSolution, t: float) -> dict:
-    """Interpolate every mode's nodal coefficients to time t in [0, T].
-
-    The map s = 2 t / T - 1 reuses the reference-interval barycentric
-    weights; real weights preserve conjugate symmetry exactly.
-    """
+def _coefficient_table(sol: SpectralSolution, times) -> np.ndarray:
+    # Coefficients of modes -N/2 .. N/2 at each time, shape (len(times), N + 1),
+    # from one product of Lagrange rows and the nodal table. The map
+    # s = 2 t / T - 1 reuses the reference-interval barycentric weights; the
+    # rows are real, so conjugate symmetry is preserved exactly, and a time
+    # on a node takes the nodal values exactly.
     T = sol.problem.T
-    if not 0.0 <= t <= T:
-        raise ValueError(f"t must lie in [0, {T}]; got {t}")
-    s = 2.0 * t / T - 1.0
-    return {k: complex(bary_interpolate(sol.basis, vec, s))
-            for k, vec in sol.psi.items()}
+    times = np.asarray(times, dtype=float)
+    outside = times[~((times >= 0.0) & (times <= T))]
+    if outside.size:
+        raise ValueError(f"t must lie in [0, {T}]; got {outside[0]}")
+    half = sol.config.N // 2
+    nodal = np.stack([sol.psi[k] for k in range(-half, half + 1)], axis=1)
+    return _lagrange_matrix(sol.basis, 2.0 * times / T - 1.0) @ nodal
 
 
-def evaluate_u(sol: SpectralSolution, x_grid: FourierGrid, t: float) -> np.ndarray:
-    """Solution values at the grid nodes and time t."""
-    coeffs = coefficients_at(sol, t)
-    return synthesize_field(coeffs, x_grid, float(sol.problem.g(t)))
+def coefficients_at(sol: SpectralSolution, t: float) -> dict:
+    """Interpolate every mode's nodal coefficients to time t in [0, T]."""
+    row = _coefficient_table(sol, [t])[0]
+    return {k: complex(c) for k, c in zip(sorted(sol.psi), row)}
 
 
-def evaluate_ux(sol: SpectralSolution, x_grid: FourierGrid, t: float) -> np.ndarray:
-    """Spatial-derivative values at the grid nodes and time t."""
-    coeffs = coefficients_at(sol, t)
-    return synthesize_derivative(coeffs, x_grid)
+def evaluate_u(sol: SpectralSolution, x_grid: FourierGrid, t) -> np.ndarray:
+    """Solution values at the grid nodes and time t.
+
+    A scalar t gives shape (N,); a 1-D array of times gives one row per
+    time, shape (len(t), N), from one interpolation and one synthesis.
+    """
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    g = [float(sol.problem.g(float(tk))) for tk in times]
+    u = synthesize_field(_coefficient_table(sol, times), x_grid, g)
+    return u[0] if np.ndim(t) == 0 else u
+
+
+def evaluate_ux(sol: SpectralSolution, x_grid: FourierGrid, t) -> np.ndarray:
+    """Spatial-derivative values at the grid nodes and time t (scalar or 1-D)."""
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    ux = synthesize_derivative(_coefficient_table(sol, times), x_grid)
+    return ux[0] if np.ndim(t) == 0 else ux

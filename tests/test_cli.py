@@ -1,11 +1,13 @@
 """Command line front end: file outputs, schemas, determinism, exit codes."""
 
 import csv
+import io
+import warnings
 
 import numpy as np
 import pytest
 
-from adspectral.cli import main
+from adspectral.cli import FLOAT, INT, _write_table, main
 
 TABLE_ROW = """
 problem_id = 1
@@ -72,6 +74,45 @@ class TestSolveCommand:
         main(["solve", "--config", str(cfg), "--out", str(out)])
         raw = (out / "report.csv").read_bytes()
         assert b"\r" not in raw and raw.endswith(b"\n")
+
+
+class TestTableWriter:
+    HEADER = ["n", "a", "b", "c"]
+    ROWS = [[3, -0.0, 5e-324, 1e300],
+            [-7, 1e-300, -1e300, -1e-300],
+            [0, 2.2250738585072014e-308, -np.inf, np.pi],
+            [2 ** 40, 0.1, np.nan, -4.9406564584124654e-324]]
+
+    @staticmethod
+    def _reference_text(header, rows):
+        # The per-cell rule the table writer replaced: csv.writer over
+        # str(int) for integers and '.17g' for everything else numeric.
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([
+                cell if isinstance(cell, str)
+                else str(int(cell)) if isinstance(cell, (int, np.integer))
+                else f"{float(cell):.17g}" for cell in row])
+        return buffer.getvalue()
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_numbers_match_reference(self, tmp_path, as_array):
+        rows = np.array(self.ROWS, dtype=float) if as_array else self.ROWS
+        path = tmp_path / "t.csv"
+        _write_table(path, self.HEADER, [INT, FLOAT, FLOAT, FLOAT], rows)
+        assert path.read_text(encoding="utf-8") == \
+            self._reference_text(self.HEADER, self.ROWS)
+
+    def test_text_columns_and_empty_table(self, tmp_path):
+        rows = [["TQ", 0, 1.5, ""], ["A", 12, -0.0, "x"]]
+        path = tmp_path / "t.csv"
+        _write_table(path, self.HEADER, ["%s", INT, FLOAT, "%s"], rows)
+        assert path.read_text(encoding="utf-8") == \
+            self._reference_text(self.HEADER, rows)
+        _write_table(path, self.HEADER, [INT] * 4, np.empty((0, 4)))
+        assert path.read_text(encoding="utf-8") == "n,a,b,c\n"
 
 
 class TestSaCommand:
@@ -164,5 +205,24 @@ class TestFailureModes:
     def test_seed_flag_accepted(self, tmp_path):
         cfg = _write(tmp_path, TABLE_ROW)
         out = tmp_path / "out"
+        np.random.seed(123)
+        state = np.random.get_state()[1].copy()
         assert main(["solve", "--config", str(cfg), "--out", str(out),
                      "--seed", "7"]) == 0
+        # No command draws random numbers, so the global stream is untouched.
+        assert np.array_equal(np.random.get_state()[1], state)
+
+    @pytest.mark.parametrize("key,value", [("mu", "nan"), ("L", "inf")])
+    def test_non_finite_value_refused_before_solving(self, tmp_path, capsys,
+                                                     key, value):
+        pairs = {"mu": "1", "nu": "1", "L": "2", "T": "0.2",
+                 "u0": "first_harmonic", "g": "zero", "N": "4", "M": "4"}
+        pairs[key] = value
+        cfg = _write(tmp_path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "solution.csv").exists()

@@ -10,6 +10,29 @@ from adspectral import (FourierGrid, dft_coefficients,
 from adspectral import test_problem as builtin_problem
 
 
+def _direct_dft(samples):
+    # Literal O(N0^2) sum. k j is reduced mod N0 in integers, so the phase
+    # argument stays in [0, 2 pi) and adds no rounding of its own.
+    N0 = len(samples)
+    j = np.arange(N0)
+    return {k: np.exp(-2j * np.pi * ((k * j) % N0) / N0) @ samples / N0
+            for k in range(-N0 // 2, N0 // 2)}
+
+
+def _dense_synthesis(c, grid):
+    # Literal sum_k c_k exp(i w_k x_j) over modes -N/2..N/2, one row per batch row.
+    ks = np.arange(-grid.N // 2, grid.N // 2 + 1)
+    return c @ np.exp(1j * np.outer(grid.nodes, grid.wavenumbers(ks))).T
+
+
+def _symmetric_batch(rng, N, rows):
+    # Conjugate-symmetric coefficient rows with a nonzero Nyquist pair.
+    half = N // 2
+    pos = rng.standard_normal((rows, half)) + 1j * rng.standard_normal((rows, half))
+    zero = rng.standard_normal((rows, 1)) + 0j
+    return np.concatenate([np.conj(pos[:, ::-1]), zero, pos], axis=1)
+
+
 class TestGrid:
     def test_nodes_cover_period(self):
         grid = FourierGrid(L=2.0, N=4)
@@ -78,6 +101,15 @@ class TestDftCoefficients:
         rhs = sum(abs(c) ** 2 for c in spectrum.coeffs.values())
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("N0", [6, 12, 4098])
+    def test_fft_matches_direct_sum(self, N0):
+        samples = np.random.default_rng(N0).standard_normal(N0)
+        spectrum = dft_coefficients(samples, N0)
+        direct = _direct_dft(samples)
+        assert sorted(spectrum.coeffs) == sorted(direct)
+        worst = max(abs(spectrum.mode(k) - direct[k]) for k in direct)
+        assert worst <= 1e-13
+
     def test_rejects_bad_n0(self):
         with pytest.raises(ValueError, match="N0"):
             dft_coefficients(np.zeros(5), 5)
@@ -143,6 +175,42 @@ class TestSynthesis:
         coeffs[-1] = 0.5j + 1e-14
         field = synthesize_field(coeffs, grid, 0.0)
         assert field.dtype == float
+
+
+class TestBatchedSynthesis:
+    N = 16
+
+    def test_field_matches_dense_sum(self):
+        grid = FourierGrid(L=3.0, N=self.N)
+        c = _symmetric_batch(np.random.default_rng(11), self.N, 3)
+        g = np.array([0.0, 1.5, -2.0])
+        got = synthesize_field(c, grid, g)
+        assert got.shape == (3, self.N)
+        assert_allclose(got, _dense_synthesis(c, grid).real + g[:, None],
+                        rtol=0, atol=1e-13)
+
+    def test_derivative_matches_dense_sum(self):
+        grid = FourierGrid(L=3.0, N=self.N)
+        c = _symmetric_batch(np.random.default_rng(12), self.N, 3)
+        om = grid.wavenumbers(np.arange(-self.N // 2, self.N // 2 + 1))
+        got = synthesize_derivative(c, grid)
+        assert got.shape == (3, self.N)
+        assert_allclose(got, _dense_synthesis(1j * om * c, grid).real,
+                        rtol=0, atol=1e-12)
+
+    def test_broken_symmetry_in_one_row_flagged(self):
+        grid = FourierGrid(L=2.0, N=self.N)
+        c = _symmetric_batch(np.random.default_rng(14), self.N, 3)
+        c[1, self.N // 2 + 1] += 1.0j  # mode 1 of row 1 loses its partner
+        with pytest.raises(ValueError, match="residue"):
+            synthesize_field(c, grid, 0.0)
+        with pytest.raises(ValueError, match="residue"):
+            synthesize_derivative(c, grid)
+
+    def test_wrong_mode_count_rejected(self):
+        grid = FourierGrid(L=2.0, N=4)
+        with pytest.raises(ValueError, match="last axis"):
+            synthesize_field(np.zeros((2, 4), dtype=complex), grid, 0.0)
 
 
 class TestDerivativeSynthesis:

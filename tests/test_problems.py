@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from adspectral import ADProblem, ConfigError, SolverConfig, load_config
+from adspectral.problems import config_from_pairs, parse_config_pairs
 from adspectral import test_problem as builtin_problem
 
 
@@ -195,6 +196,32 @@ M = 4
         path = self._write(tmp_path, "problem_id = 1\nN = 4\nM = 8\nt_final = -1\n")
         with pytest.raises(ConfigError, match="t_final"):
             load_config(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("mu", "nan"), ("nu", "inf"), ("L", "inf"), ("T", "nan"), ("T", "-inf")])
+    def test_non_finite_custom_value_rejected(self, tmp_path, key, value):
+        pairs = {"mu": "1", "nu": "1", "L": "2", "T": "0.2"}
+        pairs[key] = value
+        text = "".join(f"{k} = {v}\n" for k, v in pairs.items())
+        path = self._write(tmp_path, text + "u0 = first_harmonic\ng = zero\n"
+                                            "N = 4\nM = 4\n")
+        with pytest.raises(ConfigError, match=f"invalid value for key '{key}'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("T", "inf"), ("t_final", "inf"), ("t_final", "nan"), ("lambda", "inf")])
+    def test_non_finite_builtin_value_rejected(self, tmp_path, key, value):
+        path = self._write(tmp_path, f"problem_id = 1\nN = 4\nM = 8\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"invalid value for key '{key}'"):
+            load_config(path)
+
+    def test_t_final_returned_from_one_parse(self, tmp_path):
+        path = self._write(tmp_path, "problem_id = 2\nN = 4\nM = 8\nt_final = 0.5\n")
+        _, _, t_final = config_from_pairs(parse_config_pairs(path))
+        assert t_final == 0.5
+        path = self._write(tmp_path, "problem_id = 2\nN = 4\nM = 8\n")
+        problem, _, t_final = config_from_pairs(parse_config_pairs(path))
+        assert t_final == problem.T == 1.0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

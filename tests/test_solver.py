@@ -5,12 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from adspectral import (ADProblem, FourierGrid, ModeSolveError, SolverConfig,
-                        assemble_mode, coefficients_at, dft_coefficients,
-                        evaluate_u, evaluate_ux, mode_rate, solve_modes)
+                        assemble_mode, bary_interpolate, coefficients_at,
+                        dft_coefficients, evaluate_u, evaluate_ux, mode_rate,
+                        solve_modes)
 from adspectral import test_problem as builtin_problem
 from adspectral.gegenbauer import build_basis, build_integration_matrix, \
     shift_integration_matrix
-from adspectral.solver import ModeSystem, _prepare, _solve_system
+from adspectral.solver import ModeSystem, _coefficient_table, _prepare, \
+    _solve_system
 
 
 def _degenerate_problem(u0=None, g=None):
@@ -254,3 +256,48 @@ class TestEvaluation:
         grid = sol.grid
         assert_allclose(evaluate_ux(sol, grid, 0.5), np.zeros(4), atol=0.0)
         assert_allclose(evaluate_u(sol, grid, 0.5), np.zeros(4), atol=0.0)
+
+
+class TestBatchedEvaluation:
+    def test_table_matches_barycentric_rows(self):
+        problem = builtin_problem(3)
+        sol = solve_modes(problem, SolverConfig(N=8, M=10, N0=10))
+        ks = sorted(sol.psi)
+        nodes = sol.time_grid.nodes
+        off_node = np.linspace(0.0, problem.T, 7)
+        table = _coefficient_table(sol, np.concatenate([nodes, off_node]))
+        for l, row in enumerate(table[:len(nodes)]):
+            assert np.array_equal(row, [sol.psi[k][l] for k in ks])
+        for t, row in zip(off_node, table[len(nodes):]):
+            s = 2.0 * t / problem.T - 1.0
+            expected = [bary_interpolate(sol.basis, sol.psi[k], s) for k in ks]
+            assert_allclose(row, expected, rtol=0, atol=1e-15)
+
+    def test_array_of_times_matches_scalar_calls(self):
+        problem = builtin_problem(3)
+        sol = solve_modes(problem, SolverConfig(N=8, M=10, N0=10))
+        grid = sol.grid
+        times = np.linspace(0.0, problem.T, 5)
+        for evaluate in (evaluate_u, evaluate_ux):
+            batch = evaluate(sol, grid, times)
+            assert batch.shape == (5, 8)
+            assert evaluate(sol, grid, 0.05).shape == (8,)
+            for t, row in zip(times, batch):
+                assert_allclose(row, evaluate(sol, grid, float(t)),
+                                rtol=0, atol=1e-15)
+
+    def test_time_outside_horizon_rejected_in_batch(self):
+        sol = solve_modes(builtin_problem(1), SolverConfig(N=4, M=6, N0=6))
+        with pytest.raises(ValueError, match="t must lie"):
+            evaluate_u(sol, sol.grid, np.array([0.1, 0.3]))
+
+    @pytest.mark.parametrize("pid", [1, 2, 3])
+    def test_derivative_at_large_n_matches_exact(self, pid):
+        # A dense phase matrix rounds w_k x_j at this size; the FFT does not.
+        problem = builtin_problem(pid)
+        sol = solve_modes(problem, SolverConfig(N=1024, M=32))
+        grid = sol.grid
+        times = np.append(sol.time_grid.nodes, problem.T)
+        ux = evaluate_ux(sol, grid, times)
+        exact = np.array([problem.exact_dx(grid.nodes, t) for t in times])
+        assert np.max(np.abs(ux - exact)) <= 1e-12

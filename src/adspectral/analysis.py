@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -114,61 +115,82 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
     return SweepResult(rows=rows, slopes=slopes)
 
 
+def _round_robin(width: int) -> np.ndarray:
+    """Column permutation that advances a Brent-Luk round robin by one step.
+
+    Column i of the left half is paired with column i of the right half.
+    Column 0 stays put; the others move one place around the ring left half
+    left-to-right, then right half right-to-left, so width - 1 steps pair
+    every column with every other once and restore the starting order.
+    """
+    half = width // 2
+    ring = [*range(1, half), *range(width - 1, half - 1, -1)]
+    perm = np.arange(width)
+    for j, col in enumerate(ring):
+        perm[ring[(j + 1) % len(ring)]] = col
+    return perm
+
+
 def jacobi_svd(matrix, tol: float = JACOBI_TOL,
                max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """One-sided Jacobi SVD of a real or complex matrix with m >= n rows.
+    """One-sided Jacobi SVD of real or complex matrices with m >= n rows.
 
-    Columns are orthogonalized pairwise by plane rotations (with a phase
-    absorption step in the complex case) until every normalized column inner
-    product falls below tol. Returns (U, s, Vh) with s descending; small
-    singular values retain high relative accuracy.
+    Accepts one (m, n) matrix or a stack (..., m, n), as numpy.linalg.svd
+    does. Columns are orthogonalized pairwise by plane rotations (with a
+    phase absorption step in the complex case) until every normalized column
+    inner product falls below tol. Pairs follow the Brent-Luk round-robin
+    ordering: each step rotates n/2 disjoint pairs of every matrix at once,
+    and a sweep is n - 1 steps (odd n is padded with a zero column). Returns
+    (U, s, Vh) with s descending; small singular values retain high relative
+    accuracy.
     """
     a = np.asarray(matrix)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    m, n = a.shape
+    if a.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices; got shape {a.shape}")
+    *batch, m, n = a.shape
     if m < n:
         raise ValueError("one-sided Jacobi requires at least as many rows as columns")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("one-sided Jacobi requires finite entries")
     dtype = complex if np.iscomplexobj(a) else float
-    u = np.array(a, dtype=dtype)
-    v = np.eye(n, dtype=dtype)
+    width = n + n % 2
+    half = width // 2
+    # work holds [U; V] for every matrix, one column per Jacobi column
+    work = np.zeros((math.prod(batch), m + width, width), dtype=dtype)
+    work[:, :m, :n] = a.reshape(-1, m, n)
+    work[:, m:, :] = np.eye(width)
+    perm = _round_robin(width)
 
+    off = np.inf
     for _ in range(max_sweeps):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                x = u[:, i]
-                y = u[:, j]
-                aa = np.vdot(x, x).real
-                bb = np.vdot(y, y).real
-                # sqrt before multiplying: the product itself can underflow
-                # for near-null columns of rank-deficient inputs
-                denom = np.sqrt(aa) * np.sqrt(bb)
-                if denom == 0.0:
-                    continue
-                c = np.vdot(x, y)
-                rel = abs(c) / denom
-                off = max(off, rel)
-                if rel <= tol:
-                    continue
-                cab = abs(c)
-                phase = c / cab
-                zeta = (bb - aa) / (2.0 * cab)
-                sgn = 1.0 if zeta >= 0.0 else -1.0
-                tt = sgn / (abs(zeta) + np.hypot(1.0, zeta))
-                cs = 1.0 / np.sqrt(1.0 + tt * tt)
-                sn = cs * tt
-                yp = np.conj(phase) * y
-                new_i = cs * x - sn * yp
-                new_j = sn * x + cs * yp
-                u[:, i] = new_i
-                u[:, j] = new_j
-                xv = v[:, i]
-                yv = np.conj(phase) * v[:, j]
-                v_i = cs * xv - sn * yv
-                v_j = sn * xv + cs * yv
-                v[:, i] = v_i
-                v[:, j] = v_j
+        rels = []
+        for _ in range(width - 1):
+            u = work[:, :m]
+            uc = u.conj()
+            norms = np.einsum("bij,bij->bj", uc, u).real
+            c = np.einsum("bij,bij->bj", uc[:, :, :half], u[:, :, half:])
+            aa, bb = norms[:, :half], norms[:, half:]
+            # sqrt before multiplying: the product itself can underflow
+            # for near-null columns of rank-deficient inputs
+            roots = np.sqrt(norms)
+            denom = roots[:, :half] * roots[:, half:]
+            live = denom > 0.0
+            cab = np.abs(c)
+            rel = cab / np.where(live, denom, 1.0)
+            rels.append(rel)
+            # converged and zero pairs get the exact identity rotation
+            rotate = live & ~(rel <= tol)
+            cab = np.where(rotate, cab, 1.0)
+            phase = np.where(rotate, np.conj(c) / cab, 1.0)
+            zeta = (bb - aa) / (2.0 * cab)
+            tt = np.where(rotate, np.copysign(1.0, zeta)
+                          / (np.abs(zeta) + np.hypot(1.0, zeta)), 0.0)
+            cs = (1.0 / np.sqrt(1.0 + tt * tt))[:, None, :]
+            sn = cs * tt[:, None, :]
+            x = work[:, :, :half]
+            y = phase[:, None, :] * work[:, :, half:]
+            work = np.concatenate((cs * x - sn * y, sn * x + cs * y), axis=2)[:, :, perm]
+        off = float(np.max(rels, initial=0.0))
         if off <= tol:
             break
     else:
@@ -176,28 +198,27 @@ def jacobi_svd(matrix, tol: float = JACOBI_TOL,
             f"one-sided Jacobi SVD stopped after {max_sweeps} sweeps "
             f"with off-measure {off:.2e}", RuntimeWarning)
 
-    sing = np.sqrt(np.sum(np.abs(u) ** 2, axis=0))
-    order = np.argsort(-sing, kind="stable")
-    sing = sing[order]
-    u = u[:, order]
-    v = v[:, order]
-    nonzero = sing > 0
-    u[:, nonzero] = u[:, nonzero] / sing[nonzero]
-    return u, sing, np.conj(v.T)
+    # each sweep restores the column order, so the padding column is last
+    u = work[:, :m, :n]
+    v = work[:, m:m + n, :n]
+    sing = np.sqrt(np.sum(np.abs(u) ** 2, axis=1))
+    order = np.argsort(-sing, axis=-1, kind="stable")
+    sing = np.take_along_axis(sing, order, axis=-1)
+    u = np.take_along_axis(u, order[:, None, :], axis=-1)
+    v = np.take_along_axis(v, order[:, None, :], axis=-1)
+    u = u / np.where(sing > 0, sing, 1.0)[:, None, :]
+    vh = np.conj(np.swapaxes(v, -1, -2))
+    return (u.reshape(*batch, m, n), sing.reshape(*batch, n),
+            vh.reshape(*batch, n, n))
 
 
 def singular_values(matrix) -> np.ndarray:
-    """Full singular spectrum of a square matrix, descending."""
+    """Full singular spectrum of a square matrix or a stack of them, descending."""
     a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix; got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them; got shape {a.shape}")
     _, sing, _ = jacobi_svd(a)
     return sing
-
-
-def _extreme_singular(matrix) -> tuple[float, float]:
-    sing = singular_values(matrix)
-    return float(sing[0]), float(sing[-1])
 
 
 def conditioning_study(problem: ADProblem, config: SolverConfig,
@@ -227,20 +248,18 @@ def conditioning_study(problem: ADProblem, config: SolverConfig,
         for M in Ms:
             basis = build_basis(lam, M)
             tq = shift_integration_matrix(build_integration_matrix(basis), problem.T)
-            smax, smin = _extreme_singular(tq.entries)
-            reports.append(ConditioningReport(
-                kind="TQ", n=0, lam=lam, M=M,
-                sigma_max=smax, sigma_min=smin, cond=smax / smin))
-            sigma_min_by_M[M].append(smin)
+            # one complex stack per cell: TQ, then A at each sampled mode
+            eye = np.eye(M + 1)
+            sing = singular_values(np.stack(
+                [tq.entries] + [eye + mode_rate(problem, n) * tq.entries for n in modes]))
             conds = {}
-            for n in modes:
-                alpha = mode_rate(problem, n)
-                a = np.eye(M + 1, dtype=complex) + alpha * tq.entries
-                smax, smin = _extreme_singular(a)
-                conds[n] = smax / smin
+            for n, s in zip([0, *modes], sing):
+                smax, smin = float(s[0]), float(s[-1])
                 reports.append(ConditioningReport(
-                    kind="A", n=n, lam=lam, M=M,
+                    kind="A" if n else "TQ", n=n, lam=lam, M=M,
                     sigma_max=smax, sigma_min=smin, cond=smax / smin))
+                conds[n] = smax / smin
+            sigma_min_by_M[M].append(float(sing[0, -1]))
             if transport and len(modes) > 1:
                 peak_ok = peak_ok and conds[half] >= conds[1] * (1.0 - 1e-9)
 

@@ -42,6 +42,10 @@ class ADProblem:
     exact_dx: Optional[Callable] = None
 
     def __post_init__(self):
+        for name in ("mu", "nu", "L", "T"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite; got {value}")
         if self.mu < 0 or self.nu < 0:
             raise ValueError("mu and nu must be nonnegative")
         if not self.L > 0:
@@ -78,6 +82,8 @@ class SolverConfig:
             )
         if self.M < 1:
             raise ValueError(f"M must be >= 1; got {self.M}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite; got {self.lam}")
         if not self.lam > -0.5 + LAMBDA_MIN_GUARD:
             raise ValueError(
                 f"lambda must exceed {-0.5 + LAMBDA_MIN_GUARD}; got {self.lam}"

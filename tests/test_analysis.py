@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 
 from adspectral import (ADProblem, SolverConfig, bench_solve,
                         conditioning_study, convergence_sweep, error_report,
-                        evaluate_u, jacobi_svd, singular_values, solve_modes)
+                        evaluate_u, jacobi_svd, mode_rate, singular_values,
+                        solve_modes)
 from adspectral import test_problem as builtin_problem
 from adspectral.gegenbauer import build_basis, build_integration_matrix, \
     shift_integration_matrix
@@ -158,6 +159,81 @@ class TestJacobiSvd:
         assert s[0] == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
         assert_allclose(s[1:], 0.0, atol=1e-12)
 
+    def test_stack_members_match_own_call_and_lapack(self):
+        # A complex stack whose members 0 and 2 are real (zero imaginary part).
+        rng = np.random.default_rng(12)
+        stack = rng.standard_normal((4, 12, 12)) + 0j
+        stack[1::2] += 1j * rng.standard_normal((2, 12, 12))
+        u, s, vh = jacobi_svd(stack)
+        assert (u.shape, s.shape, vh.shape) == ((4, 12, 12), (4, 12), (4, 12, 12))
+        for k, member in enumerate(stack):
+            alone = member.real if k % 2 == 0 else member
+            _, s_alone, _ = jacobi_svd(alone)
+            assert_allclose(s[k], s_alone, rtol=1e-13)
+            assert_allclose(s[k], np.linalg.svd(alone, compute_uv=False), rtol=1e-12)
+            assert np.max(np.abs((u[k] * s[k]) @ vh[k] - member)) <= 1e-13 * np.max(np.abs(member))
+
+    @pytest.mark.parametrize("shape", [(9, 9), (31, 9), (2, 31, 9), (3, 7, 7)])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_odd_and_tall_inputs(self, shape, complex_entries):
+        # Odd n runs the round robin with a zero padding column.
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal(shape)
+        if complex_entries:
+            a = a + 1j * rng.standard_normal(shape)
+        u, s, vh = jacobi_svd(a)
+        n = shape[-1]
+        assert u.shape == shape and s.shape == shape[:-2] + (n,)
+        assert vh.shape == shape[:-2] + (n, n)
+        assert np.all(np.diff(s, axis=-1) <= 0.0)
+        uh = np.conj(np.swapaxes(u, -1, -2))
+        v = np.conj(np.swapaxes(vh, -1, -2))
+        assert np.max(np.abs(uh @ u - np.eye(n))) <= 1e-13
+        assert np.max(np.abs(vh @ v - np.eye(n))) <= 1e-13
+        assert np.max(np.abs((u * s[..., None, :]) @ vh - a)) <= 1e-13 * np.max(np.abs(a))
+        assert_allclose(s, np.linalg.svd(a, compute_uv=False), rtol=1e-12)
+
+    def test_stack_with_rank_deficient_and_identity_members(self):
+        rng = np.random.default_rng(14)
+        rank_one = np.outer(np.arange(1.0, 6.0), np.ones(5))
+        stack = np.stack([rank_one, np.eye(5), rng.standard_normal((5, 5))])
+        s = singular_values(stack)
+        assert s[0, 0] == pytest.approx(np.linalg.norm(rank_one, 2), rel=1e-12)
+        assert_allclose(s[0, 1:], 0.0, atol=1e-12)
+        # converged pairs get the exact identity rotation
+        assert np.all(s[1] == 1.0)
+        assert_allclose(s[2], np.linalg.svd(stack[2], compute_uv=False), rtol=1e-12)
+
+    def test_non_convergence_warns(self):
+        a = np.random.default_rng(15).standard_normal((10, 10))
+        with pytest.warns(RuntimeWarning, match="stopped after 1 sweeps"):
+            jacobi_svd(a, max_sweeps=1)
+
+    def test_wide_and_non_square_stacks_rejected(self):
+        with pytest.raises(ValueError, match="rows"):
+            jacobi_svd(np.ones((2, 3, 5)))
+        with pytest.raises(ValueError, match="stack"):
+            jacobi_svd(np.ones(5))
+        for shape in [(2, 3, 5), (2, 5, 3), (4,)]:
+            with pytest.raises(ValueError, match="square"):
+                singular_values(np.ones(shape))
+
+    def test_non_finite_entries_rejected(self):
+        stack = np.stack([np.eye(4), np.eye(4)])
+        stack[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            jacobi_svd(stack)
+
+    @pytest.mark.parametrize("lam", [-0.4999, -0.49])
+    def test_high_relative_accuracy_against_mpmath(self, lam):
+        # The smallest singular value of Q is about 7e-8 at lam = -0.4999.
+        mpmath = pytest.importorskip("mpmath")
+        q = build_integration_matrix(build_basis(lam, 40)).entries
+        with mpmath.workdps(40):
+            exact = mpmath.svd_r(mpmath.matrix(q.tolist()), compute_uv=False)
+            exact = np.sort([float(v) for v in exact])[::-1]
+        assert_allclose(singular_values(q), exact, rtol=1e-13, atol=0.0)
+
 
 class TestConditioning:
     def test_shift_leaves_condition_number_invariant(self):
@@ -213,6 +289,20 @@ class TestConditioning:
         assert sum(r.kind == "TQ" for r in reports) == 6
         assert sum(r.kind == "A" for r in reports) == 12
         assert all(r.cond >= 1.0 for r in reports)
+
+    def test_reports_match_lapack_per_matrix(self):
+        problem = builtin_problem(3)
+        config = SolverConfig(N=16, M=8, N0=18)
+        reports, _ = conditioning_study(problem, config, [-0.3, 0.5], [6, 9])
+        for r in reports:
+            tq = shift_integration_matrix(
+                build_integration_matrix(build_basis(r.lam, r.M)), problem.T).entries
+            matrix = tq if r.kind == "TQ" else \
+                np.eye(r.M + 1) + mode_rate(problem, r.n) * tq
+            sigma = np.linalg.svd(matrix, compute_uv=False)
+            assert r.sigma_max == pytest.approx(sigma[0], rel=1e-12)
+            assert r.sigma_min == pytest.approx(sigma[-1], rel=1e-12)
+        assert [(r.kind, r.n) for r in reports[:3]] == [("TQ", 0), ("A", 1), ("A", 8)]
 
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):

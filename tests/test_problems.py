@@ -1,5 +1,8 @@
 """Built-in problems, their exact solutions, and config ingestion."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -106,6 +109,20 @@ class TestSolverConfig:
     def test_rejects_degenerate_lambda(self):
         with pytest.raises(ValueError, match="lambda"):
             SolverConfig(N=4, M=10, lam=-0.5)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("mu", np.nan), ("nu", np.inf), ("L", np.inf), ("T", np.inf),
+    ("T", np.nan), ("lam", np.inf), ("lam", np.nan)])
+def test_non_finite_data_rejected_where_built(field, value):
+    # Refused in __post_init__, before any sampling, assembly or LAPACK call.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            if field == "lam":
+                SolverConfig(N=4, M=10, lam=value)
+            else:
+                dataclasses.replace(builtin_problem(1), **{field: value})
 
 
 class TestLoadConfig:

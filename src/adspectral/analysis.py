@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fourier import FourierGrid
-from .gegenbauer import build_basis, build_integration_matrix, shift_integration_matrix
+from .gegenbauer import reference_rule, shift_integration_matrix
 from .problems import ADProblem, SolverConfig
 from .solver import (SpectralSolution, _complete_solution, _prepare,
                      _solve_positive_modes, evaluate_u, mode_rate, solve_modes)
@@ -246,8 +246,7 @@ def conditioning_study(problem: ADProblem, config: SolverConfig,
 
     for lam in lams:
         for M in Ms:
-            basis = build_basis(lam, M)
-            tq = shift_integration_matrix(build_integration_matrix(basis), problem.T)
+            tq = shift_integration_matrix(reference_rule(lam, M)[1], problem.T)
             # one complex stack per cell: TQ, then A at each sampled mode
             eye = np.eye(M + 1)
             sing = singular_values(np.stack(
@@ -282,7 +281,12 @@ def conditioning_study(problem: ADProblem, config: SolverConfig,
 
 def bench_solve(problem: ADProblem, config: SolverConfig, repeats: int,
                 parallel: bool = False) -> BenchResult:
-    """Median wall-clock time of assembly, solves, and synthesis stages."""
+    """Median wall-clock time of assembly, solves, and synthesis stages.
+
+    With ``parallel`` the mode solves are timed a second time and
+    ``parallel_ratio`` is first time over second; the solves always run one
+    after another, so it reads about 1.
+    """
     if repeats < 3:
         raise ValueError(f"repeats must be >= 3; got {repeats}")
     stage_names = ("assembly", "solve", "synthesis")
@@ -293,7 +297,7 @@ def bench_solve(problem: ADProblem, config: SolverConfig, repeats: int,
         t0 = time.perf_counter()
         basis, tq, tgrid, spectrum = _prepare(problem, config)
         t1 = time.perf_counter()
-        solved = _solve_positive_modes(problem, config, tq, spectrum, parallel=False)
+        solved = _solve_positive_modes(problem, config, tq, spectrum)
         t2 = time.perf_counter()
         sol = _complete_solution(problem, config, basis, tgrid, solved)
         evaluate_u(sol, sol.grid, tgrid.nodes)
@@ -304,7 +308,7 @@ def bench_solve(problem: ADProblem, config: SolverConfig, repeats: int,
         totals.append(t3 - t0)
         if parallel:
             p0 = time.perf_counter()
-            _solve_positive_modes(problem, config, tq, spectrum, parallel=True)
+            _solve_positive_modes(problem, config, tq, spectrum)
             p1 = time.perf_counter()
             ratios.append((t2 - t1) / max(p1 - p0, 1e-12))
     stages = {name: float(np.median(vals)) for name, vals in samples.items()}

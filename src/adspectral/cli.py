@@ -17,9 +17,9 @@ import numpy as np
 from .analysis import (ErrorReport, _report_from_solution, bench_solve,
                        conditioning_study, convergence_sweep)
 from .fourier import FourierGrid, synthesize_derivative, synthesize_field
-from .gegenbauer import build_basis, time_grid
+from .gegenbauer import reference_rule, time_grid
 from .problems import ConfigError, config_from_pairs, parse_config_pairs
-from .semianalytic import sa_coefficient_map, sa_field
+from .semianalytic import sa_coefficient_table, sa_field
 from .solver import evaluate_u, evaluate_ux, solve_modes
 
 
@@ -149,13 +149,12 @@ def cmd_sa(manifest: RunManifest) -> None:
     problem, config, _, t_final = _load(manifest)
     field = sa_field(problem, config.N, config.N0)
     grid = FourierGrid(L=problem.L, N=config.N)
-    tgrid = time_grid(build_basis(config.lam, config.M), problem.T)
+    tgrid = time_grid(reference_rule(config.lam, config.M)[0], problem.T)
 
     times = np.append(tgrid.nodes, t_final)
-    maps = [sa_coefficient_map(field, float(t)) for t in times]
-    u = np.array([synthesize_field(c, grid, float(problem.g(float(t))))
-                  for c, t in zip(maps, times)])
-    ux = np.array([synthesize_derivative(c, grid) for c in maps])
+    coeffs = sa_coefficient_table(field, times)
+    u = synthesize_field(coeffs, grid, [float(problem.g(float(t))) for t in times])
+    ux = synthesize_derivative(coeffs, grid)
     _write_solution(manifest.output_dir / "solution.csv", problem, grid, times,
                     u, ux)
 
@@ -229,7 +228,7 @@ def main(argv=None) -> int:
         cmd.add_argument("--config", required=True, help="key=value config file")
         cmd.add_argument("--out", required=True, help="output directory for CSVs")
         cmd.add_argument("--parallel", action="store_true",
-                         help="solve independent mode systems concurrently")
+                         help="accepted and ignored; modes are solved serially")
         cmd.add_argument("--seed", type=int, default=0,
                          help="seed recorded for randomized studies")
     args = parser.parse_args(argv)

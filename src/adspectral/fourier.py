@@ -56,7 +56,8 @@ def dft_coefficients(u0_samples, N0: int) -> InitialSpectrum:
 
     u_hat_k = (1/N0) sum_j u_j exp(-2 pi i k j / N0) for k in
     {-N0/2, ..., N0/2 - 1}, computed with one FFT in O(N0 log N0). The
-    tests hold it to the direct O(N0^2) sum within 1e-13.
+    tests hold it to the direct O(N0^2) sum within 1e-13. A NaN or infinite
+    sample raises ValueError before the FFT.
     """
     if N0 < 4 or N0 % 2:
         raise ValueError(f"N0 must be even and >= 4; got {N0}")
@@ -64,6 +65,11 @@ def dft_coefficients(u0_samples, N0: int) -> InitialSpectrum:
     if samples.shape != (N0,):
         raise ValueError(
             f"expected {N0} samples, got shape {samples.shape}"
+        )
+    if not np.all(np.isfinite(samples)):
+        bad = int(np.argmin(np.isfinite(samples)))
+        raise ValueError(
+            f"u0 is not finite: sample {bad} of {N0} is {samples[bad]}"
         )
     values = np.fft.fft(samples, norm="forward")
     coeffs = {k: complex(values[k % N0]) for k in range(-N0 // 2, N0 // 2)}

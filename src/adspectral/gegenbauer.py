@@ -12,6 +12,7 @@ All values are plain numpy arrays, frozen after construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,11 @@ LAMBDA_MIN_GUARD = 1e-6
 # Evaluation points closer than this to a node take the nodal value directly
 # (removable singularity of the barycentric ratio).
 NODE_COINCIDENCE_TOL = 1e-14
+
+# Reference rules (basis and Q) kept by reference_rule, least recently used
+# evicted first. Q is O(M^3) to build and depends only on (lam, M); an entry
+# at M = 64 holds about 35 kB.
+RULE_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -174,6 +180,17 @@ def build_integration_matrix(basis: GegenbauerBasis) -> IntegrationMatrix:
         entries[l] = half * (glw @ _lagrange_matrix(basis, pts))
     entries.setflags(write=False)
     return IntegrationMatrix(order=basis.order, entries=entries)
+
+
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+def reference_rule(lam: float, order: int) -> tuple[GegenbauerBasis, IntegrationMatrix]:
+    """The basis and Q on (-1, 1) for index ``lam``, built once per (lam, order).
+
+    The arrays are read-only, so callers share them; scale Q to a horizon
+    with shift_integration_matrix.
+    """
+    basis = build_basis(lam, order)
+    return basis, build_integration_matrix(basis)
 
 
 def shift_integration_matrix(qmat: IntegrationMatrix, horizon: float) -> IntegrationMatrix:

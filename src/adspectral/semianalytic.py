@@ -13,7 +13,7 @@ import numpy as np
 
 from .fourier import InitialSpectrum, dft_coefficients
 from .problems import ADProblem
-from .solver import mode_rate
+from .solver import _times_in_horizon, mode_rate
 
 
 @dataclass(frozen=True)
@@ -51,23 +51,36 @@ def sa_coefficient(field: SAField, n: int, t: float) -> complex:
     return field.spectrum.mode(n) * np.exp(-mode_rate(field.problem, n) * t)
 
 
+def sa_coefficient_table(field: SAField, times) -> np.ndarray:
+    """Modes -N/2 .. N/2 at each time, shape (len(times), N + 1).
+
+    u0_hat_n exp(-alpha_n t) for n = 1 .. N/2 in one broadcast product,
+    completed by conjugation and the zero-sum constraint.
+    """
+    times = _times_in_horizon(times, field.problem.T)
+    _, rates, c0 = _half_spectrum(field)
+    pos = c0 * np.exp(-np.multiply.outer(times, rates))
+    zero = -2.0 * pos.real.sum(axis=-1, keepdims=True)
+    return np.concatenate([np.conj(pos[..., ::-1]), zero, pos], axis=-1)
+
+
 def sa_coefficient_map(field: SAField, t: float) -> dict:
     """All modes |k| <= N/2 at time t, completed by conjugation and zero sum."""
     half = field.N // 2
-    pos = {n: sa_coefficient(field, n, t) for n in range(1, half + 1)}
-    out = {0: -2.0 * sum(c.real for c in pos.values()) + 0j}
-    for n, c in pos.items():
-        out[n] = c
-        out[-n] = c.conjugate()
-    return {k: out[k] for k in range(-half, half + 1)}
+    return dict(zip(range(-half, half + 1), sa_coefficient_table(field, [t])[0]))
 
 
-def _mode_sums(field: SAField, x, t):
-    half = field.N // 2
-    ns = np.arange(1, half + 1)
+def _half_spectrum(field: SAField):
+    # Wavenumbers, rates alpha_n and initial coefficients of n = 1 .. N/2.
+    ns = np.arange(1, field.N // 2 + 1)
     om = 2.0 * np.pi * ns / field.problem.L
     rates = np.array([mode_rate(field.problem, int(n)) for n in ns])
     c0 = np.array([field.spectrum.mode(int(n)) for n in ns])
+    return om, rates, c0
+
+
+def _mode_sums(field: SAField, x, t):
+    om, rates, c0 = _half_spectrum(field)
     decayed = c0 * np.exp(-rates * t)
     travelling = decayed * np.exp(1j * np.multiply.outer(np.asarray(x), om))
     return om, decayed, travelling

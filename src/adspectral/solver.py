@@ -11,22 +11,25 @@ zero mode from the zero-sum constraint of the coefficient vector.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .fourier import FourierGrid, InitialSpectrum, dft_coefficients, \
     synthesize_derivative, synthesize_field
 from .gegenbauer import GegenbauerBasis, IntegrationMatrix, TimeGrid, \
-    _lagrange_matrix, build_basis, build_integration_matrix, \
-    shift_integration_matrix, time_grid
+    _lagrange_matrix, reference_rule, shift_integration_matrix, time_grid
 from .problems import ADProblem, SolverConfig
 
 # A pivot below this fraction of ||A||_inf marks the system as numerically
 # singular; reported, never regularized.
 PIVOT_RTOL = 1e-14
+
+# LAPACK LU factor and solve, called directly: up to about M = 32 the input
+# checks and batch handling of scipy.linalg.lu_factor/lu_solve cost more
+# than the factorization itself.
+_GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), dtype=complex)
 
 
 class ModeSolveError(RuntimeError):
@@ -84,21 +87,21 @@ def _solve_system(system: ModeSystem) -> np.ndarray:
     if system.alpha == 0:
         # Identity system; skip the factorization entirely.
         return system.rhs.copy()
-    lu, piv = lu_factor(system.matrix)
-    scale = np.linalg.norm(system.matrix, np.inf)
-    pivot_min = float(np.min(np.abs(np.diag(lu))))
+    lu, piv, _ = _GETRF(system.matrix)
+    scale = np.abs(system.matrix).sum(axis=1).max()  # ||A||_inf
+    pivot_min = float(np.abs(lu.diagonal()).min())
     if pivot_min < PIVOT_RTOL * scale:
         raise ModeSolveError(
             system.n,
             f"singular or ill-conditioned system "
             f"(pivot {pivot_min:.3e} below {PIVOT_RTOL:.0e} * ||A|| = {PIVOT_RTOL * scale:.3e})",
         )
-    return lu_solve((lu, piv), system.rhs)
+    return _GETRS(lu, piv, system.rhs)[0]
 
 
 def _prepare(problem: ADProblem, config: SolverConfig):
-    basis = build_basis(config.lam, config.M)
-    tq = shift_integration_matrix(build_integration_matrix(basis), problem.T)
+    basis, q = reference_rule(config.lam, config.M)
+    tq = shift_integration_matrix(q, problem.T)
     tgrid = time_grid(basis, problem.T)
     x0 = problem.L * np.arange(config.N0) / config.N0
     spectrum = dft_coefficients(np.asarray(problem.u0(x0), dtype=float), config.N0)
@@ -106,16 +109,11 @@ def _prepare(problem: ADProblem, config: SolverConfig):
 
 
 def _solve_positive_modes(problem: ADProblem, config: SolverConfig,
-                          tq: IntegrationMatrix, spectrum: InitialSpectrum,
-                          parallel: bool = False) -> list[np.ndarray]:
-    systems = [assemble_mode(n, problem, config, tq, spectrum)
-               for n in range(1, config.N // 2 + 1)]
-    if parallel and len(systems) > 1:
-        # The systems are independent; results are collected in mode order so
-        # the output is identical to the serial loop.
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(_solve_system, systems))
-    return [_solve_system(system) for system in systems]
+                          tq: IntegrationMatrix,
+                          spectrum: InitialSpectrum) -> list[np.ndarray]:
+    # One mode at a time, so only one system is held at once.
+    return [_solve_system(assemble_mode(n, problem, config, tq, spectrum))
+            for n in range(1, config.N // 2 + 1)]
 
 
 def _complete_solution(problem: ADProblem, config: SolverConfig,
@@ -142,10 +140,20 @@ def solve_modes(problem: ADProblem, config: SolverConfig,
 
     Negative modes are the exact conjugates of the positive ones and the zero
     mode is -2 sum_k Re(psi_k), enforcing the zero-sum constraint.
+    ``parallel`` is accepted and ignored: the modes are solved one after
+    another, which was never slower than a thread pool at any size measured.
     """
     basis, tq, tgrid, spectrum = _prepare(problem, config)
-    solved = _solve_positive_modes(problem, config, tq, spectrum, parallel=parallel)
+    solved = _solve_positive_modes(problem, config, tq, spectrum)
     return _complete_solution(problem, config, basis, tgrid, solved)
+
+
+def _times_in_horizon(times, T: float) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    outside = times[~((times >= 0.0) & (times <= T))]
+    if outside.size:
+        raise ValueError(f"t must lie in [0, {T}]; got {outside[0]}")
+    return times
 
 
 def _coefficient_table(sol: SpectralSolution, times) -> np.ndarray:
@@ -155,10 +163,7 @@ def _coefficient_table(sol: SpectralSolution, times) -> np.ndarray:
     # rows are real, so conjugate symmetry is preserved exactly, and a time
     # on a node takes the nodal values exactly.
     T = sol.problem.T
-    times = np.asarray(times, dtype=float)
-    outside = times[~((times >= 0.0) & (times <= T))]
-    if outside.size:
-        raise ValueError(f"t must lie in [0, {T}]; got {outside[0]}")
+    times = _times_in_horizon(times, T)
     half = sol.config.N // 2
     nodal = np.stack([sol.psi[k] for k in range(-half, half + 1)], axis=1)
     return _lagrange_matrix(sol.basis, 2.0 * times / T - 1.0) @ nodal

@@ -7,6 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+from adspectral import (FourierGrid, build_basis, sa_coefficient, sa_field,
+                        synthesize_derivative, synthesize_field, time_grid)
+from adspectral import test_problem as builtin_problem
 from adspectral.cli import FLOAT, INT, _write_table, main
 
 TABLE_ROW = """
@@ -125,6 +128,40 @@ class TestSaCommand:
         rows = _read_rows(out / "report.csv")
         assert float(rows[1][5]) <= 1e-15
         assert not (out / "coefficients.csv").exists()
+
+    @staticmethod
+    def _per_time_map(field, t):
+        # One dict per time, as sa_coefficient_map built it mode by mode.
+        half = field.N // 2
+        pos = {n: sa_coefficient(field, n, t) for n in range(1, half + 1)}
+        out = {0: -2.0 * sum(c.real for c in pos.values()) + 0j}
+        for n, c in pos.items():
+            out[n] = c
+            out[-n] = c.conjugate()
+        return out
+
+    @pytest.mark.parametrize("pid", [1, 3])
+    def test_solution_matches_per_time_maps(self, tmp_path, pid):
+        N, M, t_final = 64, 12, 0.05
+        cfg = _write(tmp_path, f"problem_id = {pid}\nN = {N}\nM = {M}\n"
+                               f"t_final = {t_final}\n")
+        out = tmp_path / "out"
+        assert main(["sa", "--config", str(cfg), "--out", str(out)]) == 0
+        table = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
+
+        problem = builtin_problem(pid).with_horizon(t_final)
+        field = sa_field(problem, N, N + 2)
+        grid = FourierGrid(L=problem.L, N=N)
+        times = np.append(time_grid(build_basis(-0.4, M), t_final).nodes, t_final)
+        u, ux = [], []
+        for t in times:
+            coeffs = self._per_time_map(field, float(t))
+            u.append(synthesize_field(coeffs, grid, float(problem.g(float(t)))))
+            ux.append(synthesize_derivative(coeffs, grid))
+        assert table.shape == (len(times) * N, 6)
+        assert np.array_equal(table[:, 1], np.repeat(times, N))
+        assert np.max(np.abs(table[:, 2] - np.ravel(u))) <= 1e-14
+        assert np.max(np.abs(table[:, 3] - np.ravel(ux))) <= 1e-14
 
     def test_invalid_mode_margin_rejected(self, tmp_path):
         cfg = _write(tmp_path, "problem_id = 1\nN = 6\nN0 = 6\nM = 4\n")

@@ -1,5 +1,7 @@
 """DFT interpolation coefficients and synthesis round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -117,6 +119,15 @@ class TestDftCoefficients:
             dft_coefficients(np.zeros(2), 2)
         with pytest.raises(ValueError, match="samples"):
             dft_coefficients(np.zeros(6), 8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples_without_warning(self, bad):
+        samples = np.zeros(8)
+        samples[5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="u0 is not finite: sample 5 of 8"):
+                dft_coefficients(samples, 8)
 
 
 class TestSynthesis:

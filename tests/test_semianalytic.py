@@ -1,6 +1,7 @@
 """Closed-form coefficients and direct evaluation of the solution field."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from adspectral import (ADProblem, FourierGrid, SAField, SolverConfig,
                         dft_coefficients, evaluate_u, sa_coefficient,
                         sa_coefficient_map, sa_evaluate_u, sa_evaluate_ux,
                         sa_field, solve_modes, synthesize_field)
+from adspectral.semianalytic import sa_coefficient_table
 from adspectral import test_problem as builtin_problem
 
 
@@ -67,6 +69,36 @@ class TestSaField:
         assert sorted(coeffs) == list(range(-2, 3))
         assert coeffs[-1] == coeffs[1].conjugate()
         assert abs(sum(coeffs.values())) <= 1e-15
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_u0_refused_without_warning(self, bad):
+        problem = ADProblem(
+            mu=0.0, nu=1.0, L=2.0, T=0.2,
+            u0=lambda x: np.where(np.isclose(x, 0.5), bad, np.sin(np.pi * x)),
+            g=lambda t: 0.0 * np.asarray(t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="u0 is not finite: sample 2 of 8"):
+                sa_field(problem, 4, 8)
+
+
+class TestSaCoefficientTable:
+    def test_rows_match_scalar_coefficients(self):
+        problem = builtin_problem(3)
+        field = sa_field(problem, 16, 18)
+        times = np.linspace(0.0, problem.T, 5)
+        table = sa_coefficient_table(field, times)
+        assert table.shape == (5, 17)
+        for t, row in zip(times, table):
+            pos = np.array([sa_coefficient(field, n, float(t)) for n in range(1, 9)])
+            assert_allclose(row[9:], pos, rtol=1e-15, atol=0)
+            assert np.array_equal(row[:8], np.conj(row[9:][::-1]))
+            assert row[8] == pytest.approx(-2.0 * pos.real.sum(), abs=1e-16)
+
+    def test_time_outside_horizon_rejected(self):
+        field = sa_field(builtin_problem(1), 4, 6)
+        with pytest.raises(ValueError, match="t must lie"):
+            sa_coefficient_table(field, [0.1, 0.25])
 
 
 class TestSaEvaluation:

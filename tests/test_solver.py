@@ -1,18 +1,22 @@
 """Mode assembly, direct solves, symmetry completion, and field evaluation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import lu_factor, lu_solve
 
 from adspectral import (ADProblem, FourierGrid, ModeSolveError, SolverConfig,
                         assemble_mode, bary_interpolate, coefficients_at,
                         dft_coefficients, evaluate_u, evaluate_ux, mode_rate,
                         solve_modes)
 from adspectral import test_problem as builtin_problem
+from adspectral import solver
 from adspectral.gegenbauer import build_basis, build_integration_matrix, \
-    shift_integration_matrix
-from adspectral.solver import ModeSystem, _coefficient_table, _prepare, \
-    _solve_system
+    reference_rule, shift_integration_matrix
+from adspectral.solver import PIVOT_RTOL, ModeSystem, _coefficient_table, \
+    _prepare, _solve_system
 
 
 def _degenerate_problem(u0=None, g=None):
@@ -170,6 +174,98 @@ class TestSolveModes:
         with pytest.raises(ModeSolveError, match="mode 3"):
             _solve_system(system)
 
+
+class TestDirectLapack:
+    @pytest.mark.parametrize("pid", [1, 2, 3])
+    @pytest.mark.parametrize("N,M", [(8, 40), (64, 10), (256, 32)])
+    def test_matches_lu_factor_oracle_bit_for_bit(self, pid, N, M):
+        problem = builtin_problem(pid)
+        config = SolverConfig(N=N, M=M)
+        sol = solve_modes(problem, config)
+        _, tq, _, spectrum = _prepare(problem, config)
+        for n in range(1, N // 2 + 1):
+            system = assemble_mode(n, problem, config, tq, spectrum)
+            expected = lu_solve(lu_factor(system.matrix), system.rhs)
+            assert np.array_equal(sol.psi[n], expected)
+
+    def test_tiny_pivot_reported_with_mode(self):
+        # Nonzero, so LAPACK factors it; the relative test refuses it.
+        matrix = np.diag([1.0, 1.0, 0.5 * PIVOT_RTOL]).astype(complex)
+        system = ModeSystem(n=7, alpha=1.0 + 0j, matrix=matrix,
+                            rhs=np.ones(3, dtype=complex))
+        with pytest.raises(ModeSolveError, match="mode 7: singular"):
+            _solve_system(system)
+        matrix = np.diag([1.0, 1.0, 2.0 * PIVOT_RTOL]).astype(complex)
+        ok = ModeSystem(n=7, alpha=1.0 + 0j, matrix=matrix,
+                        rhs=np.ones(3, dtype=complex))
+        assert np.array_equal(_solve_system(ok), [1.0, 1.0, 0.5 / PIVOT_RTOL])
+
+    def test_solve_modes_names_the_singular_mode(self, monkeypatch):
+        assemble = solver.assemble_mode
+
+        def singular_at_two(n, *args):
+            system = assemble(n, *args)
+            if n != 2:
+                return system
+            matrix = np.zeros_like(system.matrix)
+            matrix[0, 0] = 1.0
+            return ModeSystem(n=n, alpha=system.alpha, matrix=matrix,
+                              rhs=system.rhs)
+
+        monkeypatch.setattr(solver, "assemble_mode", singular_at_two)
+        with pytest.raises(ModeSolveError, match="mode 2:") as info:
+            solve_modes(builtin_problem(3), SolverConfig(N=8, M=6))
+        assert info.value.mode == 2
+
+
+class TestReferenceRuleCache:
+    def test_prepare_reuses_rule_across_horizons(self):
+        problem = builtin_problem(1)
+        config = SolverConfig(N=4, M=11, lam=-0.25)
+        basis_a, tq_a, tgrid_a, _ = _prepare(problem, config)
+        basis_b, tq_b, tgrid_b, _ = _prepare(problem.with_horizon(0.05), config)
+        assert basis_b is basis_a
+        rule_basis, q = reference_rule(-0.25, 11)
+        assert rule_basis is basis_a
+        assert reference_rule(-0.25, 11)[1] is q
+        assert not q.entries.flags.writeable
+        assert not tq_a.entries.flags.writeable
+        assert np.array_equal(tq_a.entries, 0.5 * 0.2 * q.entries)
+        assert np.array_equal(tq_b.entries, 0.5 * 0.05 * q.entries)
+        assert tgrid_b.nodes[-1] < tgrid_a.nodes[-1]
+
+    def test_other_lambda_or_order_misses(self):
+        problem = builtin_problem(1)
+        _prepare(problem, SolverConfig(N=4, M=13, lam=0.3))
+        before = reference_rule.cache_info()
+        _prepare(problem, SolverConfig(N=4, M=13, lam=0.3))
+        hit = reference_rule.cache_info()
+        assert (hit.hits, hit.misses) == (before.hits + 1, before.misses)
+        basis_lam, _, _, _ = _prepare(problem, SolverConfig(N=4, M=13, lam=0.31))
+        basis_m, _, _, _ = _prepare(problem, SolverConfig(N=4, M=14, lam=0.3))
+        after = reference_rule.cache_info()
+        assert after.misses == hit.misses + 2
+        assert (basis_lam.lam, basis_lam.order) == (0.31, 13)
+        assert (basis_m.lam, basis_m.order) == (0.3, 14)
+
+    def test_cached_rule_equals_fresh_build(self):
+        basis, q = reference_rule(0.5, 9)
+        fresh = build_basis(0.5, 9)
+        assert np.array_equal(basis.nodes, fresh.nodes)
+        assert np.array_equal(q.entries, build_integration_matrix(fresh).entries)
+
+
+class TestNonFiniteInitialData:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_solve_modes_refuses_before_the_fft(self, bad):
+        problem = ADProblem(
+            mu=0.0, nu=1.0, L=2.0, T=0.2,
+            u0=lambda x: np.where(np.isclose(x, 1.0), bad, np.sin(np.pi * x)),
+            g=lambda t: 0.0 * np.asarray(t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="u0 is not finite: sample 3 of 6"):
+                solve_modes(problem, SolverConfig(N=4, M=6))
 
 class TestEvaluation:
     def test_coefficients_at_node_is_exact(self):

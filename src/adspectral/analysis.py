@@ -13,8 +13,8 @@ import numpy as np
 from .fourier import FourierGrid
 from .gegenbauer import reference_rule, shift_integration_matrix
 from .problems import ADProblem, SolverConfig
-from .solver import (SpectralSolution, _complete_solution, _prepare,
-                     _solve_positive_modes, evaluate_u, mode_rate, solve_modes)
+from .solver import (_prepare, _solve_prepared, evaluate_u, mode_rate,
+                     solve_modes)
 
 JACOBI_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 60
@@ -56,15 +56,13 @@ class BenchResult:
 
     median_total: float
     stages: dict
-    parallel_ratio: Optional[float] = None
 
 
-def _report_from_solution(sol: SpectralSolution, t_final: float) -> ErrorReport:
-    problem, config = sol.problem, sol.config
-    grid = sol.grid
-    numeric = evaluate_u(sol, grid, t_final)
-    exact = np.asarray(problem.exact(grid.nodes, t_final), dtype=float)
-    diff = numeric - exact
+def _report_from_field(problem: ADProblem, config: SolverConfig,
+                       numeric: np.ndarray, t_final: float) -> ErrorReport:
+    # numeric holds u at the N spatial grid nodes and time t_final.
+    nodes = FourierGrid(L=problem.L, N=config.N).nodes
+    diff = numeric - np.asarray(problem.exact(nodes, t_final), dtype=float)
     dne = float(np.sqrt(problem.L / config.N * np.sum(diff ** 2)))
     return ErrorReport(
         pointwise_max=float(np.max(np.abs(diff))),
@@ -73,8 +71,8 @@ def _report_from_solution(sol: SpectralSolution, t_final: float) -> ErrorReport:
     )
 
 
-def error_report(problem: ADProblem, config: SolverConfig, t_final: float,
-                 parallel: bool = False) -> ErrorReport:
+def error_report(problem: ADProblem, config: SolverConfig,
+                 t_final: float) -> ErrorReport:
     """Solve with horizon t_final and compare to the exact solution there.
 
     t_final is treated as the terminal time of the run: the mode systems are
@@ -85,8 +83,9 @@ def error_report(problem: ADProblem, config: SolverConfig, t_final: float,
         raise ValueError("error_report requires a problem with an exact solution")
     if not t_final > 0:
         raise ValueError(f"t_final must be positive; got {t_final}")
-    sol = solve_modes(problem.with_horizon(t_final), config, parallel=parallel)
-    return _report_from_solution(sol, t_final)
+    sol = solve_modes(problem.with_horizon(t_final), config)
+    return _report_from_field(problem, config, evaluate_u(sol, sol.grid, t_final),
+                              t_final)
 
 
 def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
@@ -279,39 +278,30 @@ def conditioning_study(problem: ADProblem, config: SolverConfig,
     return reports, flags
 
 
-def bench_solve(problem: ADProblem, config: SolverConfig, repeats: int,
-                parallel: bool = False) -> BenchResult:
-    """Median wall-clock time of assembly, solves, and synthesis stages.
+def bench_solve(problem: ADProblem, config: SolverConfig,
+                repeats: int) -> BenchResult:
+    """Median wall-clock time of the stages of solve_modes, then one synthesis.
 
-    With ``parallel`` the mode solves are timed a second time and
-    ``parallel_ratio`` is first time over second; the solves always run one
-    after another, so it reads about 1.
+    "assembly" is the rule lookup, time grid and u0 spectrum, "solve" the
+    mode solves and the completed coefficient table, and "synthesis" one
+    evaluate_u call at every time node.
     """
     if repeats < 3:
         raise ValueError(f"repeats must be >= 3; got {repeats}")
     stage_names = ("assembly", "solve", "synthesis")
     samples = {name: [] for name in stage_names}
     totals = []
-    ratios = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        basis, tq, tgrid, spectrum = _prepare(problem, config)
+        prepared = _prepare(problem, config)
         t1 = time.perf_counter()
-        solved = _solve_positive_modes(problem, config, tq, spectrum)
+        sol = _solve_prepared(problem, config, *prepared)
         t2 = time.perf_counter()
-        sol = _complete_solution(problem, config, basis, tgrid, solved)
-        evaluate_u(sol, sol.grid, tgrid.nodes)
+        evaluate_u(sol, sol.grid, sol.time_grid.nodes)
         t3 = time.perf_counter()
         samples["assembly"].append(t1 - t0)
         samples["solve"].append(t2 - t1)
         samples["synthesis"].append(t3 - t2)
         totals.append(t3 - t0)
-        if parallel:
-            p0 = time.perf_counter()
-            _solve_positive_modes(problem, config, tq, spectrum)
-            p1 = time.perf_counter()
-            ratios.append((t2 - t1) / max(p1 - p0, 1e-12))
     stages = {name: float(np.median(vals)) for name, vals in samples.items()}
-    ratio = float(np.median(ratios)) if ratios else None
-    return BenchResult(median_total=float(np.median(totals)), stages=stages,
-                       parallel_ratio=ratio)
+    return BenchResult(median_total=float(np.median(totals)), stages=stages)

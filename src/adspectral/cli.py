@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (ErrorReport, _report_from_solution, bench_solve,
-                       conditioning_study, convergence_sweep)
+from .analysis import (_report_from_field, bench_solve, conditioning_study,
+                       convergence_sweep)
 from .fourier import FourierGrid, synthesize_derivative, synthesize_field
 from .gegenbauer import reference_rule, time_grid
 from .problems import ConfigError, config_from_pairs, parse_config_pairs
@@ -28,8 +28,6 @@ class RunManifest:
     command: str
     config_path: Path
     output_dir: Path
-    seed: int = 0
-    parallel: bool = False
 
 
 INT, FLOAT = "%d", "%.17g"
@@ -124,16 +122,18 @@ def _write_report(path: Path, report) -> None:
 
 def cmd_solve(manifest: RunManifest) -> None:
     problem, config, _, t_final = _load(manifest)
-    sol = solve_modes(problem, config, parallel=manifest.parallel)
+    sol = solve_modes(problem, config)
     grid = sol.grid
 
     times = np.append(sol.time_grid.nodes, t_final)
+    u = evaluate_u(sol, grid, times)
     _write_solution(manifest.output_dir / "solution.csv", problem, grid, times,
-                    evaluate_u(sol, grid, times), evaluate_ux(sol, grid, times))
+                    u, evaluate_ux(sol, grid, times))
 
-    ks = sorted(sol.psi)
-    psi = np.array([sol.psi[k] for k in ks])
-    k, l = np.meshgrid(ks, np.arange(config.M + 1), indexing="ij")
+    psi = sol.table.T
+    half = config.N // 2
+    k, l = np.meshgrid(np.arange(-half, half + 1), np.arange(config.M + 1),
+                       indexing="ij")
     t_node = np.broadcast_to(sol.time_grid.nodes, psi.shape)
     table = np.stack([k, l, t_node, psi.real, psi.imag], axis=-1).reshape(-1, 5)
     _write_table(manifest.output_dir / "coefficients.csv",
@@ -142,7 +142,7 @@ def cmd_solve(manifest: RunManifest) -> None:
 
     if problem.exact is not None:
         _write_report(manifest.output_dir / "report.csv",
-                      _report_from_solution(sol, t_final))
+                      _report_from_field(problem, config, u[-1], t_final))
 
 
 def cmd_sa(manifest: RunManifest) -> None:
@@ -159,13 +159,8 @@ def cmd_sa(manifest: RunManifest) -> None:
                     u, ux)
 
     if problem.exact is not None:
-        exact = np.asarray(problem.exact(grid.nodes, t_final), dtype=float)
-        diff = u[-1] - exact
-        report = ErrorReport(
-            pointwise_max=float(np.max(np.abs(diff))),
-            dne=float(np.sqrt(problem.L / config.N * np.sum(diff ** 2))),
-            grid_desc=(config.N, config.M, config.lam, config.N0, t_final))
-        _write_report(manifest.output_dir / "report.csv", report)
+        _write_report(manifest.output_dir / "report.csv",
+                      _report_from_field(problem, config, u[-1], t_final))
 
 
 def cmd_convergence(manifest: RunManifest) -> None:
@@ -194,14 +189,13 @@ def cmd_conditioning(manifest: RunManifest) -> None:
 def cmd_bench(manifest: RunManifest) -> None:
     problem, config, extras, _ = _load(manifest)
     repeats = int(extras.get("repeats", "5"))
-    result = bench_solve(problem, config, repeats, parallel=manifest.parallel)
-    ratio = "" if result.parallel_ratio is None else FLOAT % result.parallel_ratio
+    result = bench_solve(problem, config, repeats)
     _write_table(manifest.output_dir / "bench.csv",
                  ["repeats", "median_total_s", "assembly_s", "solve_s",
-                  "synthesis_s", "parallel_ratio"],
-                 [INT, FLOAT, FLOAT, FLOAT, FLOAT, "%s"],
+                  "synthesis_s"],
+                 [INT, FLOAT, FLOAT, FLOAT, FLOAT],
                  [[repeats, result.median_total, result.stages["assembly"],
-                   result.stages["solve"], result.stages["synthesis"], ratio]])
+                   result.stages["solve"], result.stages["synthesis"]]])
 
 
 _COMMANDS = {
@@ -230,14 +224,12 @@ def main(argv=None) -> int:
         cmd.add_argument("--parallel", action="store_true",
                          help="accepted and ignored; modes are solved serially")
         cmd.add_argument("--seed", type=int, default=0,
-                         help="seed recorded for randomized studies")
+                         help="accepted and ignored; no command draws random numbers")
     args = parser.parse_args(argv)
 
     manifest = RunManifest(command=args.command,
                            config_path=Path(args.config),
-                           output_dir=Path(args.out),
-                           seed=args.seed,
-                           parallel=args.parallel)
+                           output_dir=Path(args.out))
     try:
         _ensure_outdir(manifest.output_dir)
         _COMMANDS[manifest.command](manifest)

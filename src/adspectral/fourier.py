@@ -85,6 +85,18 @@ def initial_coefficient_map(spectrum: InitialSpectrum, N: int) -> dict:
     return {k: spectrum.coeffs[k] for k in range(-N // 2, N // 2 + 1)}
 
 
+def complete_half_spectrum(pos) -> np.ndarray:
+    """Modes -N/2 .. N/2 along the last axis from modes 1 .. N/2 of a real field.
+
+    ``pos`` has shape (..., N/2). Mode -n is the exact conjugate of mode n,
+    and mode 0 is -2 sum_n Re c_n, so every row sums to zero (the field
+    vanishes at x = 0 before the trace is added). Returns shape (..., N + 1).
+    """
+    pos = np.asarray(pos, dtype=complex)
+    zero = -2.0 * pos.real.sum(axis=-1, keepdims=True)
+    return np.concatenate([np.conj(pos[..., ::-1]), zero, pos], axis=-1)
+
+
 def _gather(coeffs, grid: FourierGrid) -> np.ndarray:
     # Coefficients of modes -N/2 .. N/2 along the last axis, from a mode map
     # or from an array that is already in that order.

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import InitialSpectrum, dft_coefficients
+from .fourier import InitialSpectrum, complete_half_spectrum
 from .problems import ADProblem
-from .solver import _times_in_horizon, mode_rate
+from .solver import _initial_spectrum, _times_in_horizon, mode_rate
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,7 @@ def sa_field(problem: ADProblem, N: int, N0: int = 0) -> SAField:
     """Sample u0 at N0 equispaced points and wrap the spectrum for evaluation."""
     if N0 == 0:
         N0 = N + 2
-    x0 = problem.L * np.arange(N0) / N0
-    spectrum = dft_coefficients(np.asarray(problem.u0(x0), dtype=float), N0)
-    return SAField(spectrum=spectrum, problem=problem, N=N)
+    return SAField(spectrum=_initial_spectrum(problem, N0), problem=problem, N=N)
 
 
 def sa_coefficient(field: SAField, n: int, t: float) -> complex:
@@ -55,13 +53,12 @@ def sa_coefficient_table(field: SAField, times) -> np.ndarray:
     """Modes -N/2 .. N/2 at each time, shape (len(times), N + 1).
 
     u0_hat_n exp(-alpha_n t) for n = 1 .. N/2 in one broadcast product,
-    completed by conjugation and the zero-sum constraint.
+    completed by conjugation and the zero-sum constraint, in the layout of
+    ``SpectralSolution.table``.
     """
     times = _times_in_horizon(times, field.problem.T)
     _, rates, c0 = _half_spectrum(field)
-    pos = c0 * np.exp(-np.multiply.outer(times, rates))
-    zero = -2.0 * pos.real.sum(axis=-1, keepdims=True)
-    return np.concatenate([np.conj(pos[..., ::-1]), zero, pos], axis=-1)
+    return complete_half_spectrum(c0 * np.exp(-np.multiply.outer(times, rates)))
 
 
 def sa_coefficient_map(field: SAField, t: float) -> dict:

@@ -12,12 +12,14 @@ zero mode from the zero-sum constraint of the coefficient vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .fourier import FourierGrid, InitialSpectrum, dft_coefficients, \
-    synthesize_derivative, synthesize_field
+from .fourier import FourierGrid, InitialSpectrum, complete_half_spectrum, \
+    dft_coefficients, synthesize_derivative, synthesize_field
 from .gegenbauer import GegenbauerBasis, IntegrationMatrix, TimeGrid, \
     _lagrange_matrix, reference_rule, shift_integration_matrix, time_grid
 from .problems import ADProblem, SolverConfig
@@ -52,13 +54,24 @@ class ModeSystem:
 
 @dataclass(frozen=True)
 class SpectralSolution:
-    """Nodal Fourier coefficients psi_k(t_l) on the mode x time-node grid."""
+    """Nodal Fourier coefficients psi_k(t_l) on the time-node x mode grid.
+
+    ``table`` is read-only with shape (M + 1, N + 1): row l holds time node
+    t_l and column j holds mode k = j - N/2, for k = -N/2 .. N/2. ``psi``
+    maps each mode k to its column, a view of ``table``.
+    """
 
     config: SolverConfig
     problem: ADProblem
     basis: GegenbauerBasis
     time_grid: TimeGrid
-    psi: dict
+    table: np.ndarray
+
+    @cached_property
+    def psi(self) -> MappingProxyType:
+        half = self.config.N // 2
+        return MappingProxyType({k: self.table[:, k + half]
+                                 for k in range(-half, half + 1)})
 
     @property
     def grid(self) -> FourierGrid:
@@ -87,7 +100,10 @@ def _solve_system(system: ModeSystem) -> np.ndarray:
     if system.alpha == 0:
         # Identity system; skip the factorization entirely.
         return system.rhs.copy()
-    lu, piv, _ = _GETRF(system.matrix)
+    lu, piv, info = _GETRF(system.matrix)
+    if info > 0:
+        raise ModeSolveError(
+            system.n, f"singular system (exact zero pivot in column {info})")
     scale = np.abs(system.matrix).sum(axis=1).max()  # ||A||_inf
     pivot_min = float(np.abs(lu.diagonal()).min())
     if pivot_min < PIVOT_RTOL * scale:
@@ -99,39 +115,32 @@ def _solve_system(system: ModeSystem) -> np.ndarray:
     return _GETRS(lu, piv, system.rhs)[0]
 
 
+def _initial_spectrum(problem: ADProblem, N0: int) -> InitialSpectrum:
+    # u0 sampled at N0 equispaced points of [0, L), then its DFT.
+    x0 = problem.L * np.arange(N0) / N0
+    return dft_coefficients(np.asarray(problem.u0(x0), dtype=float), N0)
+
+
 def _prepare(problem: ADProblem, config: SolverConfig):
     basis, q = reference_rule(config.lam, config.M)
     tq = shift_integration_matrix(q, problem.T)
     tgrid = time_grid(basis, problem.T)
-    x0 = problem.L * np.arange(config.N0) / config.N0
-    spectrum = dft_coefficients(np.asarray(problem.u0(x0), dtype=float), config.N0)
-    return basis, tq, tgrid, spectrum
+    return basis, tq, tgrid, _initial_spectrum(problem, config.N0)
 
 
-def _solve_positive_modes(problem: ADProblem, config: SolverConfig,
-                          tq: IntegrationMatrix,
-                          spectrum: InitialSpectrum) -> list[np.ndarray]:
+def _solve_prepared(problem: ADProblem, config: SolverConfig,
+                    basis: GegenbauerBasis, tq: IntegrationMatrix,
+                    tgrid: TimeGrid,
+                    spectrum: InitialSpectrum) -> SpectralSolution:
     # One mode at a time, so only one system is held at once.
-    return [_solve_system(assemble_mode(n, problem, config, tq, spectrum))
-            for n in range(1, config.N // 2 + 1)]
-
-
-def _complete_solution(problem: ADProblem, config: SolverConfig,
-                       basis: GegenbauerBasis, tgrid: TimeGrid,
-                       solved: list[np.ndarray]) -> SpectralSolution:
-    half = config.N // 2
-    psi = {}
-    zero = np.zeros(config.M + 1)
-    for n, vec in zip(range(1, half + 1), solved):
-        zero = zero - 2.0 * vec.real
-        psi[n] = vec
-        psi[-n] = np.conj(vec)
-    psi[0] = zero.astype(complex)
-    psi = {k: psi[k] for k in range(-half, half + 1)}
-    for vec in psi.values():
-        vec.setflags(write=False)
+    pos = np.empty((config.M + 1, config.N // 2), dtype=complex)
+    for n in range(1, config.N // 2 + 1):
+        pos[:, n - 1] = _solve_system(
+            assemble_mode(n, problem, config, tq, spectrum))
+    table = complete_half_spectrum(pos)
+    table.setflags(write=False)
     return SpectralSolution(config=config, problem=problem, basis=basis,
-                            time_grid=tgrid, psi=psi)
+                            time_grid=tgrid, table=table)
 
 
 def solve_modes(problem: ADProblem, config: SolverConfig,
@@ -143,9 +152,7 @@ def solve_modes(problem: ADProblem, config: SolverConfig,
     ``parallel`` is accepted and ignored: the modes are solved one after
     another, which was never slower than a thread pool at any size measured.
     """
-    basis, tq, tgrid, spectrum = _prepare(problem, config)
-    solved = _solve_positive_modes(problem, config, tq, spectrum)
-    return _complete_solution(problem, config, basis, tgrid, solved)
+    return _solve_prepared(problem, config, *_prepare(problem, config))
 
 
 def _times_in_horizon(times, T: float) -> np.ndarray:
@@ -164,9 +171,7 @@ def _coefficient_table(sol: SpectralSolution, times) -> np.ndarray:
     # on a node takes the nodal values exactly.
     T = sol.problem.T
     times = _times_in_horizon(times, T)
-    half = sol.config.N // 2
-    nodal = np.stack([sol.psi[k] for k in range(-half, half + 1)], axis=1)
-    return _lagrange_matrix(sol.basis, 2.0 * times / T - 1.0) @ nodal
+    return _lagrange_matrix(sol.basis, 2.0 * times / T - 1.0) @ sol.table
 
 
 def coefficients_at(sol: SpectralSolution, t: float) -> dict:

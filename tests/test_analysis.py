@@ -317,12 +317,6 @@ class TestBench:
         assert set(result.stages) == {"assembly", "solve", "synthesis"}
         assert result.median_total > 0.0
         assert all(v >= 0.0 for v in result.stages.values())
-        assert result.parallel_ratio is None
-
-    def test_parallel_ratio_reported(self):
-        result = bench_solve(builtin_problem(1), SolverConfig(N=8, M=8, N0=10),
-                             repeats=3, parallel=True)
-        assert result.parallel_ratio is not None and result.parallel_ratio > 0.0
 
     def test_repeats_floor(self):
         with pytest.raises(ValueError, match="repeats"):

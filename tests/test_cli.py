@@ -207,7 +207,7 @@ class TestSweepCommands:
         assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
         rows = _read_rows(out / "bench.csv")
         assert rows[0] == ["repeats", "median_total_s", "assembly_s",
-                           "solve_s", "synthesis_s", "parallel_ratio"]
+                           "solve_s", "synthesis_s"]
         assert rows[1][0] == "5"
         assert float(rows[1][1]) > 0.0
 

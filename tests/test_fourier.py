@@ -1,5 +1,6 @@
 """DFT interpolation coefficients and synthesis round trips."""
 
+import math
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from adspectral import (FourierGrid, dft_coefficients,
                         initial_coefficient_map, synthesize_derivative,
                         synthesize_field)
+from adspectral.fourier import complete_half_spectrum
 from adspectral import test_problem as builtin_problem
 
 
@@ -247,6 +249,22 @@ class TestDerivativeSynthesis:
         got = synthesize_derivative(initial_coefficient_map(spectrum, N), grid)
         expected = (2 * np.pi / problem.L) * np.cos(2 * np.pi * grid.nodes / problem.L)
         assert_allclose(got, expected, atol=1e-12)
+
+
+class TestCompleteHalfSpectrum:
+    def test_conjugate_pairs_and_zero_sum(self):
+        rng = np.random.default_rng(17)
+        half = 4
+        pos = rng.uniform(-1, 1, (3, 5, half)) + 1j * rng.uniform(-1, 1, (3, 5, half))
+        full = complete_half_spectrum(pos)
+        assert full.shape == (3, 5, 2 * half + 1)
+        assert np.array_equal(full[..., half + 1:], pos)
+        for n in range(1, half + 1):
+            assert np.array_equal(full[..., half - n], np.conj(full[..., half + n]))
+        # math.fsum is exact, so this is the residue of the stored zero mode.
+        for row in full.reshape(-1, 2 * half + 1):
+            assert abs(math.fsum(row.real)) <= 1e-15
+            assert math.fsum(row.imag) == 0.0
 
 
 class TestInitialCoefficientMap:

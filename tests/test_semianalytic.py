@@ -100,6 +100,16 @@ class TestSaCoefficientTable:
         with pytest.raises(ValueError, match="t must lie"):
             sa_coefficient_table(field, [0.1, 0.25])
 
+    @pytest.mark.parametrize("pid", [1, 2, 3])
+    def test_collocation_table_matches_closed_form(self, pid):
+        # Every mode, the negative and zero modes included, at the nodes.
+        problem = builtin_problem(pid)
+        config = SolverConfig(N=16, M=12, N0=18, lam=-0.4)
+        sol = solve_modes(problem, config)
+        field = sa_field(problem, config.N, config.N0)
+        closed = sa_coefficient_table(field, sol.time_grid.nodes)
+        assert np.max(np.abs(sol.table - closed)) <= 1e-11
+
 
 class TestSaEvaluation:
     def test_tp1_pointwise(self):

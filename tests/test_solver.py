@@ -164,6 +164,20 @@ class TestSolveModes:
         drops = [a - b for a, b in zip(logs, logs[1:])]
         assert all(d >= 2.0 for d in drops)
 
+    def test_table_is_read_only_and_backs_psi(self):
+        sol = solve_modes(builtin_problem(3), SolverConfig(N=8, M=6))
+        assert sol.table.shape == (7, 9)
+        assert not sol.table.flags.writeable
+        with pytest.raises(ValueError):
+            sol.table[0, 0] = 1.0
+        assert sorted(sol.psi) == list(range(-4, 5))
+        for k in sol.psi:
+            assert np.shares_memory(sol.psi[k], sol.table)
+            assert np.array_equal(sol.psi[k], sol.table[:, k + 4])
+            assert not sol.psi[k].flags.writeable
+        with pytest.raises(TypeError):
+            sol.psi[1] = sol.psi[2]
+
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_system_reported_with_mode(self):
         size = 5
@@ -213,6 +227,30 @@ class TestDirectLapack:
                               rhs=system.rhs)
 
         monkeypatch.setattr(solver, "assemble_mode", singular_at_two)
+        with pytest.raises(ModeSolveError, match="mode 2:") as info:
+            solve_modes(builtin_problem(3), SolverConfig(N=8, M=6))
+        assert info.value.mode == 2
+
+    def test_zero_matrix_refused(self, monkeypatch):
+        # An all-zero matrix has ||A|| = 0, so only LAPACK's info flags it.
+        zero = ModeSystem(n=2, alpha=1.0 + 0j,
+                          matrix=np.zeros((5, 5), dtype=complex),
+                          rhs=np.ones(5, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModeSolveError, match="mode 2: singular"):
+                _solve_system(zero)
+        assemble = solver.assemble_mode
+
+        def zero_at_two(n, *args):
+            system = assemble(n, *args)
+            if n != 2:
+                return system
+            return ModeSystem(n=n, alpha=system.alpha,
+                              matrix=np.zeros_like(system.matrix),
+                              rhs=system.rhs)
+
+        monkeypatch.setattr(solver, "assemble_mode", zero_at_two)
         with pytest.raises(ModeSolveError, match="mode 2:") as info:
             solve_modes(builtin_problem(3), SolverConfig(N=8, M=6))
         assert info.value.mode == 2

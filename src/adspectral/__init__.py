@@ -11,8 +11,7 @@ from .analysis import (BenchResult, ConditioningReport, ErrorReport,
                        convergence_sweep, error_report, jacobi_svd,
                        singular_values)
 from .fourier import (FourierGrid, InitialSpectrum, dft_coefficients,
-                      initial_coefficient_map, synthesize_derivative,
-                      synthesize_field)
+                      synthesize_derivative, synthesize_field)
 from .gegenbauer import (GegenbauerBasis, IntegrationMatrix, TimeGrid,
                          bary_interpolate, build_basis,
                          build_integration_matrix, shift_integration_matrix,
@@ -35,7 +34,7 @@ __all__ = [
     "assemble_mode", "bary_interpolate", "bench_solve", "build_basis",
     "build_integration_matrix", "coefficients_at", "conditioning_study",
     "convergence_sweep", "dft_coefficients", "error_report", "evaluate_u",
-    "evaluate_ux", "initial_coefficient_map", "jacobi_svd", "load_config",
+    "evaluate_ux", "jacobi_svd", "load_config",
     "mode_rate", "parse_config_pairs", "sa_coefficient", "sa_coefficient_map",
     "sa_evaluate_u", "sa_evaluate_ux", "sa_field", "shift_integration_matrix",
     "singular_values", "solve_modes", "synthesize_derivative",

@@ -237,6 +237,7 @@ def conditioning_study(problem: ADProblem, config: SolverConfig,
     Ms = sorted(set(int(m) for m in M_list))
     half = config.N // 2
     modes = sorted({1, half})
+    rates = mode_rate(problem, np.array(modes))
 
     reports = []
     transport = problem.mu != 0 or problem.nu != 0
@@ -247,9 +248,9 @@ def conditioning_study(problem: ADProblem, config: SolverConfig,
         for M in Ms:
             tq = shift_integration_matrix(reference_rule(lam, M)[1], problem.T)
             # one complex stack per cell: TQ, then A at each sampled mode
-            eye = np.eye(M + 1)
-            sing = singular_values(np.stack(
-                [tq.entries] + [eye + mode_rate(problem, n) * tq.entries for n in modes]))
+            sing = singular_values(np.concatenate(
+                [tq.entries[None],
+                 np.eye(M + 1) + rates[:, None, None] * tq.entries]))
             conds = {}
             for n, s in zip([0, *modes], sing):
                 smax, smin = float(s[0]), float(s[-1])

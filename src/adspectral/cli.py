@@ -221,10 +221,6 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="key=value config file")
         cmd.add_argument("--out", required=True, help="output directory for CSVs")
-        cmd.add_argument("--parallel", action="store_true",
-                         help="accepted and ignored; modes are solved serially")
-        cmd.add_argument("--seed", type=int, default=0,
-                         help="accepted and ignored; no command draws random numbers")
     args = parser.parse_args(argv)
 
     manifest = RunManifest(command=args.command,

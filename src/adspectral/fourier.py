@@ -29,9 +29,6 @@ class FourierGrid:
     def nodes(self) -> np.ndarray:
         return self.L * np.arange(self.N) / self.N
 
-    def wavenumber(self, k: int) -> float:
-        return 2.0 * np.pi * k / self.L
-
     def wavenumbers(self, ks) -> np.ndarray:
         return 2.0 * np.pi * np.asarray(ks, dtype=float) / self.L
 
@@ -40,24 +37,32 @@ class FourierGrid:
 class InitialSpectrum:
     """DFT interpolation coefficients of u0 sampled at N0 equispaced points.
 
-    Coefficients are stored for k in {-N0/2, ..., N0/2 - 1}; for real samples
-    they satisfy conjugate symmetry on every stored +/- pair.
+    ``values`` is the read-only FFT output in FFT order: entry ``k % N0``
+    holds mode k for k in {-N0/2, ..., N0/2 - 1}. For real samples the
+    stored +/- pairs are conjugate.
     """
 
-    N0: int
-    coeffs: dict
+    values: np.ndarray
+
+    @property
+    def N0(self) -> int:
+        return len(self.values)
 
     def mode(self, k: int) -> complex:
-        return self.coeffs[k]
+        """Coefficient of mode k; KeyError outside -N0/2 .. N0/2 - 1."""
+        half = len(self.values) // 2
+        if not -half <= k < half:
+            raise KeyError(k)
+        return self.values[k]
 
 
 def dft_coefficients(u0_samples, N0: int) -> InitialSpectrum:
     """DFT interpolation coefficients of N0 real samples of u0.
 
     u_hat_k = (1/N0) sum_j u_j exp(-2 pi i k j / N0) for k in
-    {-N0/2, ..., N0/2 - 1}, computed with one FFT in O(N0 log N0). The
-    tests hold it to the direct O(N0^2) sum within 1e-13. A NaN or infinite
-    sample raises ValueError before the FFT.
+    {-N0/2, ..., N0/2 - 1}, all from one FFT in O(N0 log N0) and stored as
+    one array in FFT order. The tests hold it to the direct O(N0^2) sum
+    within 1e-13. A NaN or infinite sample raises ValueError before the FFT.
     """
     if N0 < 4 or N0 % 2:
         raise ValueError(f"N0 must be even and >= 4; got {N0}")
@@ -72,17 +77,8 @@ def dft_coefficients(u0_samples, N0: int) -> InitialSpectrum:
             f"u0 is not finite: sample {bad} of {N0} is {samples[bad]}"
         )
     values = np.fft.fft(samples, norm="forward")
-    coeffs = {k: complex(values[k % N0]) for k in range(-N0 // 2, N0 // 2)}
-    return InitialSpectrum(N0=N0, coeffs=coeffs)
-
-
-def initial_coefficient_map(spectrum: InitialSpectrum, N: int) -> dict:
-    """Restrict the spectrum to the interior modes |k| <= N/2 (requires N <= N0 - 2)."""
-    if N > spectrum.N0 - 2:
-        raise ValueError(
-            f"N must be <= N0 - 2 = {spectrum.N0 - 2}; got {N}"
-        )
-    return {k: spectrum.coeffs[k] for k in range(-N // 2, N // 2 + 1)}
+    values.setflags(write=False)
+    return InitialSpectrum(values=values)
 
 
 def complete_half_spectrum(pos) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Closed-form mode coefficients and direct field evaluation, no linear solves.
 
 Differentiating each mode's Volterra equation gives a scalar ODE whose
-solution is psi_n(t) = u0_hat_n exp(-alpha_n t); the field follows from the
-half-spectrum sums without ever forming a collocation system.
+solution is psi_n(t) = u0_hat_n exp(-alpha_n t); the field is summed from
+the table that ``fourier.complete_half_spectrum`` completes from modes
+1 .. N/2, without ever forming a collocation system.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ def sa_coefficient_table(field: SAField, times) -> np.ndarray:
     ``SpectralSolution.table``.
     """
     times = _times_in_horizon(times, field.problem.T)
-    _, rates, c0 = _half_spectrum(field)
+    half = field.N // 2
+    rates = mode_rate(field.problem, np.arange(1, half + 1))
+    c0 = field.spectrum.values[1:half + 1]
     return complete_half_spectrum(c0 * np.exp(-np.multiply.outer(times, rates)))
 
 
@@ -67,30 +70,23 @@ def sa_coefficient_map(field: SAField, t: float) -> dict:
     return dict(zip(range(-half, half + 1), sa_coefficient_table(field, [t])[0]))
 
 
-def _half_spectrum(field: SAField):
-    # Wavenumbers, rates alpha_n and initial coefficients of n = 1 .. N/2.
-    ns = np.arange(1, field.N // 2 + 1)
-    om = 2.0 * np.pi * ns / field.problem.L
-    rates = np.array([mode_rate(field.problem, int(n)) for n in ns])
-    c0 = np.array([field.spectrum.mode(int(n)) for n in ns])
-    return om, rates, c0
-
-
-def _mode_sums(field: SAField, x, t):
-    om, rates, c0 = _half_spectrum(field)
-    decayed = c0 * np.exp(-rates * t)
-    travelling = decayed * np.exp(1j * np.multiply.outer(np.asarray(x), om))
-    return om, decayed, travelling
+def _dense_terms(field: SAField, x, t):
+    # Wavenumbers w_k and the terms c_k(t) exp(i w_k x) of k = -N/2 .. N/2,
+    # x along the leading axes. Callers sum them with numpy's pairwise sum:
+    # a BLAS product accumulates one running total, 1.4e-15 off at N = 1024.
+    half = field.N // 2
+    om = 2.0 * np.pi * np.arange(-half, half + 1) / field.problem.L
+    c = sa_coefficient_table(field, [t])[0]
+    return om, c * np.exp(1j * np.multiply.outer(np.asarray(x), om))
 
 
 def sa_evaluate_u(field: SAField, x, t: float):
-    """2 Re sum_k c_k(t) e^{i w_k x} - 2 sum_k Re c_k(t) + g(t)."""
-    _, decayed, travelling = _mode_sums(field, x, t)
-    offset = -2.0 * decayed.real.sum() + field.problem.g(t)
-    return 2.0 * travelling.real.sum(axis=-1) + offset
+    """Re sum_k c_k(t) e^{i w_k x} + g(t), k = -N/2 .. N/2, t in [0, T]."""
+    _, terms = _dense_terms(field, x, t)
+    return terms.sum(axis=-1).real + field.problem.g(t)
 
 
 def sa_evaluate_ux(field: SAField, x, t: float):
-    """-2 Im sum_k w_k c_k(t) e^{i w_k x}."""
-    om, _, travelling = _mode_sums(field, x, t)
-    return -2.0 * (travelling * om).imag.sum(axis=-1)
+    """Re sum_k i w_k c_k(t) e^{i w_k x}, k = -N/2 .. N/2, t in [0, T]."""
+    om, terms = _dense_terms(field, x, t)
+    return -(terms * om).sum(axis=-1).imag

@@ -78,10 +78,13 @@ class SpectralSolution:
         return FourierGrid(L=self.problem.L, N=self.config.N)
 
 
-def mode_rate(problem: ADProblem, n: int) -> complex:
-    """Decay/rotation rate alpha_n = w_n (nu w_n + mu i) with w_n = 2 pi n / L."""
+def mode_rate(problem: ADProblem, n):
+    """Decay/rotation rate alpha_n = w_n (nu w_n + mu i) with w_n = 2 pi n / L.
+
+    An int n gives a complex, an integer array n the array of its rates.
+    """
     omega = 2.0 * np.pi * n / problem.L
-    return complex(omega * (problem.nu * omega + problem.mu * 1j))
+    return omega * (problem.nu * omega + problem.mu * 1j)
 
 
 def assemble_mode(n: int, problem: ADProblem, config: SolverConfig,
@@ -180,12 +183,19 @@ def coefficients_at(sol: SpectralSolution, t: float) -> dict:
     return {k: complex(c) for k, c in zip(sorted(sol.psi), row)}
 
 
+def _check_grid(sol: SpectralSolution, x_grid: FourierGrid) -> None:
+    if x_grid != sol.grid:
+        raise ValueError(f"{x_grid} does not match the solution's {sol.grid}")
+
+
 def evaluate_u(sol: SpectralSolution, x_grid: FourierGrid, t) -> np.ndarray:
     """Solution values at the grid nodes and time t.
 
     A scalar t gives shape (N,); a 1-D array of times gives one row per
     time, shape (len(t), N), from one interpolation and one synthesis.
+    Any ``x_grid`` other than ``sol.grid`` raises ValueError.
     """
+    _check_grid(sol, x_grid)
     times = np.atleast_1d(np.asarray(t, dtype=float))
     g = [float(sol.problem.g(float(tk))) for tk in times]
     u = synthesize_field(_coefficient_table(sol, times), x_grid, g)
@@ -194,6 +204,7 @@ def evaluate_u(sol: SpectralSolution, x_grid: FourierGrid, t) -> np.ndarray:
 
 def evaluate_ux(sol: SpectralSolution, x_grid: FourierGrid, t) -> np.ndarray:
     """Spatial-derivative values at the grid nodes and time t (scalar or 1-D)."""
+    _check_grid(sol, x_grid)
     times = np.atleast_1d(np.asarray(t, dtype=float))
     ux = synthesize_derivative(_coefficient_table(sol, times), x_grid)
     return ux[0] if np.ndim(t) == 0 else ux

@@ -63,14 +63,6 @@ class TestSolveCommand:
         for name in ("solution.csv", "coefficients.csv", "report.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_parallel_flag_identical_output(self, tmp_path):
-        cfg = _write(tmp_path, TABLE_ROW)
-        out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-        main(["solve", "--config", str(cfg), "--out", str(out1)])
-        main(["solve", "--config", str(cfg), "--out", str(out2), "--parallel"])
-        assert (out1 / "solution.csv").read_bytes() == \
-            (out2 / "solution.csv").read_bytes()
-
     def test_lf_line_endings(self, tmp_path):
         cfg = _write(tmp_path, TABLE_ROW)
         out = tmp_path / "out"
@@ -239,15 +231,24 @@ class TestFailureModes:
         assert code == 1
         assert "blocked" in capsys.readouterr().err
 
-    def test_seed_flag_accepted(self, tmp_path):
+    def test_solve_leaves_global_random_state(self, tmp_path):
         cfg = _write(tmp_path, TABLE_ROW)
         out = tmp_path / "out"
         np.random.seed(123)
         state = np.random.get_state()[1].copy()
-        assert main(["solve", "--config", str(cfg), "--out", str(out),
-                     "--seed", "7"]) == 0
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         # No command draws random numbers, so the global stream is untouched.
         assert np.array_equal(np.random.get_state()[1], state)
+
+    @pytest.mark.parametrize("flag", [["--parallel"], ["--seed", "7"]],
+                             ids=["parallel", "seed"])
+    def test_removed_flag_is_usage_error(self, tmp_path, flag):
+        cfg = _write(tmp_path, TABLE_ROW)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                  *flag])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key,value", [("mu", "nan"), ("L", "inf")])
     def test_non_finite_value_refused_before_solving(self, tmp_path, capsys,

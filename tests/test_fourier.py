@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from adspectral import (FourierGrid, dft_coefficients,
-                        initial_coefficient_map, synthesize_derivative,
+from adspectral import (FourierGrid, dft_coefficients, synthesize_derivative,
                         synthesize_field)
 from adspectral.fourier import complete_half_spectrum
 from adspectral import test_problem as builtin_problem
@@ -29,6 +28,11 @@ def _dense_synthesis(c, grid):
     return c @ np.exp(1j * np.outer(grid.nodes, grid.wavenumbers(ks))).T
 
 
+def _interior(spectrum, N):
+    # Modes -N/2 .. N/2 of the spectrum as one synthesis row (needs N <= N0 - 2).
+    return spectrum.values[np.arange(-N // 2, N // 2 + 1)]
+
+
 def _symmetric_batch(rng, N, rows):
     # Conjugate-symmetric coefficient rows with a nonzero Nyquist pair.
     half = N // 2
@@ -41,7 +45,7 @@ class TestGrid:
     def test_nodes_cover_period(self):
         grid = FourierGrid(L=2.0, N=4)
         assert_allclose(grid.nodes, [0.0, 0.5, 1.0, 1.5])
-        assert grid.wavenumber(1) == pytest.approx(np.pi)
+        assert grid.wavenumbers([1])[0] == pytest.approx(np.pi)
 
     def test_rejects_odd_or_small_n(self):
         with pytest.raises(ValueError, match="N"):
@@ -102,7 +106,7 @@ class TestDftCoefficients:
         samples = rng.standard_normal(10)
         spectrum = dft_coefficients(samples, 10)
         lhs = np.mean(samples ** 2)
-        rhs = sum(abs(c) ** 2 for c in spectrum.coeffs.values())
+        rhs = np.sum(np.abs(spectrum.values) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("N0", [6, 12, 4098])
@@ -110,9 +114,28 @@ class TestDftCoefficients:
         samples = np.random.default_rng(N0).standard_normal(N0)
         spectrum = dft_coefficients(samples, N0)
         direct = _direct_dft(samples)
-        assert sorted(spectrum.coeffs) == sorted(direct)
-        worst = max(abs(spectrum.mode(k) - direct[k]) for k in direct)
+        assert spectrum.values.shape == (N0,) == (len(direct),)
+        worst = max(abs(spectrum.values[k % N0] - direct[k]) for k in direct)
         assert worst <= 1e-13
+
+    def test_values_read_only_array(self):
+        spectrum = dft_coefficients(np.arange(8.0), 8)
+        assert spectrum.values.shape == (8,)
+        assert spectrum.N0 == 8
+        with pytest.raises(ValueError, match="read-only"):
+            spectrum.values[1] = 0.0
+
+    def test_mode_indexes_values(self):
+        N0 = 10
+        spectrum = dft_coefficients(np.random.default_rng(6).standard_normal(N0), N0)
+        for k in range(-N0 // 2, N0 // 2):
+            assert spectrum.mode(k) == spectrum.values[k % N0]
+
+    @pytest.mark.parametrize("k", [5, -6])
+    def test_mode_outside_stored_range(self, k):
+        spectrum = dft_coefficients(np.arange(10.0), 10)
+        with pytest.raises(KeyError):
+            spectrum.mode(k)
 
     def test_rejects_bad_n0(self):
         with pytest.raises(ValueError, match="N0"):
@@ -151,7 +174,7 @@ class TestSynthesis:
         x0 = problem.L * np.arange(N0) / N0
         spectrum = dft_coefficients(problem.u0(x0), N0)
         grid = FourierGrid(L=problem.L, N=N)
-        field = synthesize_field(initial_coefficient_map(spectrum, N), grid, 0.0)
+        field = synthesize_field(_interior(spectrum, N), grid, 0.0)
         assert_allclose(field, problem.u0(grid.nodes), atol=1e-13)
 
     def test_band_limited_round_trip_full_grid(self):
@@ -162,9 +185,9 @@ class TestSynthesis:
                    - 0.7 * np.cos(8 * np.pi * x / L))
         spectrum = dft_coefficients(samples, N0)
         assert abs(spectrum.mode(-N0 // 2)) < 1e-15
-        coeffs = dict(spectrum.coeffs)
-        coeffs[N0 // 2] = 0j
-        coeffs[-N0 // 2] = 0j
+        coeffs = np.fft.fftshift(spectrum.values)  # modes -N0/2 .. N0/2 - 1
+        coeffs[0] = 0j
+        coeffs = np.append(coeffs, 0j)  # mode N0/2
         grid = FourierGrid(L=L, N=N0)
         assert_allclose(synthesize_field(coeffs, grid, 0.0), samples, atol=1e-12)
 
@@ -246,7 +269,7 @@ class TestDerivativeSynthesis:
         x0 = problem.L * np.arange(N0) / N0
         spectrum = dft_coefficients(problem.u0(x0), N0)
         grid = FourierGrid(L=problem.L, N=N)
-        got = synthesize_derivative(initial_coefficient_map(spectrum, N), grid)
+        got = synthesize_derivative(_interior(spectrum, N), grid)
         expected = (2 * np.pi / problem.L) * np.cos(2 * np.pi * grid.nodes / problem.L)
         assert_allclose(got, expected, atol=1e-12)
 
@@ -265,17 +288,3 @@ class TestCompleteHalfSpectrum:
         for row in full.reshape(-1, 2 * half + 1):
             assert abs(math.fsum(row.real)) <= 1e-15
             assert math.fsum(row.imag) == 0.0
-
-
-class TestInitialCoefficientMap:
-    def test_restriction_contents(self):
-        spectrum = dft_coefficients(np.arange(8.0), 8)
-        restricted = initial_coefficient_map(spectrum, 6)
-        assert sorted(restricted) == list(range(-3, 4))
-        for k in restricted:
-            assert restricted[k] == spectrum.mode(k)
-
-    def test_rejects_no_margin(self):
-        spectrum = dft_coefficients(np.arange(8.0), 8)
-        with pytest.raises(ValueError, match="N0 - 2"):
-            initial_coefficient_map(spectrum, 8)

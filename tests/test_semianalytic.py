@@ -8,11 +8,24 @@ import pytest
 from numpy.testing import assert_allclose
 
 from adspectral import (ADProblem, FourierGrid, SAField, SolverConfig,
-                        dft_coefficients, evaluate_u, sa_coefficient,
-                        sa_coefficient_map, sa_evaluate_u, sa_evaluate_ux,
-                        sa_field, solve_modes, synthesize_field)
+                        dft_coefficients, evaluate_u, mode_rate,
+                        sa_coefficient, sa_coefficient_map, sa_evaluate_u,
+                        sa_evaluate_ux, sa_field, solve_modes, synthesize_field)
 from adspectral.semianalytic import sa_coefficient_table
 from adspectral import test_problem as builtin_problem
+
+
+def _half_sums(field, x, t):
+    # Reference: the half-spectrum sums over n = 1 .. N/2, one mode at a time,
+    #   u  = 2 Re sum_n c_n(t) e^{i w_n x} - 2 sum_n Re c_n(t) + g(t),
+    #   ux = -2 Im sum_n w_n c_n(t) e^{i w_n x}.
+    ns = range(1, field.N // 2 + 1)
+    om = np.array([2.0 * np.pi * n / field.problem.L for n in ns])
+    c = np.array([field.spectrum.mode(n) * np.exp(-mode_rate(field.problem, n) * t)
+                  for n in ns])
+    travelling = c * np.exp(1j * np.multiply.outer(x, om))
+    u = 2.0 * travelling.real.sum(axis=-1) - 2.0 * c.real.sum() + field.problem.g(t)
+    return u, -2.0 * (travelling * om).imag.sum(axis=-1)
 
 
 class TestSaCoefficient:
@@ -99,6 +112,9 @@ class TestSaCoefficientTable:
         field = sa_field(builtin_problem(1), 4, 6)
         with pytest.raises(ValueError, match="t must lie"):
             sa_coefficient_table(field, [0.1, 0.25])
+        for evaluate in (sa_evaluate_u, sa_evaluate_ux):
+            with pytest.raises(ValueError, match="t must lie"):
+                evaluate(field, 0.5, 0.25)
 
     @pytest.mark.parametrize("pid", [1, 2, 3])
     def test_collocation_table_matches_closed_form(self, pid):
@@ -173,6 +189,24 @@ class TestSaEvaluation:
                                       grid, float(problem.g(t)))
             worst = max(worst, float(np.max(np.abs(numeric - closed))))
         assert worst <= 1e-11
+
+    def test_matches_half_spectrum_sums(self):
+        # Advection and diffusion, and energy in the Nyquist mode n = N/2 = 8.
+        def u0(x):
+            return (np.sin(np.pi * x) + 0.4 * np.sin(8 * np.pi * x + 0.3)
+                    + 0.2 * np.cos(5 * np.pi * x))
+
+        problem = ADProblem(mu=0.7, nu=0.05, L=2.0, T=0.3, u0=u0,
+                            g=lambda t: float(u0(0.0)) + 0.0 * np.asarray(t))
+        field = sa_field(problem, 16, 18)
+        assert abs(field.spectrum.mode(8)) > 0.1
+        x = np.random.default_rng(60).uniform(0.0, problem.L, (3, 7))
+        for t in (0.0, 0.13, problem.T):
+            u_ref, ux_ref = _half_sums(field, x, t)
+            u, ux = sa_evaluate_u(field, x, t), sa_evaluate_ux(field, x, t)
+            assert u.shape == ux.shape == x.shape
+            assert np.max(np.abs(u - u_ref)) <= 1e-14 * max(1.0, np.max(np.abs(u_ref)))
+            assert np.max(np.abs(ux - ux_ref)) <= 1e-14 * max(1.0, np.max(np.abs(ux_ref)))
 
     @pytest.mark.parametrize("pid", [1, 2])
     def test_single_harmonic_pde_residual(self, pid, pde_residual):

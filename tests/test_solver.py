@@ -48,6 +48,14 @@ class TestAssembleMode:
         assert alpha.imag == pytest.approx(0.08 * np.pi, rel=1e-15)
         assert alpha == pytest.approx(63.16546816697189 + 0.25132741228718347j)
 
+    def test_rates_of_an_array_equal_scalar_rates(self):
+        problem = builtin_problem(3)
+        ns = np.arange(1, 65)
+        rates = mode_rate(problem, ns)
+        assert rates.shape == (64,)
+        assert all(rates[i] == mode_rate(problem, int(n)) for i, n in enumerate(ns))
+        assert type(mode_rate(problem, 3)) is complex
+
     def test_degenerate_transport_gives_identity(self):
         problem = _degenerate_problem()
         config = SolverConfig(N=4, M=6, N0=6)
@@ -390,6 +398,16 @@ class TestEvaluation:
         grid = sol.grid
         assert_allclose(evaluate_ux(sol, grid, 0.5), np.zeros(4), atol=0.0)
         assert_allclose(evaluate_u(sol, grid, 0.5), np.zeros(4), atol=0.0)
+
+    @pytest.mark.parametrize("evaluate", [evaluate_u, evaluate_ux])
+    @pytest.mark.parametrize("L,N", [(4.0, 8), (2.0, 16)])
+    def test_foreign_grid_refused(self, evaluate, L, N):
+        # A grid of another period or size would mis-scale or mis-shape the
+        # synthesis; the solution grid here is L = 2, N = 8.
+        sol = solve_modes(builtin_problem(1), SolverConfig(N=8, M=10))
+        with pytest.raises(ValueError, match=rf"FourierGrid\(L={L}, N={N}\).*"
+                                             r"FourierGrid\(L=2.0, N=8\)"):
+            evaluate(sol, FourierGrid(L=L, N=N), 0.1)
 
 
 class TestBatchedEvaluation:

@@ -20,16 +20,16 @@ from .problems import (ADProblem, ConfigError, SolverConfig, load_config,
                        parse_config_pairs, test_problem)
 from .semianalytic import (SAField, sa_coefficient, sa_coefficient_map,
                            sa_evaluate_u, sa_evaluate_ux, sa_field)
-from .solver import (ModeSolveError, ModeSystem, SpectralSolution,
-                     assemble_mode, coefficients_at, evaluate_u, evaluate_ux,
-                     mode_rate, solve_modes)
+from .solver import (ModeSolveError, SpectralSolution, assemble_mode,
+                     coefficients_at, evaluate_u, evaluate_ux, mode_rate,
+                     solve_modes)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ADProblem", "BenchResult", "ConditioningReport", "ConfigError",
     "ErrorReport", "FourierGrid", "GegenbauerBasis", "InitialSpectrum",
-    "IntegrationMatrix", "ModeSolveError", "ModeSystem", "SAField",
+    "IntegrationMatrix", "ModeSolveError", "SAField",
     "SolverConfig", "SpectralSolution", "SweepResult", "TimeGrid",
     "assemble_mode", "bary_interpolate", "bench_solve", "build_basis",
     "build_integration_matrix", "coefficients_at", "conditioning_study",

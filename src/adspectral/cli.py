@@ -18,7 +18,8 @@ from .analysis import (_report_from_field, bench_solve, conditioning_study,
                        convergence_sweep)
 from .fourier import FourierGrid, synthesize_derivative, synthesize_field
 from .gegenbauer import reference_rule, time_grid
-from .problems import ConfigError, config_from_pairs, parse_config_pairs
+from .problems import ConfigError, _finite, _get, config_from_pairs, \
+    parse_config_pairs
 from .semianalytic import sa_coefficient_table, sa_field
 from .solver import evaluate_u, evaluate_ux, solve_modes
 
@@ -86,7 +87,7 @@ def _parse_range(text: str, key: str) -> list[int]:
 
 def _parse_float_list(text: str, key: str) -> list[float]:
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        return [_finite(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise ConfigError(f"invalid value for key '{key}': {text!r}") from exc
 
@@ -188,7 +189,7 @@ def cmd_conditioning(manifest: RunManifest) -> None:
 
 def cmd_bench(manifest: RunManifest) -> None:
     problem, config, extras, _ = _load(manifest)
-    repeats = int(extras.get("repeats", "5"))
+    repeats = _get(extras, "repeats", int, default=5)
     result = bench_solve(problem, config, repeats)
     _write_table(manifest.output_dir / "bench.csv",
                  ["repeats", "median_total_s", "assembly_s", "solve_s",

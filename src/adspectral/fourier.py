@@ -33,7 +33,7 @@ class FourierGrid:
         return 2.0 * np.pi * np.asarray(ks, dtype=float) / self.L
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitialSpectrum:
     """DFT interpolation coefficients of u0 sampled at N0 equispaced points.
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, schur as _schur
 
 # The quadrature degenerates as lam -> -1/2 (weight mass blows up); keep a
 # small buffer above the theoretical limit.
@@ -28,12 +28,13 @@ LAMBDA_MIN_GUARD = 1e-6
 NODE_COINCIDENCE_TOL = 1e-14
 
 # Reference rules (basis and Q) kept by reference_rule, least recently used
-# evicted first. Q is O(M^3) to build and depends only on (lam, M); an entry
-# at M = 64 holds about 35 kB.
+# evicted first. Q and its complex Schur factors are O(M^3) to build and
+# depend only on (lam, M); an entry at M = 64 holds about 35 kB for Q and,
+# once a solve has used it, about 140 kB more for U and R.
 RULE_CACHE_SIZE = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GegenbauerBasis:
     """Gauss nodes, Christoffel numbers and barycentric weights for one index.
 
@@ -59,15 +60,28 @@ class GegenbauerBasis:
     bary_weights: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegrationMatrix:
     """Dense first-order integration matrix at the basis nodes."""
 
     order: int
     entries: np.ndarray
 
+    @functools.cached_property
+    def schur(self) -> tuple[np.ndarray, np.ndarray]:
+        """Complex Schur factors (R, U) with entries = U R U^H, read-only.
 
-@dataclass(frozen=True)
+        R is upper triangular with the eigenvalues on its diagonal and U is
+        unitary. Computed on first use and kept with the matrix, so the
+        cached reference rule factors each Q once.
+        """
+        r, u = _schur(self.entries, output="complex")
+        for arr in (r, u):
+            arr.setflags(write=False)
+        return r, u
+
+
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Gauss nodes mapped onto (0, T) via t = T (z + 1) / 2."""
 
@@ -141,12 +155,7 @@ def bary_interpolate(basis: GegenbauerBasis, nodal_values, t: float):
         raise ValueError(
             f"expected {basis.order + 1} nodal values, got shape {values.shape}"
         )
-    diff = t - basis.nodes
-    hit = np.abs(diff) < NODE_COINCIDENCE_TOL
-    if hit.any():
-        return values[int(np.argmax(hit))]
-    ratios = basis.bary_weights / diff
-    return (ratios @ values) / ratios.sum()
+    return _lagrange_matrix(basis, [t])[0] @ values
 
 
 def _lagrange_matrix(basis: GegenbauerBasis, points) -> np.ndarray:

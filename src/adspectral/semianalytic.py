@@ -17,7 +17,7 @@ from .problems import ADProblem
 from .solver import _initial_spectrum, _times_in_horizon, mode_rate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SAField:
     """Initial spectrum plus problem data, evaluated with N synthesis modes."""
 

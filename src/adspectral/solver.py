@@ -1,12 +1,18 @@
-"""Per-mode integral-collocation systems, direct solves, and field evaluation.
+"""Mode systems, one Schur-form solve over all modes, and field evaluation.
 
 Each nonzero Fourier mode n of the spatial-derivative antiderivative obeys a
 Volterra integral equation whose collocated form is the dense complex system
 
-    (I + alpha_n (T/2) Q) psi_n = u0_hat_n * ones,
+    (I + alpha_n TQ) psi_n = u0_hat_n * ones,    TQ = (T/2) Q,
 
 solved for n = 1 .. N/2 only; negative modes follow by conjugation and the
-zero mode from the zero-sum constraint of the coefficient vector.
+zero mode from the zero-sum constraint of the coefficient vector. The
+reference integration matrix Q is the same for every mode, so its complex
+Schur form Q = U R U^H, cached with the rule, turns all N/2 systems into
+one back-substitution (I + alpha_n (T/2) R) y_n = U^H ones along the mode
+axis (the many-shifts method of Laub, IEEE TAC 26, 1981). One step of
+iterative refinement against TQ follows, and each mode is refused when its
+eigenvalues or its refined residual show it numerically singular.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .fourier import FourierGrid, InitialSpectrum, complete_half_spectrum, \
     dft_coefficients, synthesize_derivative, synthesize_field
@@ -24,14 +29,11 @@ from .gegenbauer import GegenbauerBasis, IntegrationMatrix, TimeGrid, \
     _lagrange_matrix, reference_rule, shift_integration_matrix, time_grid
 from .problems import ADProblem, SolverConfig
 
-# A pivot below this fraction of ||A||_inf marks the system as numerically
-# singular; reported, never regularized.
+# A mode whose smallest eigenvalue modulus min_j |1 + alpha_n (T/2) r_jj|
+# falls below this fraction of 1 + |alpha_n| ||TQ||_inf, an upper bound of
+# ||I + alpha_n TQ||_inf, or whose refined normwise residual exceeds it, is
+# numerically singular; reported, never regularized.
 PIVOT_RTOL = 1e-14
-
-# LAPACK LU factor and solve, called directly: up to about M = 32 the input
-# checks and batch handling of scipy.linalg.lu_factor/lu_solve cost more
-# than the factorization itself.
-_GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), dtype=complex)
 
 
 class ModeSolveError(RuntimeError):
@@ -42,17 +44,7 @@ class ModeSolveError(RuntimeError):
         self.mode = mode
 
 
-@dataclass(frozen=True)
-class ModeSystem:
-    """Collocated system for one positive mode index."""
-
-    n: int
-    alpha: complex
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSolution:
     """Nodal Fourier coefficients psi_k(t_l) on the time-node x mode grid.
 
@@ -88,34 +80,31 @@ def mode_rate(problem: ADProblem, n):
 
 
 def assemble_mode(n: int, problem: ADProblem, config: SolverConfig,
-                  tq: IntegrationMatrix, spectrum: InitialSpectrum) -> ModeSystem:
-    """Assemble I + alpha_n TQ and the replicated right-hand side for mode n."""
+                  tq: IntegrationMatrix, spectrum: InitialSpectrum) -> np.ndarray:
+    """The matrix I + alpha_n TQ of mode n; its right-hand side is u0_hat_n * ones.
+
+    The solve does not form these matrices; this spells one out for checks.
+    """
     if not 1 <= n <= config.N // 2:
         raise ValueError(f"mode index must be in 1..{config.N // 2}; got {n}")
-    alpha = mode_rate(problem, n)
-    size = tq.order + 1
-    matrix = np.eye(size, dtype=complex) + alpha * tq.entries
-    rhs = np.full(size, spectrum.mode(n), dtype=complex)
-    return ModeSystem(n=n, alpha=alpha, matrix=matrix, rhs=rhs)
+    return np.eye(tq.order + 1) + mode_rate(problem, n) * tq.entries
 
 
-def _solve_system(system: ModeSystem) -> np.ndarray:
-    if system.alpha == 0:
-        # Identity system; skip the factorization entirely.
-        return system.rhs.copy()
-    lu, piv, info = _GETRF(system.matrix)
-    if info > 0:
-        raise ModeSolveError(
-            system.n, f"singular system (exact zero pivot in column {info})")
-    scale = np.abs(system.matrix).sum(axis=1).max()  # ||A||_inf
-    pivot_min = float(np.abs(lu.diagonal()).min())
-    if pivot_min < PIVOT_RTOL * scale:
-        raise ModeSolveError(
-            system.n,
-            f"singular or ill-conditioned system "
-            f"(pivot {pivot_min:.3e} below {PIVOT_RTOL:.0e} * ||A|| = {PIVOT_RTOL * scale:.3e})",
-        )
-    return _GETRS(lu, piv, system.rhs)[0]
+def _back_substitute(r: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> None:
+    # Solve (I + alpha_i r) y_i = b_i in place for every column i, where y
+    # holds b_i on entry: one step per row of the upper triangular r.
+    for j in range(len(r) - 1, -1, -1):
+        y[j] -= alpha * (r[j, j + 1:] @ y[j + 1:])
+        y[j] /= 1.0 + alpha * r[j, j]
+
+
+def _residual(a: np.ndarray, alpha: np.ndarray, x: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    # out = ones - (I + alpha_i a) x_i for every column i.
+    np.matmul(a, x, out=out)
+    out *= alpha
+    out += x
+    return np.subtract(1.0, out, out=out)
 
 
 def _initial_spectrum(problem: ADProblem, N0: int) -> InitialSpectrum:
@@ -131,15 +120,66 @@ def _prepare(problem: ADProblem, config: SolverConfig):
     return basis, tq, tgrid, _initial_spectrum(problem, config.N0)
 
 
+def _unit_solutions(a: np.ndarray, r: np.ndarray, u: np.ndarray,
+                    alpha: np.ndarray) -> np.ndarray:
+    # Column i solves (I + alpha_i a) x = ones, the system of mode i + 1,
+    # given the complex Schur form a = u r u^H (up to rounding; the
+    # refinement step works with a itself). At most three (M + 1, len(alpha))
+    # arrays are alive at once, and only the result outlives the call.
+    #
+    # norm = 1 + |alpha_i| ||a||_inf >= ||I + alpha_i a||_inf stands in for
+    # the norm in both tests, so that neither needs an (M + 1, len(alpha))
+    # temporary: it makes the pivot test stricter, and the residual test,
+    # which divides by it, a little looser.
+    norm = 1.0 + np.abs(alpha) * np.abs(a).sum(axis=1).max()
+    # The diagonal of I + alpha_i r holds the eigenvalues of the mode matrix.
+    y = np.multiply.outer(r.diagonal(), alpha)
+    y += 1.0
+    pivot = np.abs(y).min(axis=0)
+    bad = np.flatnonzero(~(pivot >= PIVOT_RTOL * norm))
+    if bad.size:
+        i = int(bad[0])
+        raise ModeSolveError(
+            i + 1,
+            f"singular or ill-conditioned system (smallest eigenvalue modulus "
+            f"{pivot[i]:.3e} below {PIVOT_RTOL:.0e} * (1 + |alpha| ||TQ||) "
+            f"= {PIVOT_RTOL * norm[i]:.3e})")
+
+    uh = u.conj().T
+    y[:] = uh.sum(axis=1)[:, None]  # U^H ones
+    _back_substitute(r, alpha, y)
+    x = u @ y
+    # One step of iterative refinement; y is free once x is formed.
+    step = uh @ _residual(a, alpha, x, out=y)
+    _back_substitute(r, alpha, step)
+    x += np.matmul(u, step, out=y)
+    # A zero rate leaves the identity, whose solution is exactly ones.
+    x[:, alpha == 0] = 1.0
+
+    resid = np.abs(_residual(a, alpha, x, out=step)).max(axis=0)
+    backward = resid / (norm * np.abs(x).max(axis=0) + 1.0)
+    bad = np.flatnonzero(~(backward <= PIVOT_RTOL))
+    if bad.size:
+        i = int(bad[0])
+        raise ModeSolveError(
+            i + 1,
+            f"refined residual {backward[i]:.3e} exceeds {PIVOT_RTOL:.0e} "
+            f"* ((1 + |alpha| ||TQ||) ||x|| + 1)")
+    return x
+
+
 def _solve_prepared(problem: ADProblem, config: SolverConfig,
                     basis: GegenbauerBasis, tq: IntegrationMatrix,
                     tgrid: TimeGrid,
                     spectrum: InitialSpectrum) -> SpectralSolution:
-    # One mode at a time, so only one system is held at once.
-    pos = np.empty((config.M + 1, config.N // 2), dtype=complex)
-    for n in range(1, config.N // 2 + 1):
-        pos[:, n - 1] = _solve_system(
-            assemble_mode(n, problem, config, tq, spectrum))
+    # Row l, column n - 1 holds psi_n(t_l) for n = 1 .. N/2: the unit
+    # solutions scaled by u0_hat_n. TQ = U (T/2 R) U^H, so the cached Schur
+    # form of the reference Q serves every horizon.
+    half = config.N // 2
+    r, u = reference_rule(basis.lam, basis.order)[1].schur
+    pos = _unit_solutions(tq.entries, 0.5 * problem.T * r, u,
+                          mode_rate(problem, np.arange(1, half + 1)))
+    pos *= spectrum.values[1:half + 1]
     table = complete_half_spectrum(pos)
     table.setflags(write=False)
     return SpectralSolution(config=config, problem=problem, basis=basis,
@@ -152,8 +192,8 @@ def solve_modes(problem: ADProblem, config: SolverConfig,
 
     Negative modes are the exact conjugates of the positive ones and the zero
     mode is -2 sum_k Re(psi_k), enforcing the zero-sum constraint.
-    ``parallel`` is accepted and ignored: the modes are solved one after
-    another, which was never slower than a thread pool at any size measured.
+    ``parallel`` is accepted and ignored: all modes are solved together in
+    one back-substitution along the mode axis.
     """
     return _solve_prepared(problem, config, *_prepare(problem, config))
 

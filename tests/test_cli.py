@@ -264,3 +264,22 @@ class TestFailureModes:
         assert code == 1
         assert f"key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "o" / "solution.csv").exists()
+
+    @pytest.mark.parametrize("value", ["x", "3.5"])
+    def test_non_integer_repeats_names_the_key(self, tmp_path, capsys, value):
+        cfg = _write(tmp_path, f"problem_id = 1\nN = 4\nM = 8\nrepeats = {value}\n")
+        code = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"invalid value for key 'repeats': '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "bench.csv").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-0.4,nan"])
+    def test_non_finite_lambda_list_names_the_key(self, tmp_path, capsys, value):
+        cfg = _write(tmp_path, f"problem_id = 1\nN = 4\nM = 4\nlambda_list = {value}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["conditioning", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"invalid value for key 'lambda_list': '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "conditioning.csv").exists()

@@ -1,4 +1,4 @@
-"""Mode assembly, direct solves, symmetry completion, and field evaluation."""
+"""Mode assembly, the Schur-form solve, symmetry completion, and field evaluation."""
 
 import warnings
 
@@ -10,13 +10,13 @@ from scipy.linalg import lu_factor, lu_solve
 from adspectral import (ADProblem, FourierGrid, ModeSolveError, SolverConfig,
                         assemble_mode, bary_interpolate, coefficients_at,
                         dft_coefficients, evaluate_u, evaluate_ux, mode_rate,
-                        solve_modes)
+                        sa_field, solve_modes)
 from adspectral import test_problem as builtin_problem
 from adspectral import solver
 from adspectral.gegenbauer import build_basis, build_integration_matrix, \
-    reference_rule, shift_integration_matrix
-from adspectral.solver import PIVOT_RTOL, ModeSystem, _coefficient_table, \
-    _prepare, _solve_system
+    reference_rule, shift_integration_matrix, time_grid
+from adspectral.solver import PIVOT_RTOL, _coefficient_table, _prepare, \
+    _unit_solutions
 
 
 def _degenerate_problem(u0=None, g=None):
@@ -60,18 +60,22 @@ class TestAssembleMode:
         problem = _degenerate_problem()
         config = SolverConfig(N=4, M=6, N0=6)
         tq, spectrum = self._tq_and_spectrum(problem, config)
-        system = assemble_mode(1, problem, config, tq, spectrum)
-        assert system.alpha == 0
-        assert np.array_equal(system.matrix, np.eye(7, dtype=complex))
+        assert mode_rate(problem, 1) == 0
+        assert np.array_equal(assemble_mode(1, problem, config, tq, spectrum),
+                              np.eye(7))
 
     def test_matrix_and_rhs_shape(self):
+        # The solved column maps back to the replicated right-hand side.
         problem = builtin_problem(1)
         config = SolverConfig(N=4, M=10, N0=6)
         tq, spectrum = self._tq_and_spectrum(problem, config)
-        system = assemble_mode(2, problem, config, tq, spectrum)
-        assert system.matrix.shape == (11, 11)
-        assert_allclose(system.rhs, np.full(11, spectrum.mode(2)))
-        assert system.alpha.real >= 0 and system.alpha.imag >= 0
+        matrix = assemble_mode(2, problem, config, tq, spectrum)
+        assert matrix.shape == (11, 11)
+        assert np.array_equal(matrix,
+                              np.eye(11) + mode_rate(problem, 2) * tq.entries)
+        psi = solve_modes(problem, config).psi[2]
+        assert_allclose(matrix @ psi, np.full(11, spectrum.mode(2)),
+                        rtol=0, atol=1e-15)
 
     def test_mode_index_out_of_range(self):
         problem = builtin_problem(1)
@@ -186,80 +190,115 @@ class TestSolveModes:
         with pytest.raises(TypeError):
             sol.psi[1] = sol.psi[2]
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-    def test_singular_system_reported_with_mode(self):
-        size = 5
-        matrix = np.zeros((size, size), dtype=complex)
-        matrix[0, 0] = 1.0
-        system = ModeSystem(n=3, alpha=1.0 + 0j, matrix=matrix,
-                            rhs=np.ones(size, dtype=complex))
-        with pytest.raises(ModeSolveError, match="mode 3"):
-            _solve_system(system)
+    def test_singular_system_reported_with_mode(self, monkeypatch):
+        problem, config, _ = _rates_with(monkeypatch, {3: 0.0})
+        with pytest.raises(ModeSolveError, match="mode 3: singular") as info:
+            solve_modes(problem, config)
+        assert info.value.mode == 3
+
+
+def _rates_with(monkeypatch, ratios):
+    # Patch solver.mode_rate so that mode n of problem 3 at N = 8, M = 6 has
+    # an eigenvalue of modulus ratios[n] * PIVOT_RTOL * (1 + |alpha| ||TQ||),
+    # the threshold of the pivot test. Mode n takes the n-th eigenvalue r
+    # of (T/2) R, since 1 + alpha r = 0 at alpha = -1/r.
+    problem, config = builtin_problem(3), SolverConfig(N=8, M=6)
+    _, tq, _, _ = _prepare(problem, config)
+    r = np.diag(0.5 * problem.T * reference_rule(config.lam, config.M)[1].schur[0])
+    rates = mode_rate(problem, np.arange(1, config.N // 2 + 1))
+    for n, ratio in ratios.items():
+        root = -1.0 / r[n]
+        norm = 1.0 + abs(root) * np.linalg.norm(tq.entries, np.inf)
+        rates[n - 1] = root + ratio * PIVOT_RTOL * norm / abs(r[n])
+    true_rate = solver.mode_rate
+    monkeypatch.setattr(solver, "mode_rate", lambda problem, ns: (
+        rates if np.ndim(ns) else true_rate(problem, ns)))
+    return problem, config, rates
 
 
 class TestDirectLapack:
+    """The Schur-form solve against LAPACK LU and 40-digit solves."""
+
     @pytest.mark.parametrize("pid", [1, 2, 3])
     @pytest.mark.parametrize("N,M", [(8, 40), (64, 10), (256, 32)])
-    def test_matches_lu_factor_oracle_bit_for_bit(self, pid, N, M):
+    def test_matches_lu_factor_oracle(self, pid, N, M):
         problem = builtin_problem(pid)
         config = SolverConfig(N=N, M=M)
         sol = solve_modes(problem, config)
         _, tq, _, spectrum = _prepare(problem, config)
         for n in range(1, N // 2 + 1):
-            system = assemble_mode(n, problem, config, tq, spectrum)
-            expected = lu_solve(lu_factor(system.matrix), system.rhs)
-            assert np.array_equal(sol.psi[n], expected)
+            matrix = assemble_mode(n, problem, config, tq, spectrum)
+            expected = lu_solve(lu_factor(matrix),
+                                np.full(M + 1, spectrum.mode(n), dtype=complex))
+            assert_allclose(sol.psi[n], expected, rtol=0, atol=1e-15)
 
-    def test_tiny_pivot_reported_with_mode(self):
-        # Nonzero, so LAPACK factors it; the relative test refuses it.
-        matrix = np.diag([1.0, 1.0, 0.5 * PIVOT_RTOL]).astype(complex)
-        system = ModeSystem(n=7, alpha=1.0 + 0j, matrix=matrix,
-                            rhs=np.ones(3, dtype=complex))
-        with pytest.raises(ModeSolveError, match="mode 7: singular"):
-            _solve_system(system)
-        matrix = np.diag([1.0, 1.0, 2.0 * PIVOT_RTOL]).astype(complex)
-        ok = ModeSystem(n=7, alpha=1.0 + 0j, matrix=matrix,
-                        rhs=np.ones(3, dtype=complex))
-        assert np.array_equal(_solve_system(ok), [1.0, 1.0, 0.5 / PIVOT_RTOL])
+    @pytest.mark.parametrize("lam,M", [(-0.49, 40), (-0.4, 10), (2.0, 40)])
+    def test_accuracy_against_mpmath_no_worse_than_lu(self, lam, M):
+        # Each error is measured in units of its first-order bound
+        # u || |A^-1| (|A| |x| + |b|) ||_inf for a componentwise backward
+        # stable solve (Higham, ch. 7), which one refinement step attains
+        # (ch. 12); raw errors would only rank the rounding of the
+        # worst-conditioned system. The worst scaled error of the Schur path
+        # may not exceed that of lu_solve on the same systems.
+        mpmath = pytest.importorskip("mpmath")
+        zs = [0.5, 5, 50, 500, 5e3, 5e5, 50j, 500j, 5 + 500j]
+        q = reference_rule(lam, M)[1]
+        r, u = q.schur
+        schur = _unit_solutions(q.entries, r, u, np.array(zs, dtype=complex))
+        ones = np.ones(M + 1, dtype=complex)
+        worst = {"schur": 0.0, "lu": 0.0}
+        with mpmath.workdps(40):
+            exact_q = mpmath.matrix(q.entries.tolist())
+            for i, z in enumerate(zs):
+                exact = mpmath.lu_solve(mpmath.eye(M + 1) + mpmath.mpc(z) * exact_q,
+                                        mpmath.matrix(ones.tolist()))
+                x_abs = np.array([float(abs(v)) for v in exact])
+                a = np.eye(M + 1) + z * q.entries
+                cond = (np.abs(np.linalg.inv(a)) @ (np.abs(a) @ x_abs + 1.0)).max()
+                unit = np.finfo(float).eps / 2 * cond
+                for name, x in (("schur", schur[:, i]),
+                                ("lu", lu_solve(lu_factor(a), ones))):
+                    err = max(abs(mpmath.mpc(v) - e) for v, e in zip(x, exact))
+                    worst[name] = max(worst[name], float(err) / unit)
+        assert worst["schur"] <= worst["lu"]
 
-    def test_solve_modes_names_the_singular_mode(self, monkeypatch):
-        assemble = solver.assemble_mode
-
-        def singular_at_two(n, *args):
-            system = assemble(n, *args)
-            if n != 2:
-                return system
-            matrix = np.zeros_like(system.matrix)
-            matrix[0, 0] = 1.0
-            return ModeSystem(n=n, alpha=system.alpha, matrix=matrix,
-                              rhs=system.rhs)
-
-        monkeypatch.setattr(solver, "assemble_mode", singular_at_two)
-        with pytest.raises(ModeSolveError, match="mode 2:") as info:
-            solve_modes(builtin_problem(3), SolverConfig(N=8, M=6))
+    def test_tiny_pivot_reported_with_mode(self, monkeypatch):
+        # Nonzero, so the solve could proceed; the relative test refuses it.
+        problem, config, _ = _rates_with(monkeypatch, {2: 0.5})
+        with pytest.raises(ModeSolveError, match="mode 2: singular") as info:
+            solve_modes(problem, config)
         assert info.value.mode == 2
 
-    def test_zero_matrix_refused(self, monkeypatch):
-        # An all-zero matrix has ||A|| = 0, so only LAPACK's info flags it.
-        zero = ModeSystem(n=2, alpha=1.0 + 0j,
-                          matrix=np.zeros((5, 5), dtype=complex),
-                          rhs=np.ones(5, dtype=complex))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ModeSolveError, match="mode 2: singular"):
-                _solve_system(zero)
-        assemble = solver.assemble_mode
+    def test_pivot_above_the_threshold_is_solved(self, monkeypatch):
+        problem, config, rates = _rates_with(monkeypatch, {2: 2.0})
+        sol = solve_modes(problem, config)
+        _, tq, _, spectrum = _prepare(problem, config)
+        matrix = np.eye(7) + rates[1] * tq.entries
+        rhs = np.full(7, spectrum.mode(2))
+        residual = np.abs(rhs - matrix @ sol.psi[2]).max()
+        scale = np.linalg.norm(matrix, np.inf) * np.abs(sol.psi[2]).max()
+        assert np.all(np.isfinite(sol.psi[2]))
+        assert residual <= PIVOT_RTOL * (scale + abs(rhs[0]))
 
-        def zero_at_two(n, *args):
-            system = assemble(n, *args)
-            if n != 2:
-                return system
-            return ModeSystem(n=n, alpha=system.alpha,
-                              matrix=np.zeros_like(system.matrix),
-                              rhs=system.rhs)
-
-        monkeypatch.setattr(solver, "assemble_mode", zero_at_two)
+    def test_solve_modes_names_the_singular_mode(self, monkeypatch):
+        # Modes 2 and 4 are singular; the lowest is named.
+        problem, config, _ = _rates_with(monkeypatch, {2: 0.0, 4: 0.0})
         with pytest.raises(ModeSolveError, match="mode 2:") as info:
+            solve_modes(problem, config)
+        assert info.value.mode == 2
+
+    def test_refined_residual_check_names_the_mode(self, monkeypatch):
+        # A back-substitution that goes wrong in mode 2's column leaves a
+        # residual that the refinement step cannot remove.
+        back_substitute = solver._back_substitute
+
+        def off_in_column_one(r, alpha, y):
+            back_substitute(r, alpha, y)
+            y[:, 1] *= 1.001
+
+        monkeypatch.setattr(solver, "_back_substitute", off_in_column_one)
+        with pytest.raises(ModeSolveError,
+                           match="mode 2: refined residual") as info:
             solve_modes(builtin_problem(3), SolverConfig(N=8, M=6))
         assert info.value.mode == 2
 
@@ -453,3 +492,23 @@ class TestBatchedEvaluation:
         ux = evaluate_ux(sol, grid, times)
         exact = np.array([problem.exact_dx(grid.nodes, t) for t in times])
         assert np.max(np.abs(ux - exact)) <= 1e-12
+
+
+class TestValueObjects:
+    @pytest.mark.parametrize("build", [
+        lambda: build_basis(-0.4, 6),
+        lambda: build_integration_matrix(build_basis(-0.4, 6)),
+        lambda: time_grid(build_basis(-0.4, 6), 0.2),
+        lambda: sa_field(builtin_problem(1), 4).spectrum,
+        lambda: solve_modes(builtin_problem(1), SolverConfig(N=4, M=6)),
+        lambda: sa_field(builtin_problem(1), 4),
+    ], ids=["GegenbauerBasis", "IntegrationMatrix", "TimeGrid",
+            "InitialSpectrum", "SpectralSolution", "SAField"])
+    def test_equality_is_identity(self, build):
+        # Objects holding arrays compare by identity; a generated __eq__
+        # would compare the arrays and raise on their ambiguous truth value.
+        a, b = build(), build()
+        assert a == a
+        assert not a == b
+        assert a != b
+        assert len({a, b}) == 2

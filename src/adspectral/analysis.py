@@ -13,7 +13,8 @@ import numpy as np
 from .fourier import FourierGrid
 from .gegenbauer import reference_rule, shift_integration_matrix
 from .problems import ADProblem, SolverConfig
-from .solver import (_prepare, _solve_prepared, evaluate_u, mode_rate,
+from .solver import (_horizon_rule, _initial_spectrum, _prepare,
+                     _scaled_solution, _unit_solve, evaluate_u, mode_rate,
                      solve_modes)
 
 JACOBI_TOL = 1e-14
@@ -71,6 +72,15 @@ def _report_from_field(problem: ADProblem, config: SolverConfig,
     )
 
 
+def _check_error_inputs(problem: ADProblem, t_final: float, caller: str) -> None:
+    # Refused before any solve: an error needs an exact solution to compare
+    # with, at a positive terminal time.
+    if problem.exact is None:
+        raise ValueError(f"{caller} requires a problem with an exact solution")
+    if not t_final > 0:
+        raise ValueError(f"{caller}: t_final must be positive; got {t_final}")
+
+
 def error_report(problem: ADProblem, config: SolverConfig,
                  t_final: float) -> ErrorReport:
     """Solve with horizon t_final and compare to the exact solution there.
@@ -79,10 +89,7 @@ def error_report(problem: ADProblem, config: SolverConfig,
     collocated on (0, t_final) and the coefficients interpolated to its
     endpoint, which is never a collocation node.
     """
-    if problem.exact is None:
-        raise ValueError("error_report requires a problem with an exact solution")
-    if not t_final > 0:
-        raise ValueError(f"t_final must be positive; got {t_final}")
+    _check_error_inputs(problem, t_final, "error_report")
     sol = solve_modes(problem.with_horizon(t_final), config)
     return _report_from_field(problem, config, evaluate_u(sol, sol.grid, t_final),
                               t_final)
@@ -91,17 +98,36 @@ def error_report(problem: ADProblem, config: SolverConfig,
 def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
                       M_range: Sequence[int], lam: float,
                       t_final: Optional[float] = None) -> SweepResult:
-    """One error report per (N, M) cell, N0 = N + 2 throughout."""
+    """One error report per (N, M) cell, N0 = N + 2 in each cell.
+
+    Every cell gives the dne of error_report, but the cells share the mode
+    solves: the unit systems (I + alpha_n TQ) x_n = ones depend on M and not
+    on N, so each M takes one rule lookup and one unit solve for modes
+    1 .. max(N)/2. Each cell then scales the leading N/2 columns by the u0
+    spectrum sampled at its N0 = N + 2 points, computed once per N. Rows
+    are ordered N outer, M inner. A problem without an exact solution, or a
+    t_final <= 0, is refused before any solve.
+    """
     if not len(N_range) or not len(M_range):
         raise ValueError("N_range and M_range must be nonempty")
     t_final = problem.T if t_final is None else t_final
+    _check_error_inputs(problem, t_final, "convergence_sweep")
+    run = problem.with_horizon(t_final)
+    Ns = sorted(set(int(n) for n in N_range))
+    cells = [[SolverConfig(N=N, M=M, N0=N + 2, lam=lam) for N in Ns]
+             for M in sorted(set(int(m) for m in M_range))]
+    spectra = [_initial_spectrum(run, config.N0) for config in cells[0]]
     rows = []
-    for N in sorted(set(int(n) for n in N_range)):
-        for M in sorted(set(int(m) for m in M_range)):
-            config = SolverConfig(N=N, M=M, N0=N + 2, lam=lam)
-            report = error_report(problem, config, t_final)
-            log_dne = float(np.log10(report.dne)) if report.dne > 0 else -np.inf
-            rows.append((N, M, report.dne, log_dne))
+    for configs in cells:
+        basis, tq, tgrid = _horizon_rule(run, lam, configs[0].M)
+        units = _unit_solve(run, basis, tq, Ns[-1] // 2)
+        for config, spectrum in zip(configs, spectra):
+            sol = _scaled_solution(run, config, basis, tgrid, units, spectrum)
+            dne = _report_from_field(
+                problem, config, evaluate_u(sol, sol.grid, t_final), t_final).dne
+            rows.append((config.N, config.M, dne,
+                         float(np.log10(dne)) if dne > 0 else -np.inf))
+    rows.sort()  # N outer, M inner: the (N, M) keys are distinct
     slopes = {}
     for N in sorted(set(r[0] for r in rows)):
         ms = np.array([r[1] for r in rows if r[0] == N], dtype=float)
@@ -294,9 +320,10 @@ def bench_solve(problem: ADProblem, config: SolverConfig,
     totals = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        prepared = _prepare(problem, config)
+        basis, tq, tgrid, spectrum = _prepare(problem, config)
         t1 = time.perf_counter()
-        sol = _solve_prepared(problem, config, *prepared)
+        units = _unit_solve(problem, basis, tq, config.N // 2)
+        sol = _scaled_solution(problem, config, basis, tgrid, units, spectrum)
         t2 = time.perf_counter()
         evaluate_u(sol, sol.grid, sol.time_grid.nodes)
         t3 = time.perf_counter()

@@ -89,8 +89,13 @@ def complete_half_spectrum(pos) -> np.ndarray:
     vanishes at x = 0 before the trace is added). Returns shape (..., N + 1).
     """
     pos = np.asarray(pos, dtype=complex)
-    zero = -2.0 * pos.real.sum(axis=-1, keepdims=True)
-    return np.concatenate([np.conj(pos[..., ::-1]), zero, pos], axis=-1)
+    # One output array, filled in place: no conjugate temporary to concatenate.
+    half = pos.shape[-1]
+    table = np.empty(pos.shape[:-1] + (2 * half + 1,), dtype=complex)
+    np.conjugate(pos[..., ::-1], out=table[..., :half])
+    table[..., half] = -2.0 * pos.real.sum(axis=-1)
+    table[..., half + 1:] = pos
+    return table
 
 
 def _gather(coeffs, grid: FourierGrid) -> np.ndarray:

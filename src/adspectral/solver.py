@@ -114,10 +114,15 @@ def _initial_spectrum(problem: ADProblem, N0: int) -> InitialSpectrum:
 
 
 def _prepare(problem: ADProblem, config: SolverConfig):
-    basis, q = reference_rule(config.lam, config.M)
-    tq = shift_integration_matrix(q, problem.T)
-    tgrid = time_grid(basis, problem.T)
-    return basis, tq, tgrid, _initial_spectrum(problem, config.N0)
+    return (*_horizon_rule(problem, config.lam, config.M),
+            _initial_spectrum(problem, config.N0))
+
+
+def _horizon_rule(problem: ADProblem, lam: float, M: int):
+    # The cached reference rule mapped to (0, T): basis, TQ and time grid.
+    basis, q = reference_rule(lam, M)
+    return (basis, shift_integration_matrix(q, problem.T),
+            time_grid(basis, problem.T))
 
 
 def _unit_solutions(a: np.ndarray, r: np.ndarray, u: np.ndarray,
@@ -168,19 +173,25 @@ def _unit_solutions(a: np.ndarray, r: np.ndarray, u: np.ndarray,
     return x
 
 
-def _solve_prepared(problem: ADProblem, config: SolverConfig,
-                    basis: GegenbauerBasis, tq: IntegrationMatrix,
-                    tgrid: TimeGrid,
-                    spectrum: InitialSpectrum) -> SpectralSolution:
-    # Row l, column n - 1 holds psi_n(t_l) for n = 1 .. N/2: the unit
-    # solutions scaled by u0_hat_n. TQ = U (T/2 R) U^H, so the cached Schur
-    # form of the reference Q serves every horizon.
-    half = config.N // 2
+def _unit_solve(problem: ADProblem, basis: GegenbauerBasis,
+                tq: IntegrationMatrix, half: int) -> np.ndarray:
+    # Column n - 1 holds the unit solution x_n of (I + alpha_n TQ) x_n = ones
+    # for n = 1 .. half. It depends on the rule and the rates, not on N or
+    # u0, so one call serves every N with N/2 <= half. TQ = U (T/2 R) U^H,
+    # so the cached Schur form of the reference Q serves every horizon.
     r, u = reference_rule(basis.lam, basis.order)[1].schur
-    pos = _unit_solutions(tq.entries, 0.5 * problem.T * r, u,
-                          mode_rate(problem, np.arange(1, half + 1)))
-    pos *= spectrum.values[1:half + 1]
-    table = complete_half_spectrum(pos)
+    return _unit_solutions(tq.entries, 0.5 * problem.T * r, u,
+                           mode_rate(problem, np.arange(1, half + 1)))
+
+
+def _scaled_solution(problem: ADProblem, config: SolverConfig,
+                     basis: GegenbauerBasis, tgrid: TimeGrid,
+                     units: np.ndarray,
+                     spectrum: InitialSpectrum) -> SpectralSolution:
+    # Row l, column n - 1 of the half table holds psi_n(t_l) for
+    # n = 1 .. N/2: the leading N/2 unit solutions scaled by u0_hat_n.
+    half = config.N // 2
+    table = complete_half_spectrum(units[:, :half] * spectrum.values[1:half + 1])
     table.setflags(write=False)
     return SpectralSolution(config=config, problem=problem, basis=basis,
                             time_grid=tgrid, table=table)
@@ -195,7 +206,9 @@ def solve_modes(problem: ADProblem, config: SolverConfig,
     ``parallel`` is accepted and ignored: all modes are solved together in
     one back-substitution along the mode axis.
     """
-    return _solve_prepared(problem, config, *_prepare(problem, config))
+    basis, tq, tgrid, spectrum = _prepare(problem, config)
+    units = _unit_solve(problem, basis, tq, config.N // 2)
+    return _scaled_solution(problem, config, basis, tgrid, units, spectrum)
 
 
 def _times_in_horizon(times, T: float) -> np.ndarray:

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from adspectral import (ADProblem, SolverConfig, bench_solve,
+from adspectral import (ADProblem, ModeSolveError, SolverConfig, bench_solve,
                         conditioning_study, convergence_sweep, error_report,
                         evaluate_u, jacobi_svd, mode_rate, singular_values,
                         solve_modes)
 from adspectral import test_problem as builtin_problem
-from adspectral.gegenbauer import build_basis, build_integration_matrix, \
-    shift_integration_matrix
+from adspectral.gegenbauer import RULE_CACHE_SIZE, build_basis, \
+    build_integration_matrix, reference_rule, shift_integration_matrix
 
 
 class TestErrorReport:
@@ -101,6 +101,50 @@ class TestConvergenceSweep:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             convergence_sweep(builtin_problem(1), [], [4], -0.4)
+
+    def test_requires_exact_solution(self):
+        problem = ADProblem(mu=0.0, nu=1.0, L=2.0, T=1.0,
+                            u0=lambda x: np.sin(np.pi * x),
+                            g=lambda t: 0.0 * np.asarray(t))
+        with pytest.raises(ValueError,
+                           match="convergence_sweep requires .* exact"):
+            convergence_sweep(problem, [4], [6], -0.4)
+
+    def test_rejects_nonpositive_t_final(self):
+        with pytest.raises(ValueError, match="convergence_sweep: t_final"):
+            convergence_sweep(builtin_problem(1), [4], [6], -0.4, 0.0)
+
+    @pytest.mark.parametrize("pid", [1, 2, 3])
+    def test_matches_per_cell_error_reports(self, pid):
+        # Each M's unit solve is shared by every N; each cell still gets the
+        # dne of its own error_report, in the same (N, M) order.
+        problem = builtin_problem(pid)
+        Ns, Ms = range(4, 65, 4), range(2, 41, 2)
+        result = convergence_sweep(problem, Ns, Ms, -0.4)
+        keys = [(N, M) for N in Ns for M in Ms]
+        expected = [
+            error_report(problem, SolverConfig(N=N, M=M, N0=N + 2, lam=-0.4),
+                         problem.T).dne
+            for N, M in keys]
+        assert [row[:2] for row in result.rows] == keys
+        assert_allclose([row[2] for row in result.rows], expected,
+                        rtol=0.0, atol=1e-15)
+
+    def test_one_rule_build_per_M(self):
+        # More values of M than the rule cache holds: a sweep that visited
+        # the cells N outer would rebuild every rule once per N.
+        Ms = range(2, 42)
+        assert len(Ms) > RULE_CACHE_SIZE
+        reference_rule.cache_clear()
+        convergence_sweep(builtin_problem(1), range(4, 65, 4), Ms, -0.4)
+        assert reference_rule.cache_info().misses == len(Ms)
+
+    def test_names_the_lowest_singular_mode(self, rates_with):
+        # Modes 2 and 4 are singular at this M; the lowest is named.
+        problem, config, _ = rates_with({2: 0.0, 4: 0.0})
+        with pytest.raises(ModeSolveError, match="mode 2:") as info:
+            convergence_sweep(problem, [4, config.N], [config.M], config.lam)
+        assert info.value.mode == 2
 
 
 class TestJacobiSvd:

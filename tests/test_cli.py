@@ -180,6 +180,17 @@ class TestSweepCommands:
         keys = [(int(r[0]), int(r[1])) for r in rows]
         assert keys == sorted(keys)
 
+    def test_convergence_refuses_problem_without_exact_solution(
+            self, tmp_path, capsys):
+        cfg = _write(tmp_path, "mu = 0\nnu = 1\nL = 2\nT = 0.5\n"
+                               "u0 = first_harmonic\ng = zero\nN = 4\n"
+                               "M = 4\nN_range = 4:8\nM_range = 2:4\n")
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 1
+        assert ("convergence_sweep requires a problem with an exact solution"
+                in capsys.readouterr().err)
+        assert not (out / "sweep.csv").exists()
+
     def test_conditioning_cardinality(self, tmp_path):
         cfg = _write(tmp_path, "problem_id = 1\nN = 4\nM = 4\n"
                                "lambda_list = -0.4,-0.2,0,0.5,1,1.5,2\n"

@@ -190,30 +190,11 @@ class TestSolveModes:
         with pytest.raises(TypeError):
             sol.psi[1] = sol.psi[2]
 
-    def test_singular_system_reported_with_mode(self, monkeypatch):
-        problem, config, _ = _rates_with(monkeypatch, {3: 0.0})
+    def test_singular_system_reported_with_mode(self, rates_with):
+        problem, config, _ = rates_with({3: 0.0})
         with pytest.raises(ModeSolveError, match="mode 3: singular") as info:
             solve_modes(problem, config)
         assert info.value.mode == 3
-
-
-def _rates_with(monkeypatch, ratios):
-    # Patch solver.mode_rate so that mode n of problem 3 at N = 8, M = 6 has
-    # an eigenvalue of modulus ratios[n] * PIVOT_RTOL * (1 + |alpha| ||TQ||),
-    # the threshold of the pivot test. Mode n takes the n-th eigenvalue r
-    # of (T/2) R, since 1 + alpha r = 0 at alpha = -1/r.
-    problem, config = builtin_problem(3), SolverConfig(N=8, M=6)
-    _, tq, _, _ = _prepare(problem, config)
-    r = np.diag(0.5 * problem.T * reference_rule(config.lam, config.M)[1].schur[0])
-    rates = mode_rate(problem, np.arange(1, config.N // 2 + 1))
-    for n, ratio in ratios.items():
-        root = -1.0 / r[n]
-        norm = 1.0 + abs(root) * np.linalg.norm(tq.entries, np.inf)
-        rates[n - 1] = root + ratio * PIVOT_RTOL * norm / abs(r[n])
-    true_rate = solver.mode_rate
-    monkeypatch.setattr(solver, "mode_rate", lambda problem, ns: (
-        rates if np.ndim(ns) else true_rate(problem, ns)))
-    return problem, config, rates
 
 
 class TestDirectLapack:
@@ -262,15 +243,15 @@ class TestDirectLapack:
                     worst[name] = max(worst[name], float(err) / unit)
         assert worst["schur"] <= worst["lu"]
 
-    def test_tiny_pivot_reported_with_mode(self, monkeypatch):
+    def test_tiny_pivot_reported_with_mode(self, rates_with):
         # Nonzero, so the solve could proceed; the relative test refuses it.
-        problem, config, _ = _rates_with(monkeypatch, {2: 0.5})
+        problem, config, _ = rates_with({2: 0.5})
         with pytest.raises(ModeSolveError, match="mode 2: singular") as info:
             solve_modes(problem, config)
         assert info.value.mode == 2
 
-    def test_pivot_above_the_threshold_is_solved(self, monkeypatch):
-        problem, config, rates = _rates_with(monkeypatch, {2: 2.0})
+    def test_pivot_above_the_threshold_is_solved(self, rates_with):
+        problem, config, rates = rates_with({2: 2.0})
         sol = solve_modes(problem, config)
         _, tq, _, spectrum = _prepare(problem, config)
         matrix = np.eye(7) + rates[1] * tq.entries
@@ -280,9 +261,9 @@ class TestDirectLapack:
         assert np.all(np.isfinite(sol.psi[2]))
         assert residual <= PIVOT_RTOL * (scale + abs(rhs[0]))
 
-    def test_solve_modes_names_the_singular_mode(self, monkeypatch):
+    def test_solve_modes_names_the_singular_mode(self, rates_with):
         # Modes 2 and 4 are singular; the lowest is named.
-        problem, config, _ = _rates_with(monkeypatch, {2: 0.0, 4: 0.0})
+        problem, config, _ = rates_with({2: 0.0, 4: 0.0})
         with pytest.raises(ModeSolveError, match="mode 2:") as info:
             solve_modes(problem, config)
         assert info.value.mode == 2

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dgejsv
 
 from .fourier import FourierGrid
 from .gegenbauer import reference_rule, shift_integration_matrix
@@ -16,9 +15,6 @@ from .problems import ADProblem, SolverConfig
 from .solver import (_horizon_rule, _initial_spectrum, _prepare,
                      _scaled_solution, _unit_solve, evaluate_u, mode_rate,
                      solve_modes)
-
-JACOBI_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -140,34 +136,33 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
     return SweepResult(rows=rows, slopes=slopes)
 
 
-def _round_robin(width: int) -> np.ndarray:
-    """Column permutation that advances a Brent-Luk round robin by one step.
+def _dgejsv_values(a: np.ndarray) -> np.ndarray:
+    # One (m, n) matrix, m >= n, finite. A complex matrix with a zero
+    # imaginary part is its real part: the embedding would only double it
+    # and change the last bits of the values.
+    if np.iscomplexobj(a):
+        if a.imag.any():
+            return _dgejsv_values(np.block([[a.real, -a.imag], [a.imag, a.real]]))[::2]
+        a = a.real
+    sva, _, _, work, _, info = dgejsv(a, joba=2, jobu=3, jobv=3, jobt=0, jobp=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgejsv failed with info = {info}")
+    # the values come in factored form: sigma = (work[0] / work[1]) sva
+    return -np.sort(-sva * (work[0] / work[1]))
 
-    Column i of the left half is paired with column i of the right half.
-    Column 0 stays put; the others move one place around the ring left half
-    left-to-right, then right half right-to-left, so width - 1 steps pair
-    every column with every other once and restore the starting order.
-    """
-    half = width // 2
-    ring = [*range(1, half), *range(width - 1, half - 1, -1)]
-    perm = np.arange(width)
-    for j, col in enumerate(ring):
-        perm[ring[(j + 1) % len(ring)]] = col
-    return perm
 
-
-def jacobi_svd(matrix, tol: float = JACOBI_TOL,
-               max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """One-sided Jacobi SVD of real or complex matrices with m >= n rows.
+def jacobi_svd(matrix) -> np.ndarray:
+    """Singular values of real or complex matrices with m >= n rows, descending.
 
     Accepts one (m, n) matrix or a stack (..., m, n), as numpy.linalg.svd
-    does. Columns are orthogonalized pairwise by plane rotations (with a
-    phase absorption step in the complex case) until every normalized column
-    inner product falls below tol. Pairs follow the Brent-Luk round-robin
-    ordering: each step rotates n/2 disjoint pairs of every matrix at once,
-    and a sweep is n - 1 steps (odd n is padded with a zero column). Returns
-    (U, s, Vh) with s descending; small singular values retain high relative
-    accuracy.
+    does, and returns shape (..., n). Each matrix goes through LAPACK's
+    preconditioned one-sided Jacobi SVD, dgejsv (Drmac and Veselic, SIAM J.
+    Matrix Anal. Appl. 29, 2008), with JOBA = 'F': a QR factorization with
+    full row and column pivoting comes first, so small singular values keep
+    high relative accuracy. (scipy's default, JOBA = 'A', may discard
+    those below n eps ||A|| as noise.) A complex matrix X + iY with Y != 0 goes in as its
+    real embedding [[X, -Y], [Y, X]], whose singular values are those of
+    X + iY, each twice; with Y = 0 it goes in as X.
     """
     a = np.asarray(matrix)
     if a.ndim < 2:
@@ -177,73 +172,20 @@ def jacobi_svd(matrix, tol: float = JACOBI_TOL,
         raise ValueError("one-sided Jacobi requires at least as many rows as columns")
     if not np.all(np.isfinite(a)):
         raise ValueError("one-sided Jacobi requires finite entries")
-    dtype = complex if np.iscomplexobj(a) else float
-    width = n + n % 2
-    half = width // 2
-    # work holds [U; V] for every matrix, one column per Jacobi column
-    work = np.zeros((math.prod(batch), m + width, width), dtype=dtype)
-    work[:, :m, :n] = a.reshape(-1, m, n)
-    work[:, m:, :] = np.eye(width)
-    perm = _round_robin(width)
-
-    off = np.inf
-    for _ in range(max_sweeps):
-        rels = []
-        for _ in range(width - 1):
-            u = work[:, :m]
-            uc = u.conj()
-            norms = np.einsum("bij,bij->bj", uc, u).real
-            c = np.einsum("bij,bij->bj", uc[:, :, :half], u[:, :, half:])
-            aa, bb = norms[:, :half], norms[:, half:]
-            # sqrt before multiplying: the product itself can underflow
-            # for near-null columns of rank-deficient inputs
-            roots = np.sqrt(norms)
-            denom = roots[:, :half] * roots[:, half:]
-            live = denom > 0.0
-            cab = np.abs(c)
-            rel = cab / np.where(live, denom, 1.0)
-            rels.append(rel)
-            # converged and zero pairs get the exact identity rotation
-            rotate = live & ~(rel <= tol)
-            cab = np.where(rotate, cab, 1.0)
-            phase = np.where(rotate, np.conj(c) / cab, 1.0)
-            zeta = (bb - aa) / (2.0 * cab)
-            tt = np.where(rotate, np.copysign(1.0, zeta)
-                          / (np.abs(zeta) + np.hypot(1.0, zeta)), 0.0)
-            cs = (1.0 / np.sqrt(1.0 + tt * tt))[:, None, :]
-            sn = cs * tt[:, None, :]
-            x = work[:, :, :half]
-            y = phase[:, None, :] * work[:, :, half:]
-            work = np.concatenate((cs * x - sn * y, sn * x + cs * y), axis=2)[:, :, perm]
-        off = float(np.max(rels, initial=0.0))
-        if off <= tol:
-            break
-    else:
-        warnings.warn(
-            f"one-sided Jacobi SVD stopped after {max_sweeps} sweeps "
-            f"with off-measure {off:.2e}", RuntimeWarning)
-
-    # each sweep restores the column order, so the padding column is last
-    u = work[:, :m, :n]
-    v = work[:, m:m + n, :n]
-    sing = np.sqrt(np.sum(np.abs(u) ** 2, axis=1))
-    order = np.argsort(-sing, axis=-1, kind="stable")
-    sing = np.take_along_axis(sing, order, axis=-1)
-    u = np.take_along_axis(u, order[:, None, :], axis=-1)
-    v = np.take_along_axis(v, order[:, None, :], axis=-1)
-    u = u / np.where(sing > 0, sing, 1.0)[:, None, :]
-    vh = np.conj(np.swapaxes(v, -1, -2))
-    return (u.reshape(*batch, m, n), sing.reshape(*batch, n),
-            vh.reshape(*batch, n, n))
+    sing = [_dgejsv_values(member) for member in a.reshape(-1, m, n)]
+    return np.reshape(sing, (*batch, n))
 
 
 def singular_values(matrix) -> np.ndarray:
-    """Full singular spectrum of a square matrix or a stack of them, descending."""
+    """Full singular spectrum of a square matrix or a stack of them, descending.
+
+    The values come from jacobi_svd, so small ones keep high relative
+    accuracy.
+    """
     a = np.asarray(matrix)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them; got shape {a.shape}")
-    _, sing, _ = jacobi_svd(a)
-    return sing
+    return jacobi_svd(a)
 
 
 def conditioning_study(problem: ADProblem, config: SolverConfig,

@@ -1,4 +1,4 @@
-"""Error metrics, sweeps, the one-sided Jacobi SVD, and conditioning studies."""
+"""Error metrics, sweeps, the preconditioned Jacobi SVD, and conditioning studies."""
 
 import dataclasses
 
@@ -170,23 +170,14 @@ class TestJacobiSvd:
             a = rng.standard_normal((20, 20))
             if complex_entries:
                 a = a + 1j * rng.standard_normal((20, 20))
-            u, s, vh = jacobi_svd(a)
+            s = jacobi_svd(a)
             reference = np.linalg.svd(a, compute_uv=False)
             assert_allclose(s, reference, rtol=1e-10, atol=1e-12)
-            reconstruction = (u * s) @ vh
-            assert np.max(np.abs(a - reconstruction)) <= 1e-10 * np.max(np.abs(a))
-
-    def test_orthogonality_of_factors(self):
-        rng = np.random.default_rng(10)
-        a = rng.standard_normal((12, 12))
-        u, s, vh = jacobi_svd(a)
-        assert_allclose(u.T @ u, np.eye(12), atol=1e-13)
-        assert_allclose(vh @ vh.T, np.eye(12), atol=1e-13)
 
     def test_rectangular_tall_matrix(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((30, 8))
-        _, s, _ = jacobi_svd(a)
+        s = jacobi_svd(a)
         assert_allclose(s, np.linalg.svd(a, compute_uv=False), rtol=1e-10)
 
     def test_wide_matrix_rejected(self):
@@ -208,33 +199,23 @@ class TestJacobiSvd:
         rng = np.random.default_rng(12)
         stack = rng.standard_normal((4, 12, 12)) + 0j
         stack[1::2] += 1j * rng.standard_normal((2, 12, 12))
-        u, s, vh = jacobi_svd(stack)
-        assert (u.shape, s.shape, vh.shape) == ((4, 12, 12), (4, 12), (4, 12, 12))
+        s = jacobi_svd(stack)
+        assert s.shape == (4, 12)
         for k, member in enumerate(stack):
             alone = member.real if k % 2 == 0 else member
-            _, s_alone, _ = jacobi_svd(alone)
-            assert_allclose(s[k], s_alone, rtol=1e-13)
+            assert_allclose(s[k], jacobi_svd(alone), rtol=1e-13)
             assert_allclose(s[k], np.linalg.svd(alone, compute_uv=False), rtol=1e-12)
-            assert np.max(np.abs((u[k] * s[k]) @ vh[k] - member)) <= 1e-13 * np.max(np.abs(member))
 
     @pytest.mark.parametrize("shape", [(9, 9), (31, 9), (2, 31, 9), (3, 7, 7)])
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_odd_and_tall_inputs(self, shape, complex_entries):
-        # Odd n runs the round robin with a zero padding column.
         rng = np.random.default_rng(13)
         a = rng.standard_normal(shape)
         if complex_entries:
             a = a + 1j * rng.standard_normal(shape)
-        u, s, vh = jacobi_svd(a)
-        n = shape[-1]
-        assert u.shape == shape and s.shape == shape[:-2] + (n,)
-        assert vh.shape == shape[:-2] + (n, n)
+        s = jacobi_svd(a)
+        assert s.shape == shape[:-2] + (shape[-1],)
         assert np.all(np.diff(s, axis=-1) <= 0.0)
-        uh = np.conj(np.swapaxes(u, -1, -2))
-        v = np.conj(np.swapaxes(vh, -1, -2))
-        assert np.max(np.abs(uh @ u - np.eye(n))) <= 1e-13
-        assert np.max(np.abs(vh @ v - np.eye(n))) <= 1e-13
-        assert np.max(np.abs((u * s[..., None, :]) @ vh - a)) <= 1e-13 * np.max(np.abs(a))
         assert_allclose(s, np.linalg.svd(a, compute_uv=False), rtol=1e-12)
 
     def test_stack_with_rank_deficient_and_identity_members(self):
@@ -244,14 +225,8 @@ class TestJacobiSvd:
         s = singular_values(stack)
         assert s[0, 0] == pytest.approx(np.linalg.norm(rank_one, 2), rel=1e-12)
         assert_allclose(s[0, 1:], 0.0, atol=1e-12)
-        # converged pairs get the exact identity rotation
         assert np.all(s[1] == 1.0)
         assert_allclose(s[2], np.linalg.svd(stack[2], compute_uv=False), rtol=1e-12)
-
-    def test_non_convergence_warns(self):
-        a = np.random.default_rng(15).standard_normal((10, 10))
-        with pytest.warns(RuntimeWarning, match="stopped after 1 sweeps"):
-            jacobi_svd(a, max_sweeps=1)
 
     def test_wide_and_non_square_stacks_rejected(self):
         with pytest.raises(ValueError, match="rows"):
@@ -277,6 +252,49 @@ class TestJacobiSvd:
             exact = mpmath.svd_r(mpmath.matrix(q.tolist()), compute_uv=False)
             exact = np.sort([float(v) for v in exact])[::-1]
         assert_allclose(singular_values(q), exact, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("M", [8, 48])
+    @pytest.mark.parametrize("lam", [-0.45, 0.2, 1.5])
+    def test_conditioning_stack_against_mpmath(self, lam, M):
+        # The stack conditioning_study builds on problem 3 at N = 64: TQ, then
+        # A at n = 1 and n = 32. A has complex rates, so it goes through the
+        # real embedding; sigma_min of TQ is about 1e-6 at lam = -0.45, M = 48.
+        mpmath = pytest.importorskip("mpmath")
+        problem = builtin_problem(3)
+        tq = shift_integration_matrix(reference_rule(lam, M)[1], problem.T).entries
+        rates = mode_rate(problem, np.array([1, 32]))
+        stack = np.concatenate([tq[None] + 0j,
+                                np.eye(M + 1) + rates[:, None, None] * tq])
+        got = singular_values(stack)
+        with mpmath.workdps(40):
+            exact = [np.sort([float(v) for v in mpmath.svd_c(
+                mpmath.matrix(member.tolist()), compute_uv=False)])[::-1]
+                for member in stack]
+        assert_allclose(got, exact, rtol=1e-13, atol=0.0)
+
+    def test_zero_imaginary_part_gives_the_real_values(self):
+        rng = np.random.default_rng(16)
+        for shape in [(12, 12), (30, 8)]:
+            a = rng.standard_normal(shape)
+            assert_allclose(jacobi_svd(a + 0j), jacobi_svd(a), rtol=1e-15, atol=0.0)
+
+    def test_complex_identity_gives_exact_ones(self):
+        # 1j * I goes through the 10 x 10 real embedding. dgejsv is not
+        # exact on every identity: at orders 6, 18, 19, 24, 25, 29, 30 and
+        # 34 (of 1 to 40) it gives 1 - 2**-53.
+        assert np.all(singular_values(np.eye(5, dtype=complex)) == 1.0)
+        assert np.all(singular_values(1j * np.eye(5)) == 1.0)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_extreme_scales_match_lapack(self, scale, complex_entries):
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((12, 12))
+        if complex_entries:
+            a = a + 1j * rng.standard_normal((12, 12))
+        a = scale * a
+        assert_allclose(jacobi_svd(a), np.linalg.svd(a, compute_uv=False),
+                        rtol=1e-12, atol=0.0)
 
 
 class TestConditioning:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,15 +21,7 @@ from .gegenbauer import reference_rule, time_grid
 from .problems import ConfigError, _finite, _get, config_from_pairs, \
     parse_config_pairs
 from .semianalytic import sa_coefficient_table, sa_field
-from .solver import evaluate_u, evaluate_ux, solve_modes
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_path: Path
-    output_dir: Path
-
+from .solver import _coefficient_table, solve_modes
 
 INT, FLOAT = "%d", "%.17g"
 
@@ -55,14 +47,6 @@ def _ensure_outdir(path: Path) -> None:
     if path.exists() and not path.is_dir():
         raise OSError(f"output directory {path} exists and is not a directory")
     path.mkdir(parents=True, exist_ok=True)
-
-
-def _load(manifest: RunManifest):
-    extras = parse_config_pairs(manifest.config_path)
-    problem, config, t_final = config_from_pairs(extras)
-    # t_final is the terminal time of the run: it becomes the solve horizon.
-    problem = problem.with_horizon(t_final)
-    return problem, config, extras, t_final
 
 
 def _parse_range(text: str, key: str) -> list[int]:
@@ -101,7 +85,17 @@ def _parse_int_list(text: str, key: str) -> list[int]:
         raise ConfigError(f"invalid value for key '{key}': {text!r}") from exc
 
 
-def _write_solution(path: Path, problem, grid, times, u, ux) -> None:
+def _write_fields(out: Path, problem, config, nodes, table_at) -> None:
+    # solution.csv on the time nodes plus T, from the (times, N + 1)
+    # coefficient table that table_at(times) returns, and report.csv at T
+    # when the problem has an exact solution. The table is dropped once u
+    # and ux are formed, so it is not held while the CSV text is.
+    grid = FourierGrid(L=problem.L, N=config.N)
+    times = np.append(nodes, problem.T)
+    coeffs = table_at(times)
+    u = synthesize_field(coeffs, grid, [float(problem.g(float(t))) for t in times])
+    ux = synthesize_derivative(coeffs, grid)
+    del coeffs
     # u and ux hold one row of N grid values per time; rows run x fastest.
     columns = [np.broadcast_to(grid.nodes, u.shape),
                np.broadcast_to(times[:, None], u.shape), u, ux]
@@ -112,24 +106,21 @@ def _write_solution(path: Path, problem, grid, times, u, ux) -> None:
         columns += [exact, np.abs(u - exact)]
         header += ["u_exact", "abs_err"]
     table = np.stack(columns, axis=-1).reshape(-1, len(columns))
-    _write_table(path, header, [FLOAT] * len(columns), table)
+    _write_table(out / "solution.csv", header, [FLOAT] * len(columns), table)
+
+    if problem.exact is not None:
+        report = _report_from_field(problem, config, u[-1], problem.T)
+        _write_table(out / "report.csv",
+                     ["N", "M", "lambda", "N0", "t_final", "pointwise_max", "dne"],
+                     [INT, INT, FLOAT, INT, FLOAT, FLOAT, FLOAT],
+                     [[*report.grid_desc, report.pointwise_max, report.dne]])
 
 
-def _write_report(path: Path, report) -> None:
-    _write_table(path, ["N", "M", "lambda", "N0", "t_final", "pointwise_max", "dne"],
-                 [INT, INT, FLOAT, INT, FLOAT, FLOAT, FLOAT],
-                 [[*report.grid_desc, report.pointwise_max, report.dne]])
-
-
-def cmd_solve(manifest: RunManifest) -> None:
-    problem, config, _, t_final = _load(manifest)
+def cmd_solve(pairs: dict, out: Path) -> None:
+    problem, config = config_from_pairs(pairs)
     sol = solve_modes(problem, config)
-    grid = sol.grid
-
-    times = np.append(sol.time_grid.nodes, t_final)
-    u = evaluate_u(sol, grid, times)
-    _write_solution(manifest.output_dir / "solution.csv", problem, grid, times,
-                    u, evaluate_ux(sol, grid, times))
+    _write_fields(out, problem, config, sol.time_grid.nodes,
+                  partial(_coefficient_table, sol))
 
     psi = sol.table.T
     half = config.N // 2
@@ -137,61 +128,47 @@ def cmd_solve(manifest: RunManifest) -> None:
                        indexing="ij")
     t_node = np.broadcast_to(sol.time_grid.nodes, psi.shape)
     table = np.stack([k, l, t_node, psi.real, psi.imag], axis=-1).reshape(-1, 5)
-    _write_table(manifest.output_dir / "coefficients.csv",
+    _write_table(out / "coefficients.csv",
                  ["k", "l", "t_node", "re_psi", "im_psi"],
                  [INT, INT, FLOAT, FLOAT, FLOAT], table)
 
-    if problem.exact is not None:
-        _write_report(manifest.output_dir / "report.csv",
-                      _report_from_field(problem, config, u[-1], t_final))
 
-
-def cmd_sa(manifest: RunManifest) -> None:
-    problem, config, _, t_final = _load(manifest)
+def cmd_sa(pairs: dict, out: Path) -> None:
+    problem, config = config_from_pairs(pairs)
     field = sa_field(problem, config.N, config.N0)
-    grid = FourierGrid(L=problem.L, N=config.N)
-    tgrid = time_grid(reference_rule(config.lam, config.M)[0], problem.T)
-
-    times = np.append(tgrid.nodes, t_final)
-    coeffs = sa_coefficient_table(field, times)
-    u = synthesize_field(coeffs, grid, [float(problem.g(float(t))) for t in times])
-    ux = synthesize_derivative(coeffs, grid)
-    _write_solution(manifest.output_dir / "solution.csv", problem, grid, times,
-                    u, ux)
-
-    if problem.exact is not None:
-        _write_report(manifest.output_dir / "report.csv",
-                      _report_from_field(problem, config, u[-1], t_final))
+    nodes = time_grid(reference_rule(config.lam, config.M)[0], problem.T).nodes
+    _write_fields(out, problem, config, nodes,
+                  partial(sa_coefficient_table, field))
 
 
-def cmd_convergence(manifest: RunManifest) -> None:
-    problem, config, extras, t_final = _load(manifest)
-    n_range = _parse_range(extras.get("N_range", str(config.N)), "N_range")
-    m_range = _parse_range(extras.get("M_range", str(config.M)), "M_range")
-    result = convergence_sweep(problem, n_range, m_range, config.lam, t_final)
-    _write_table(manifest.output_dir / "sweep.csv",
+def cmd_convergence(pairs: dict, out: Path) -> None:
+    problem, config = config_from_pairs(pairs)
+    n_range = _parse_range(pairs.get("N_range", str(config.N)), "N_range")
+    m_range = _parse_range(pairs.get("M_range", str(config.M)), "M_range")
+    result = convergence_sweep(problem, n_range, m_range, config.lam)
+    _write_table(out / "sweep.csv",
                  ["N", "M", "dne", "log10_dne"], [INT, INT, FLOAT, FLOAT],
                  result.rows)
 
 
-def cmd_conditioning(manifest: RunManifest) -> None:
-    problem, config, extras, _ = _load(manifest)
-    lams = _parse_float_list(extras.get("lambda_list", str(config.lam)),
+def cmd_conditioning(pairs: dict, out: Path) -> None:
+    problem, config = config_from_pairs(pairs)
+    lams = _parse_float_list(pairs.get("lambda_list", str(config.lam)),
                              "lambda_list")
-    ms = _parse_int_list(extras.get("M_list", str(config.M)), "M_list")
+    ms = _parse_int_list(pairs.get("M_list", str(config.M)), "M_list")
     reports, _ = conditioning_study(problem, config, lams, ms)
     rows = [[r.kind, r.n, r.lam, r.M, r.sigma_max, r.sigma_min, r.cond]
             for r in reports]
-    _write_table(manifest.output_dir / "conditioning.csv",
+    _write_table(out / "conditioning.csv",
                  ["matrix", "n", "lambda", "M", "sigma_max", "sigma_min", "cond"],
                  ["%s", INT, FLOAT, INT, FLOAT, FLOAT, FLOAT], rows)
 
 
-def cmd_bench(manifest: RunManifest) -> None:
-    problem, config, extras, _ = _load(manifest)
-    repeats = _get(extras, "repeats", int, default=5)
+def cmd_bench(pairs: dict, out: Path) -> None:
+    problem, config = config_from_pairs(pairs)
+    repeats = _get(pairs, "repeats", int, default=5)
     result = bench_solve(problem, config, repeats)
-    _write_table(manifest.output_dir / "bench.csv",
+    _write_table(out / "bench.csv",
                  ["repeats", "median_total_s", "assembly_s", "solve_s",
                   "synthesis_s"],
                  [INT, FLOAT, FLOAT, FLOAT, FLOAT],
@@ -224,12 +201,10 @@ def main(argv=None) -> int:
         cmd.add_argument("--out", required=True, help="output directory for CSVs")
     args = parser.parse_args(argv)
 
-    manifest = RunManifest(command=args.command,
-                           config_path=Path(args.config),
-                           output_dir=Path(args.out))
+    out = Path(args.out)
     try:
-        _ensure_outdir(manifest.output_dir)
-        _COMMANDS[manifest.command](manifest)
+        _ensure_outdir(out)
+        _COMMANDS[args.command](parse_config_pairs(args.config), out)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -120,19 +120,29 @@ def test_problem(pid: int) -> ADProblem:
     raise ValueError(f"unknown problem id {pid}; expected 1, 2 or 3")
 
 
-# Named samplers available to custom (non-built-in) problems.
-_U0_SAMPLERS = {
-    "first_harmonic": lambda L: (lambda x: np.sin(2.0 * np.pi * x / L)),
-}
-_G_SAMPLERS = {
-    "zero": lambda L: (lambda t: 0.0 * np.asarray(t)),
-}
+def _first_harmonic(mu: float, nu: float, L: float):
+    # u0 = sin(w x), w = 2 pi / L, keeps its shape: u = exp(-nu w^2 t)
+    # sin(w (x - mu t)), so its trace is g(t) = -exp(-nu w^2 t) sin(w mu t).
+    # Both divide by L only when called, after ADProblem has checked L.
+    def u0(x):
+        return np.sin(2.0 * np.pi * x / L)
+
+    def g(t):
+        w = 2.0 * np.pi / L
+        return -np.exp(-nu * w ** 2 * t) * np.sin(w * mu * t)
+
+    return u0, g
+
+
+# Named u0 samplers for custom problems; each maps (mu, nu, L) to u0 and the
+# trace g(t) = u(0, t) that periodicity fixes for it.
+_U0_SAMPLERS = {"first_harmonic": _first_harmonic}
 
 # Core keys per the config file contract, plus run-level extras consumed by
 # the command line front end.
 KNOWN_KEYS = {
     "problem_id", "mu", "nu", "L", "T", "N", "N0", "M", "lambda", "t_final",
-    "u0", "g", "N_range", "M_range", "lambda_list", "M_list", "repeats",
+    "u0", "N_range", "M_range", "lambda_list", "M_list", "repeats",
 }
 
 
@@ -180,35 +190,37 @@ def _finite(text: str) -> float:
 
 
 def load_config(path) -> tuple[ADProblem, SolverConfig]:
-    """Build the problem and solver configuration described by a config file.
+    """``config_from_pairs`` applied to the pairs of a config file."""
+    return config_from_pairs(parse_config_pairs(path))
+
+
+def _positive(pairs: dict, key: str):
+    value = _get(pairs, key, _finite)
+    if value is not None and not value > 0:
+        raise ConfigError(f"invalid value for key '{key}': must be positive")
+    return value
+
+
+def config_from_pairs(pairs: dict) -> tuple[ADProblem, SolverConfig]:
+    """Validate parsed key=value pairs into (problem, config).
 
     Built-in problems are selected with problem_id (T may be overridden);
-    custom problems give mu, nu, L, T plus u0/g chosen from the named
-    samplers. Run-level extras (t_final, sweep ranges, repeats) stay in the
-    pairs; config_from_pairs also returns the validated t_final.
-    """
-    problem, config, _ = config_from_pairs(parse_config_pairs(path))
-    return problem, config
-
-
-def config_from_pairs(pairs: dict) -> tuple[ADProblem, SolverConfig, float]:
-    """Validate parsed key=value pairs into (problem, config, t_final).
-
-    t_final defaults to the problem's T. Every real-valued key must be
+    custom problems give mu, nu, L, T and a named u0 sampler, which also
+    supplies the trace g. t_final, when given, is the terminal time of the
+    run and becomes the problem's horizon T. Every real-valued key must be
     finite; mu, nu, L, T, lambda and t_final are rejected here, with their
-    key named, rather than deep inside a linear solve.
+    key named, rather than deep inside a linear solve. Run-level extras
+    (sweep ranges, repeats) stay in the pairs for the command to read.
     """
     if "problem_id" in pairs:
-        forbidden = {"mu", "nu", "L", "u0", "g"} & pairs.keys()
+        forbidden = {"mu", "nu", "L", "u0"} & pairs.keys()
         if forbidden:
             raise ConfigError(
                 f"keys {sorted(forbidden)} not allowed together with problem_id"
             )
         problem = test_problem(_get(pairs, "problem_id", int, required=True))
-        T = _get(pairs, "T", _finite)
+        T = _positive(pairs, "T")
         if T is not None:
-            if not T > 0:
-                raise ConfigError(f"invalid value for key 'T': must be positive")
             problem = problem.with_horizon(T)
     else:
         mu = _get(pairs, "mu", _finite, required=True)
@@ -216,21 +228,14 @@ def config_from_pairs(pairs: dict) -> tuple[ADProblem, SolverConfig, float]:
         L = _get(pairs, "L", _finite, required=True)
         T = _get(pairs, "T", _finite, required=True)
         u0_name = _get(pairs, "u0", str, required=True)
-        g_name = _get(pairs, "g", str, required=True)
         if u0_name not in _U0_SAMPLERS:
             raise ConfigError(
                 f"invalid value for key 'u0': {u0_name!r} "
                 f"(known: {sorted(_U0_SAMPLERS)})"
             )
-        if g_name not in _G_SAMPLERS:
-            raise ConfigError(
-                f"invalid value for key 'g': {g_name!r} "
-                f"(known: {sorted(_G_SAMPLERS)})"
-            )
+        u0, g = _U0_SAMPLERS[u0_name](mu, nu, L)
         try:
-            problem = ADProblem(mu=mu, nu=nu, L=L, T=T,
-                                u0=_U0_SAMPLERS[u0_name](L),
-                                g=_G_SAMPLERS[g_name](L))
+            problem = ADProblem(mu=mu, nu=nu, L=L, T=T, u0=u0, g=g)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -243,8 +248,7 @@ def config_from_pairs(pairs: dict) -> tuple[ADProblem, SolverConfig, float]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    t_final = _get(pairs, "t_final", _finite, default=problem.T)
-    if not t_final > 0:
-        raise ConfigError("invalid value for key 't_final': must be positive")
-
-    return problem, config, t_final
+    t_final = _positive(pairs, "t_final")
+    if t_final is not None:
+        problem = problem.with_horizon(t_final)
+    return problem, config

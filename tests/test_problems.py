@@ -188,7 +188,6 @@ nu = 1.0
 L = 2.0
 T = 0.2
 u0 = first_harmonic
-g = zero
 N = 50
 M = 4
 """)
@@ -196,12 +195,23 @@ M = 4
         assert problem.exact is None
         assert problem.mu == 1.0
         assert float(problem.u0(0.5)) == pytest.approx(1.0)
+        # The sampler's own trace u(0, t) of the advected harmonic.
+        assert float(problem.g(0.1)) == pytest.approx(
+            -np.exp(-np.pi ** 2 * 0.1) * np.sin(np.pi * 0.1), rel=1e-15)
         assert config.N == 50
 
     def test_custom_problem_unknown_sampler(self, tmp_path):
         path = self._write(tmp_path,
-                           "mu = 1\nnu = 1\nL = 2\nT = 1\nu0 = bump\ng = zero\nN = 4\nM = 4\n")
+                           "mu = 1\nnu = 1\nL = 2\nT = 1\nu0 = bump\nN = 4\nM = 4\n")
         with pytest.raises(ConfigError, match="u0"):
+            load_config(path)
+
+    def test_custom_zero_period_refused(self, tmp_path):
+        # The sampler's u0 and trace divide by L; ADProblem refuses L = 0
+        # before either is called.
+        path = self._write(tmp_path, "mu = 1\nnu = 1\nL = 0\nT = 1\n"
+                                     "u0 = first_harmonic\nN = 4\nM = 4\n")
+        with pytest.raises(ConfigError, match="L must be positive"):
             load_config(path)
 
     def test_horizon_override(self, tmp_path):
@@ -220,7 +230,7 @@ M = 4
         pairs = {"mu": "1", "nu": "1", "L": "2", "T": "0.2"}
         pairs[key] = value
         text = "".join(f"{k} = {v}\n" for k, v in pairs.items())
-        path = self._write(tmp_path, text + "u0 = first_harmonic\ng = zero\n"
+        path = self._write(tmp_path, text + "u0 = first_harmonic\n"
                                             "N = 4\nM = 4\n")
         with pytest.raises(ConfigError, match=f"invalid value for key '{key}'"):
             load_config(path)
@@ -234,11 +244,17 @@ M = 4
 
     def test_t_final_returned_from_one_parse(self, tmp_path):
         path = self._write(tmp_path, "problem_id = 2\nN = 4\nM = 8\nt_final = 0.5\n")
-        _, _, t_final = config_from_pairs(parse_config_pairs(path))
-        assert t_final == 0.5
+        problem, _ = config_from_pairs(parse_config_pairs(path))
+        assert problem.T == 0.5
         path = self._write(tmp_path, "problem_id = 2\nN = 4\nM = 8\n")
-        problem, _, t_final = config_from_pairs(parse_config_pairs(path))
-        assert t_final == problem.T == 1.0
+        problem, _ = config_from_pairs(parse_config_pairs(path))
+        assert problem.T == 1.0
+
+    def test_g_key_refused_as_unknown(self, tmp_path):
+        path = self._write(tmp_path, "mu = 0\nnu = 1\nL = 2\nT = 1\n"
+                                     "u0 = first_harmonic\ng = zero\nN = 4\nM = 4\n")
+        with pytest.raises(ConfigError, match="unknown key 'g'"):
+            load_config(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -214,34 +214,32 @@ class TestDirectLapack:
             assert_allclose(sol.psi[n], expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("lam,M", [(-0.49, 40), (-0.4, 10), (2.0, 40)])
-    def test_accuracy_against_mpmath_no_worse_than_lu(self, lam, M):
+    def test_accuracy_against_mpmath_within_one_bound_unit(self, lam, M):
         # Each error is measured in units of its first-order bound
         # u || |A^-1| (|A| |x| + |b|) ||_inf for a componentwise backward
         # stable solve (Higham, ch. 7), which one refinement step attains
         # (ch. 12); raw errors would only rank the rounding of the
-        # worst-conditioned system. The worst scaled error of the Schur path
-        # may not exceed that of lu_solve on the same systems.
+        # worst-conditioned system. The Schur path must stay within one unit.
+        # It is not compared with lu_solve, whose rounding, and so its worst
+        # scaled error, changes with the BLAS thread count.
         mpmath = pytest.importorskip("mpmath")
         zs = [0.5, 5, 50, 500, 5e3, 5e5, 50j, 500j, 5 + 500j]
         q = reference_rule(lam, M)[1]
         r, u = q.schur
         schur = _unit_solutions(q.entries, r, u, np.array(zs, dtype=complex))
-        ones = np.ones(M + 1, dtype=complex)
-        worst = {"schur": 0.0, "lu": 0.0}
+        worst = 0.0
         with mpmath.workdps(40):
             exact_q = mpmath.matrix(q.entries.tolist())
             for i, z in enumerate(zs):
                 exact = mpmath.lu_solve(mpmath.eye(M + 1) + mpmath.mpc(z) * exact_q,
-                                        mpmath.matrix(ones.tolist()))
+                                        mpmath.matrix([1] * (M + 1)))
                 x_abs = np.array([float(abs(v)) for v in exact])
                 a = np.eye(M + 1) + z * q.entries
                 cond = (np.abs(np.linalg.inv(a)) @ (np.abs(a) @ x_abs + 1.0)).max()
                 unit = np.finfo(float).eps / 2 * cond
-                for name, x in (("schur", schur[:, i]),
-                                ("lu", lu_solve(lu_factor(a), ones))):
-                    err = max(abs(mpmath.mpc(v) - e) for v, e in zip(x, exact))
-                    worst[name] = max(worst[name], float(err) / unit)
-        assert worst["schur"] <= worst["lu"]
+                err = max(abs(mpmath.mpc(v) - e) for v, e in zip(schur[:, i], exact))
+                worst = max(worst, float(err) / unit)
+        assert worst <= 1.0
 
     def test_tiny_pivot_reported_with_mode(self, rates_with):
         # Nonzero, so the solve could proceed; the relative test refuses it.

@@ -9,8 +9,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg.lapack import dgejsv
 
-from .fourier import FourierGrid
-from .gegenbauer import reference_rule, shift_integration_matrix
+from .fourier import FourierGrid, synthesize_field
+from .gegenbauer import _lagrange_matrix, reference_rule, \
+    shift_integration_matrix
 from .problems import ADProblem, SolverConfig
 from .solver import (_horizon_rule, _initial_spectrum, _prepare,
                      _scaled_solution, _unit_solve, evaluate_u, mode_rate,
@@ -55,15 +56,23 @@ class BenchResult:
     stages: dict
 
 
+def _field_errors(problem: ADProblem, numeric: np.ndarray, t_final: float):
+    # numeric holds u at the N spatial grid nodes and time t_final along its
+    # last axis, one field per leading index; problem.exact is sampled once
+    # for all of them. Returns the pointwise errors and the dne of each field.
+    N = numeric.shape[-1]
+    nodes = FourierGrid(L=problem.L, N=N).nodes
+    diff = numeric - np.asarray(problem.exact(nodes, t_final), dtype=float)
+    return diff, np.sqrt(problem.L / N * np.sum(diff ** 2, axis=-1))
+
+
 def _report_from_field(problem: ADProblem, config: SolverConfig,
                        numeric: np.ndarray, t_final: float) -> ErrorReport:
     # numeric holds u at the N spatial grid nodes and time t_final.
-    nodes = FourierGrid(L=problem.L, N=config.N).nodes
-    diff = numeric - np.asarray(problem.exact(nodes, t_final), dtype=float)
-    dne = float(np.sqrt(problem.L / config.N * np.sum(diff ** 2)))
+    diff, dne = _field_errors(problem, numeric, t_final)
     return ErrorReport(
         pointwise_max=float(np.max(np.abs(diff))),
-        dne=dne,
+        dne=float(dne),
         grid_desc=(config.N, config.M, config.lam, config.N0, t_final),
     )
 
@@ -96,13 +105,18 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
                       t_final: Optional[float] = None) -> SweepResult:
     """One error report per (N, M) cell, N0 = N + 2 in each cell.
 
-    Every cell gives the dne of error_report, but the cells share the mode
-    solves: the unit systems (I + alpha_n TQ) x_n = ones depend on M and not
-    on N, so each M takes one rule lookup and one unit solve for modes
-    1 .. max(N)/2. Each cell then scales the leading N/2 columns by the u0
-    spectrum sampled at its N0 = N + 2 points, computed once per N. Rows
-    are ordered N outer, M inner. A problem without an exact solution, or a
-    t_final <= 0, is refused before any solve.
+    Every cell gives the dne of error_report, from one batched pass over the
+    solver's own stages. The unit systems (I + alpha_n TQ) x_n = ones depend
+    on M and not on N, so each M in turn takes one rule lookup, one unit
+    solve for modes 1 .. max(N)/2 and one Lagrange row at t_final, the end
+    of the run's horizon; only one M's unit solutions are alive at a time.
+    Each cell scales the leading N/2 unit solutions by the u0 spectrum of
+    its N, sampled once at N0 = N + 2 points, and keeps only its
+    coefficients at t_final: the Lagrange row times its table. Then each N
+    takes one synthesis over the rows of all M and one sample of
+    problem.exact. Rows are ordered N outer, M inner, and the log-error
+    slope of each N is fitted over its M. A problem without an exact
+    solution, or a t_final <= 0, is refused before any solve.
     """
     if not len(N_range) or not len(M_range):
         raise ValueError("N_range and M_range must be nonempty")
@@ -110,24 +124,28 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
     _check_error_inputs(problem, t_final, "convergence_sweep")
     run = problem.with_horizon(t_final)
     Ns = sorted(set(int(n) for n in N_range))
-    cells = [[SolverConfig(N=N, M=M, N0=N + 2, lam=lam) for N in Ns]
-             for M in sorted(set(int(m) for m in M_range))]
-    spectra = [_initial_spectrum(run, config.N0) for config in cells[0]]
-    rows = []
-    for configs in cells:
-        basis, tq, tgrid = _horizon_rule(run, lam, configs[0].M)
+    spectra = [_initial_spectrum(run, N + 2) for N in Ns]
+    coeffs = [[] for _ in Ns]  # per N: coefficients at t_final, a row per M
+    Ms = sorted(set(int(m) for m in M_range))
+    for M in Ms:
+        basis, tq, tgrid = _horizon_rule(run, lam, M)
         units = _unit_solve(run, basis, tq, Ns[-1] // 2)
-        for config, spectrum in zip(configs, spectra):
-            sol = _scaled_solution(run, config, basis, tgrid, units, spectrum)
-            dne = _report_from_field(
-                problem, config, evaluate_u(sol, sol.grid, t_final), t_final).dne
-            rows.append((config.N, config.M, dne,
-                         float(np.log10(dne)) if dne > 0 else -np.inf))
-    rows.sort()  # N outer, M inner: the (N, M) keys are distinct
-    slopes = {}
-    for N in sorted(set(r[0] for r in rows)):
-        ms = np.array([r[1] for r in rows if r[0] == N], dtype=float)
-        logs = np.array([r[3] for r in rows if r[0] == N], dtype=float)
+        # t_final is the horizon, so it maps to s = 1 on the reference interval
+        end_row = _lagrange_matrix(basis, 1.0)
+        for N, spectrum, coeffs_N in zip(Ns, spectra, coeffs):
+            config = SolverConfig(N=N, M=M, N0=N + 2, lam=lam)
+            coeffs_N.append(end_row @ _scaled_solution(
+                run, config, basis, tgrid, units, spectrum).table)
+    g_final = float(run.g(t_final))
+    ms = np.array(Ms, dtype=float)
+    rows, slopes = [], {}
+    for N, coeffs_N in zip(Ns, coeffs):
+        field = synthesize_field(np.concatenate(coeffs_N),
+                                 FourierGrid(L=run.L, N=N), g_final)
+        _, dnes = _field_errors(problem, field, t_final)
+        logs = np.array([np.log10(dne) if dne > 0 else -np.inf for dne in dnes])
+        rows.extend((N, M, float(dne), float(log))
+                    for M, dne, log in zip(Ms, dnes, logs))
         finite = np.isfinite(logs)
         if finite.sum() >= 2:
             slopes[N] = float(np.polyfit(ms[finite], logs[finite], 1)[0])

@@ -10,9 +10,38 @@ from adspectral import (ADProblem, ModeSolveError, SolverConfig, bench_solve,
                         conditioning_study, convergence_sweep, error_report,
                         evaluate_u, jacobi_svd, mode_rate, singular_values,
                         solve_modes)
+from adspectral import analysis, solver
 from adspectral import test_problem as builtin_problem
+from adspectral.analysis import _report_from_field
 from adspectral.gegenbauer import RULE_CACHE_SIZE, build_basis, \
     build_integration_matrix, reference_rule, shift_integration_matrix
+from adspectral.solver import _horizon_rule, _initial_spectrum, \
+    _scaled_solution, _unit_solve
+
+SWEEP_NS, SWEEP_MS = range(4, 65, 4), range(2, 41, 2)
+
+
+def per_cell_sweep_rows(problem, N_range, M_range, lam, t_final):
+    """Reference sweep that evaluates each (N, M) cell on its own.
+
+    Each M shares one unit solve over modes 1 .. max(N)/2, as the sweep
+    does; each cell then runs _scaled_solution, evaluate_u at t_final and
+    _report_from_field.
+    """
+    run = problem.with_horizon(t_final)
+    Ns = sorted(set(N_range))
+    spectra = {N: _initial_spectrum(run, N + 2) for N in Ns}
+    dnes = {}
+    for M in sorted(set(M_range)):
+        basis, tq, tgrid = _horizon_rule(run, lam, M)
+        units = _unit_solve(run, basis, tq, Ns[-1] // 2)
+        for N in Ns:
+            config = SolverConfig(N=N, M=M, N0=N + 2, lam=lam)
+            sol = _scaled_solution(run, config, basis, tgrid, units, spectra[N])
+            dnes[N, M] = _report_from_field(
+                problem, config, evaluate_u(sol, sol.grid, t_final), t_final).dne
+    return [(N, M, dne, float(np.log10(dne)) if dne > 0 else -np.inf)
+            for (N, M), dne in sorted(dnes.items())]
 
 
 class TestErrorReport:
@@ -138,6 +167,49 @@ class TestConvergenceSweep:
         reference_rule.cache_clear()
         convergence_sweep(builtin_problem(1), range(4, 65, 4), Ms, -0.4)
         assert reference_rule.cache_info().misses == len(Ms)
+
+    @pytest.mark.parametrize("pid, N_range, M_range, t_final", [
+        (1, SWEEP_NS, SWEEP_MS, None),
+        (2, SWEEP_NS, SWEEP_MS, None),
+        (3, SWEEP_NS, SWEEP_MS, None),
+        (3, SWEEP_NS, SWEEP_MS, 0.37),
+        (1, [6, 10, 4, 64, 4], [1, 3, 40, 7, 3], 0.1),
+    ], ids=["p1", "p2", "p3", "p3-t0.37", "p1-unsorted-t0.1"])
+    def test_rows_equal_per_cell_evaluation(self, pid, N_range, M_range,
+                                            t_final):
+        # The batched pass does the same arithmetic as one evaluate_u per
+        # cell, so every row is equal, not only close.
+        problem = builtin_problem(pid)
+        t_final = problem.T if t_final is None else t_final
+        result = convergence_sweep(problem, N_range, M_range, -0.4, t_final)
+        assert result.rows == per_cell_sweep_rows(problem, N_range, M_range,
+                                                  -0.4, t_final)
+
+    def test_one_synthesis_and_exact_sample_per_N(self, monkeypatch):
+        counts = dict.fromkeys(
+            ["synthesize_field", "evaluate_u", "_unit_solve", "exact"], 0)
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return call
+
+        # Synthesis is counted wherever the sweep could reach it, directly
+        # or through evaluate_u.
+        for module in (analysis, solver):
+            monkeypatch.setattr(module, "synthesize_field", counted(
+                "synthesize_field", solver.synthesize_field), raising=False)
+        for name in ("evaluate_u", "_unit_solve"):
+            monkeypatch.setattr(analysis, name,
+                                counted(name, getattr(analysis, name)))
+        problem = builtin_problem(3)
+        problem = dataclasses.replace(problem,
+                                      exact=counted("exact", problem.exact))
+        result = convergence_sweep(problem, SWEEP_NS, SWEEP_MS, -0.4)
+        assert len(result.rows) == len(SWEEP_NS) * len(SWEEP_MS)
+        assert counts == {"synthesize_field": len(SWEEP_NS), "evaluate_u": 0,
+                          "_unit_solve": len(SWEEP_MS), "exact": len(SWEEP_NS)}
 
     def test_names_the_lowest_singular_mode(self, rates_with):
         # Modes 2 and 4 are singular at this M; the lowest is named.

@@ -3,6 +3,12 @@
 Every command reads a key=value config file, writes CSV files into the output
 directory, and exits 0 only when all requested outputs were written. CSV
 fields carry 17 significant digits so reruns round-trip doubles exactly.
+
+Every CSV is written as a header line plus one ``template % values``
+operation. The small tables build their template from one format per column.
+``solution.csv`` and ``coefficients.csv`` format each distinct number once:
+the repeated x, t, t_node, k and l values are literal text in the template,
+and a row of mode -n reuses the text of mode n, its exact conjugate.
 """
 
 from __future__ import annotations
@@ -26,21 +32,38 @@ from .solver import _coefficient_table, solve_modes
 INT, FLOAT = "%d", "%.17g"
 
 
+def _write_text(path: Path, header, template: str, values) -> None:
+    # The one file-writing path: a header line, then the body from one
+    # C-level % operation.
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.write(template % tuple(values))
+
+
 def _write_table(path: Path, header, formats, rows) -> None:
     """Write a header line, then one line per row with formats[j] for column j.
 
     ``rows`` is a 2-D array or a list of rows. Integer columns take "%d",
-    floats "%.17g" and text "%s"; the whole table is formatted by one
-    C-level % operation.
+    floats "%.17g" and text "%s"; every cell is formatted, by one C-level
+    % operation over a template that repeats the row format.
     """
     if isinstance(rows, np.ndarray):
         values = rows.ravel().tolist()
     else:
         values = [cell for row in rows for cell in row]
-    line = ",".join(formats) + "\n"
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        handle.write((line * len(rows)) % tuple(values))
+    _write_text(path, header, (",".join(formats) + "\n") * len(rows), values)
+
+
+def _texts(values) -> list[str]:
+    # The "%.17g" text of each value, in C order, from one % operation.
+    values = np.ravel(values).tolist()
+    return ((FLOAT + "\n") * len(values) % tuple(values)).splitlines()
+
+
+def _flip_sign(text: str) -> str:
+    # "%.17g" text of -v from that of v; it holds for signed zeros and
+    # infinities, not for NaN, whose text carries no sign.
+    return text[1:] if text.startswith("-") else "-" + text
 
 
 def _ensure_outdir(path: Path) -> None:
@@ -96,17 +119,21 @@ def _write_fields(out: Path, problem, config, nodes, table_at) -> None:
     u = synthesize_field(coeffs, grid, [float(problem.g(float(t))) for t in times])
     ux = synthesize_derivative(coeffs, grid)
     del coeffs
-    # u and ux hold one row of N grid values per time; rows run x fastest.
-    columns = [np.broadcast_to(grid.nodes, u.shape),
-               np.broadcast_to(times[:, None], u.shape), u, ux]
-    header = ["x", "t", "u", "ux"]
+    columns, header = [u, ux], ["x", "t", "u", "ux"]
     if problem.exact is not None:
         exact = np.array([problem.exact(grid.nodes, t) for t in times],
                          dtype=float)
         columns += [exact, np.abs(u - exact)]
         header += ["u_exact", "abs_err"]
-    table = np.stack(columns, axis=-1).reshape(-1, len(columns))
-    _write_table(out / "solution.csv", header, [FLOAT] * len(columns), table)
+    # Rows run x fastest within each time. The N x texts and the t text of a
+    # block are formatted once and written into its line template, so %
+    # formats only the per-point columns.
+    xs = _texts(grid.nodes)
+    fields = ("," + FLOAT) * len(columns) + "\n"
+    template = "".join(sep.join(xs) + sep
+                       for sep in ("," + t + fields for t in _texts(times)))
+    _write_text(out / "solution.csv", header, template,
+                np.stack(columns, axis=-1).ravel().tolist())
 
     if problem.exact is not None:
         report = _report_from_field(problem, config, u[-1], problem.T)
@@ -116,21 +143,39 @@ def _write_fields(out: Path, problem, config, nodes, table_at) -> None:
                      [[*report.grid_desc, report.pointwise_max, report.dne]])
 
 
+def _write_coefficients(path: Path, table, nodes) -> None:
+    # coefficients.csv from the (M + 1, N + 1) nodal table of modes
+    # -N/2 .. N/2: rows k = -N/2 .. N/2, then l = 0 .. M. Only modes
+    # 0 .. N/2 are formatted; the row of mode -n takes the real text of mode
+    # n and its imaginary text with the sign flipped. That is exact only
+    # when mode -n is conj(mode n) bit for bit, so check it first: == fails
+    # on NaN, and the sign bits tell -0.0 from 0.0, whose texts differ.
+    half = table.shape[1] // 2
+    neg, pos = table[:, :half], np.conj(table[:, :half:-1])
+    if not (np.array_equal(neg, pos)
+            and np.array_equal(np.signbit([neg.real, neg.imag]),
+                               np.signbit([pos.real, pos.imag]))):
+        raise ValueError("coefficient table is not conjugate symmetric")
+    upper = table[:, half:].T
+    cells = np.array(_texts(np.stack([upper.real, upper.imag], axis=-1)),
+                     dtype=object).reshape(upper.shape + (2,))
+    mirror = cells[:0:-1].copy()
+    mirror[..., 1] = np.frompyfunc(_flip_sign, 1, 1)(mirror[..., 1])
+    # k, l and t_node are literal text; each row takes its two texts by %s.
+    rest = [f",{l},{t},%s,%s\n" for l, t in enumerate(_texts(nodes))]
+    template = "".join(k + k.join(rest)
+                       for k in map(str, range(-half, half + 1)))
+    _write_text(path, ["k", "l", "t_node", "re_psi", "im_psi"], template,
+                np.concatenate([mirror, cells]).ravel().tolist())
+
+
 def cmd_solve(pairs: dict, out: Path) -> None:
     problem, config = config_from_pairs(pairs)
     sol = solve_modes(problem, config)
     _write_fields(out, problem, config, sol.time_grid.nodes,
                   partial(_coefficient_table, sol))
-
-    psi = sol.table.T
-    half = config.N // 2
-    k, l = np.meshgrid(np.arange(-half, half + 1), np.arange(config.M + 1),
-                       indexing="ij")
-    t_node = np.broadcast_to(sol.time_grid.nodes, psi.shape)
-    table = np.stack([k, l, t_node, psi.real, psi.imag], axis=-1).reshape(-1, 5)
-    _write_table(out / "coefficients.csv",
-                 ["k", "l", "t_node", "re_psi", "im_psi"],
-                 [INT, INT, FLOAT, FLOAT, FLOAT], table)
+    _write_coefficients(out / "coefficients.csv", sol.table,
+                        sol.time_grid.nodes)
 
 
 def cmd_sa(pairs: dict, out: Path) -> None:

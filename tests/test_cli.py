@@ -3,14 +3,22 @@
 import csv
 import io
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from adspectral import (FourierGrid, build_basis, sa_coefficient, sa_field,
-                        synthesize_derivative, synthesize_field, time_grid)
+                        solve_modes, synthesize_derivative, synthesize_field,
+                        time_grid)
 from adspectral import test_problem as builtin_problem
-from adspectral.cli import FLOAT, INT, _write_table, main
+from adspectral.cli import (FLOAT, INT, _flip_sign, _write_coefficients,
+                            _write_table, main)
+from adspectral.fourier import complete_half_spectrum
+from adspectral.gegenbauer import reference_rule
+from adspectral.problems import config_from_pairs
+from adspectral.semianalytic import sa_coefficient_table
+from adspectral.solver import _coefficient_table
 
 TABLE_ROW = """
 problem_id = 1
@@ -108,6 +116,120 @@ class TestTableWriter:
             self._reference_text(self.HEADER, rows)
         _write_table(path, self.HEADER, [INT] * 4, np.empty((0, 4)))
         assert path.read_text(encoding="utf-8") == "n,a,b,c\n"
+
+
+class TestFieldWriters:
+    """solution.csv and coefficients.csv format each distinct value once."""
+
+    CASES = [{"problem_id": pid, "N": N, "M": M}
+             for pid in (1, 2, 3) for N, M in ((2, 1), (8, 4), (64, 16))] + [
+        {"mu": 0.5, "nu": 0.1, "L": 2, "T": 1, "u0": "first_harmonic",
+         "N": 8, "M": 16},
+        {"problem_id": 3, "N": 32, "M": 12, "t_final": 0.37, "lambda": 1.5}]
+
+    @staticmethod
+    def _generic_coefficients(table, nodes):
+        # coefficients.csv as one float table: k, l, t_node, re, im.
+        psi = table.T
+        half = psi.shape[0] // 2
+        k, l = np.meshgrid(np.arange(-half, half + 1), np.arange(len(nodes)),
+                           indexing="ij")
+        t_node = np.broadcast_to(nodes, psi.shape)
+        return (["k", "l", "t_node", "re_psi", "im_psi"],
+                [INT, INT, FLOAT, FLOAT, FLOAT],
+                np.stack([k, l, t_node, psi.real, psi.imag],
+                         axis=-1).reshape(-1, 5))
+
+    @classmethod
+    def _generic_tables(cls, command, pairs):
+        # The rule the field writers replaced: every column, repeated ones
+        # included, stacked into one float table whose every cell the
+        # generic table writer formats.
+        problem, config = config_from_pairs(pairs)
+        if command == "solve":
+            sol = solve_modes(problem, config)
+            nodes = sol.time_grid.nodes
+            table_at = partial(_coefficient_table, sol)
+        else:
+            field = sa_field(problem, config.N, config.N0)
+            nodes = time_grid(reference_rule(config.lam, config.M)[0],
+                              problem.T).nodes
+            table_at = partial(sa_coefficient_table, field)
+        grid = FourierGrid(L=problem.L, N=config.N)
+        times = np.append(nodes, problem.T)
+        coeffs = table_at(times)
+        u = synthesize_field(coeffs, grid,
+                             [float(problem.g(float(t))) for t in times])
+        ux = synthesize_derivative(coeffs, grid)
+        columns = [np.broadcast_to(grid.nodes, u.shape),
+                   np.broadcast_to(times[:, None], u.shape), u, ux]
+        header = ["x", "t", "u", "ux"]
+        if problem.exact is not None:
+            exact = np.array([problem.exact(grid.nodes, t) for t in times],
+                             dtype=float)
+            columns += [exact, np.abs(u - exact)]
+            header += ["u_exact", "abs_err"]
+        tables = {"solution.csv": (
+            header, [FLOAT] * len(columns),
+            np.stack(columns, axis=-1).reshape(-1, len(columns)))}
+        if command == "solve":
+            tables["coefficients.csv"] = cls._generic_coefficients(sol.table,
+                                                                   nodes)
+        return tables
+
+    @pytest.mark.parametrize(
+        "pairs", CASES, ids=lambda p: "-".join(f"{k}{v}" for k, v in p.items()))
+    @pytest.mark.parametrize("command", ["solve", "sa"])
+    def test_csv_bytes_match_generic_writer(self, tmp_path, command, pairs):
+        cfg = _write(tmp_path,
+                     "".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        tables = self._generic_tables(
+            command, {k: str(v) for k, v in pairs.items()})
+        assert sorted(tables) == sorted(
+            p.name for p in out.iterdir() if p.name != "report.csv")
+        for name, (header, formats, table) in tables.items():
+            reference = tmp_path / f"generic-{name}"
+            _write_table(reference, header, formats, table)
+            assert (out / name).read_bytes() == reference.read_bytes(), name
+
+    @staticmethod
+    def _symmetric_table():
+        rng = np.random.default_rng(5)
+        pos = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        pos[1, 0] = 2.5  # imaginary part +0.0, so mode -1 holds -0.0
+        return complete_half_spectrum(pos)
+
+    def test_coefficients_of_symmetric_table_written(self, tmp_path):
+        table, nodes = self._symmetric_table(), np.linspace(0.0, 1.0, 4)
+        path, reference = tmp_path / "c.csv", tmp_path / "generic.csv"
+        _write_coefficients(path, table, nodes)
+        _write_table(reference, *self._generic_coefficients(table, nodes))
+        assert path.read_bytes() == reference.read_bytes()
+        assert ",-0\n" in path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("breakage", ["one_ulp", "signed_zero", "nan"])
+    def test_asymmetric_coefficient_table_refused(self, tmp_path, breakage):
+        table = self._symmetric_table()
+        if breakage == "one_ulp":
+            table[2, 0] += np.spacing(table[2, 0].real)
+        elif breakage == "signed_zero":
+            # Mode -1 at l = 1 must hold -0.0j, the conjugate of mode 1.
+            table[1, 2] = table[1, 2].real + 0.0j
+        else:
+            table = complete_half_spectrum(
+                np.where(np.arange(3) == 1, np.nan, table[:, 4:]))
+        path = tmp_path / "c.csv"
+        with pytest.raises(ValueError, match="not conjugate symmetric"):
+            _write_coefficients(path, table, np.linspace(0.0, 1.0, 4))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300,
+        np.pi, -np.pi, np.inf, -np.inf])
+    def test_sign_flip_of_text(self, value):
+        assert _flip_sign(FLOAT % value) == FLOAT % -value
 
 
 class TestSaCommand:

@@ -160,7 +160,12 @@ def _dgejsv_values(a: np.ndarray) -> np.ndarray:
     # and change the last bits of the values.
     if np.iscomplexobj(a):
         if a.imag.any():
-            return _dgejsv_values(np.block([[a.real, -a.imag], [a.imag, a.real]]))[::2]
+            m, n = a.shape
+            embedding = np.empty((2 * m, 2 * n))
+            embedding[:m, :n] = embedding[m:, n:] = a.real
+            np.negative(a.imag, out=embedding[:m, n:])
+            embedding[m:, :n] = a.imag
+            return _dgejsv_values(embedding)[::2]
         a = a.real
     sva, _, _, work, _, info = dgejsv(a, joba=2, jobu=3, jobv=3, jobt=0, jobp=1)
     if info != 0:

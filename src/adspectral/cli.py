@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import (_report_from_field, bench_solve, conditioning_study,
-                       convergence_sweep)
+from .analysis import (_check_error_inputs, _report_from_field, bench_solve,
+                       conditioning_study, convergence_sweep)
 from .fourier import FourierGrid, synthesize_derivative, synthesize_field
-from .gegenbauer import reference_rule, time_grid
+from .gegenbauer import LAMBDA_MIN_GUARD, reference_rule, time_grid
 from .problems import ConfigError, _finite, _get, config_from_pairs, \
     parse_config_pairs
 from .semianalytic import sa_coefficient_table, sa_field
@@ -108,6 +108,31 @@ def _parse_int_list(text: str, key: str) -> list[int]:
         raise ConfigError(f"invalid value for key '{key}': {text!r}") from exc
 
 
+# Per list key: its parser, the test every entry must pass, and that test in
+# words. The lists are checked before any rule is built, so a bad entry is
+# reported with its key rather than by the solver stage that refuses it.
+_LIST_KEYS = {
+    "N_range": (_parse_range, lambda n: n >= 2 and n % 2 == 0, "even and >= 2"),
+    "M_range": (_parse_range, lambda m: m >= 1, ">= 1"),
+    "M_list": (_parse_int_list, lambda m: m >= 1, ">= 1"),
+    "lambda_list": (_parse_float_list,
+                    lambda lam: lam > -0.5 + LAMBDA_MIN_GUARD,
+                    f"> {-0.5 + LAMBDA_MIN_GUARD}"),
+}
+
+
+def _list_value(pairs: dict, key: str, default) -> list:
+    # The entries of a sweep or study list key, or of its default.
+    parse, valid, rule = _LIST_KEYS[key]
+    text = pairs.get(key, str(default))
+    values = parse(text, key)
+    bad = [value for value in values if not valid(value)]
+    if bad:
+        raise ConfigError(f"invalid value for key '{key}': "
+                          f"{bad[0]!r} in {text!r} is not {rule}")
+    return values
+
+
 def _write_fields(out: Path, problem, config, nodes, table_at) -> None:
     # solution.csv on the time nodes plus T, from the (times, N + 1)
     # coefficient table that table_at(times) returns, and report.csv at T
@@ -188,8 +213,10 @@ def cmd_sa(pairs: dict, out: Path) -> None:
 
 def cmd_convergence(pairs: dict, out: Path) -> None:
     problem, config = config_from_pairs(pairs)
-    n_range = _parse_range(pairs.get("N_range", str(config.N)), "N_range")
-    m_range = _parse_range(pairs.get("M_range", str(config.M)), "M_range")
+    # A problem the sweep cannot score is refused before its ranges are read.
+    _check_error_inputs(problem, problem.T, "convergence_sweep")
+    n_range = _list_value(pairs, "N_range", config.N)
+    m_range = _list_value(pairs, "M_range", config.M)
     result = convergence_sweep(problem, n_range, m_range, config.lam)
     _write_table(out / "sweep.csv",
                  ["N", "M", "dne", "log10_dne"], [INT, INT, FLOAT, FLOAT],
@@ -198,9 +225,8 @@ def cmd_convergence(pairs: dict, out: Path) -> None:
 
 def cmd_conditioning(pairs: dict, out: Path) -> None:
     problem, config = config_from_pairs(pairs)
-    lams = _parse_float_list(pairs.get("lambda_list", str(config.lam)),
-                             "lambda_list")
-    ms = _parse_int_list(pairs.get("M_list", str(config.M)), "M_list")
+    lams = _list_value(pairs, "lambda_list", config.lam)
+    ms = _list_value(pairs, "M_list", config.M)
     reports, _ = conditioning_study(problem, config, lams, ms)
     rows = [[r.kind, r.n, r.lam, r.M, r.sigma_max, r.sigma_min, r.cond]
             for r in reports]
@@ -230,7 +256,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on first use and kept: parse_args leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="adspectral",
         description="Spectral advection-diffusion solver and analysis toolkit")
@@ -244,7 +272,11 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="key=value config file")
         cmd.add_argument("--out", required=True, help="output directory for CSVs")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     out = Path(args.out)
     try:

@@ -30,8 +30,14 @@ NODE_COINCIDENCE_TOL = 1e-14
 # Reference rules (basis and Q) kept by reference_rule, least recently used
 # evicted first. Q and its complex Schur factors are O(M^3) to build and
 # depend only on (lam, M); an entry at M = 64 holds about 35 kB for Q and,
-# once a solve has used it, about 140 kB more for U and R.
+# once a solve has used it, about 140 kB more for U and R. The Gauss-Legendre
+# rules that build Q share this bound; one holds about 2 kB at M = 256.
 RULE_CACHE_SIZE = 32
+
+# Doubles in one row block's Lagrange values while Q is built (256 kB): M <= 38
+# takes one block. Larger blocks measured slower from M = 40 up, as each
+# temporary outgrows the CPU cache.
+Q_BLOCK_DOUBLES = 2 ** 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,21 +178,39 @@ def _lagrange_matrix(basis: GegenbauerBasis, points) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+def _gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    # The npts-point Gauss-Legendre nodes and weights, read-only since every
+    # build of Q with this point count shares them.
+    glx, glw = np.polynomial.legendre.leggauss(npts)
+    for arr in (glx, glw):
+        arr.setflags(write=False)
+    return glx, glw
+
+
 def build_integration_matrix(basis: GegenbauerBasis) -> IntegrationMatrix:
     """First-order barycentric integration matrix Q at the basis nodes.
 
     Entry Q[l, j] is the exact integral of the Lagrange basis polynomial L_j
     from -1 to z_l, computed with a Gauss-Legendre rule of
     ceil((order + 1) / 2) + 1 points, exact for degree <= order integrands.
+    The rule is cached per point count. Rows are built in blocks: one
+    Lagrange evaluation at the quadrature points of every row in a block,
+    with at most Q_BLOCK_DOUBLES values, so order <= 38 is one block. Each
+    row takes the same operations as on its own, so Q does not depend on
+    the block size.
     """
     npts = (basis.order + 2) // 2 + 1
-    glx, glw = np.polynomial.legendre.leggauss(npts)
+    glx, glw = _gauss_legendre(npts)
     size = basis.order + 1
+    half = 0.5 * (basis.nodes + 1.0)
+    pts = -1.0 + half[:, None] * (glx + 1.0)
     entries = np.empty((size, size))
-    for l in range(size):
-        half = 0.5 * (basis.nodes[l] + 1.0)
-        pts = -1.0 + half * (glx + 1.0)
-        entries[l] = half * (glw @ _lagrange_matrix(basis, pts))
+    rows = max(1, Q_BLOCK_DOUBLES // (npts * size))
+    for start in range(0, size, rows):
+        block = slice(start, start + rows)
+        lagrange = _lagrange_matrix(basis, pts[block].ravel())
+        entries[block] = half[block, None] * (glw @ lagrange.reshape(-1, npts, size))
     entries.setflags(write=False)
     return IntegrationMatrix(order=basis.order, entries=entries)
 

@@ -350,6 +350,22 @@ class TestJacobiSvd:
             a = rng.standard_normal(shape)
             assert_allclose(jacobi_svd(a + 0j), jacobi_svd(a), rtol=1e-15, atol=0.0)
 
+    def test_complex_stack_equals_block_embedding(self):
+        def reference(a):
+            # The real embedding [[X, -Y], [Y, X]] built by np.block, through
+            # the same dgejsv call; every other value of it is taken.
+            x, y = a.real, a.imag
+            return analysis._dgejsv_values(np.block([[x, -y], [y, x]]))[::2]
+
+        rng = np.random.default_rng(18)
+        stack = (rng.standard_normal((3, 11, 11))
+                 + 1j * rng.standard_normal((3, 11, 11)))
+        assert np.array_equal(jacobi_svd(stack), [reference(a) for a in stack])
+        tall = rng.standard_normal((17, 6)) + 1j * rng.standard_normal((17, 6))
+        tq = shift_integration_matrix(reference_rule(-0.45, 48)[1], 0.1).entries
+        for a in (tall, np.eye(49) + (2.0 + 30.0j) * tq):
+            assert np.array_equal(jacobi_svd(a), reference(a))
+
     def test_complex_identity_gives_exact_ones(self):
         # 1j * I goes through the 10 x 10 real embedding. dgejsv is not
         # exact on every identity: at orders 6, 18, 19, 24, 25, 29, 30 and

@@ -8,9 +8,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from adspectral import (FourierGrid, build_basis, sa_coefficient, sa_field,
-                        solve_modes, synthesize_derivative, synthesize_field,
-                        time_grid)
+from adspectral import (FourierGrid, build_basis, conditioning_study,
+                        sa_coefficient, sa_field, solve_modes,
+                        synthesize_derivative, synthesize_field, time_grid)
+from adspectral import gegenbauer
 from adspectral import test_problem as builtin_problem
 from adspectral.cli import (FLOAT, INT, _flip_sign, _write_coefficients,
                             _write_table, main)
@@ -346,6 +347,26 @@ class TestSweepCommands:
         assert sum(r[0] == "TQ" for r in body) == 21
         assert sum(r[0] == "A" for r in body) == 42
 
+    def test_solve_then_conditioning_in_one_process(self, tmp_path):
+        # Two commands through the one parser, each with its own outputs.
+        cfg = _write(tmp_path, TABLE_ROW + "lambda_list = -0.4,0.5\nM_list = 4,8\n")
+        solve_out, cond_out = tmp_path / "solve", tmp_path / "cond"
+        assert main(["solve", "--config", str(cfg), "--out", str(solve_out)]) == 0
+        assert main(["conditioning", "--config", str(cfg),
+                     "--out", str(cond_out)]) == 0
+        assert sorted(p.name for p in solve_out.iterdir()) == [
+            "coefficients.csv", "report.csv", "solution.csv"]
+        assert float(_read_rows(solve_out / "report.csv")[1][5]) <= 1e-14
+        assert [p.name for p in cond_out.iterdir()] == ["conditioning.csv"]
+        problem, config = config_from_pairs(
+            {"problem_id": "1", "N": "4", "N0": "6", "M": "10",
+             "lambda": "-0.4", "t_final": "0.1"})
+        reports, _ = conditioning_study(problem, config, [-0.4, 0.5], [4, 8])
+        rows = [[kind, int(n), *map(float, rest)] for kind, n, *rest
+                in _read_rows(cond_out / "conditioning.csv")[1:]]
+        assert rows == [[r.kind, r.n, r.lam, r.M, r.sigma_max, r.sigma_min,
+                         r.cond] for r in reports]
+
     def test_bench_schema(self, tmp_path):
         cfg = _write(tmp_path, "problem_id = 1\nN = 4\nM = 8\nrepeats = 5\n")
         out = tmp_path / "out"
@@ -425,6 +446,36 @@ class TestFailureModes:
         assert code == 1
         assert f"invalid value for key 'repeats': '{value}'" in capsys.readouterr().err
         assert not (tmp_path / "o" / "bench.csv").exists()
+
+    @pytest.mark.parametrize("command,key,value,entry", [
+        ("convergence", "N_range", "5:2:9", "5"),
+        ("convergence", "M_range", "0:2", "0"),
+        ("conditioning", "M_list", "0,4", "0"),
+        ("conditioning", "lambda_list", "-0.7", "-0.7"),
+    ])
+    def test_bad_list_entry_names_the_key(self, tmp_path, capsys, monkeypatch,
+                                          command, key, value, entry):
+        # Refused before any rule is built or any mode solved.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a rule was built")
+
+        monkeypatch.setattr(gegenbauer, "build_basis", unreachable)
+        reference_rule.cache_clear()
+        cfg = _write(tmp_path, f"problem_id = 1\nN = 4\nM = 4\n{key} = {value}\n")
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert (f"invalid value for key '{key}': {entry} in '{value}'"
+                in capsys.readouterr().err)
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_usage_error_leaves_parser_usable(self, tmp_path):
+        cfg = _write(tmp_path, TABLE_ROW)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", "--config", str(cfg)])
+        assert excinfo.value.code == 2
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(_read_rows(out / "solution.csv")) - 1 == (10 + 2) * 4
 
     @pytest.mark.parametrize("value", ["inf", "-0.4,nan"])
     def test_non_finite_lambda_list_names_the_key(self, tmp_path, capsys, value):

@@ -12,8 +12,28 @@ from scipy.special import roots_jacobi
 from adspectral import (bary_interpolate, build_basis,
                         build_integration_matrix, shift_integration_matrix,
                         singular_values, time_grid)
+from adspectral import gegenbauer
+from adspectral.gegenbauer import _gauss_legendre, _lagrange_matrix, \
+    reference_rule
 
 LAMBDAS = [-0.4, 0.0, 0.5, 1.0, 2.0]
+
+
+def per_row_integration_matrix(basis):
+    """Reference Q built one row at a time, as before the row blocks.
+
+    Each row evaluates the Lagrange basis at its own Gauss-Legendre points,
+    from a fresh leggauss call.
+    """
+    npts = (basis.order + 2) // 2 + 1
+    glx, glw = np.polynomial.legendre.leggauss(npts)
+    size = basis.order + 1
+    entries = np.empty((size, size))
+    for l in range(size):
+        half = 0.5 * (basis.nodes[l] + 1.0)
+        pts = -1.0 + half * (glx + 1.0)
+        entries[l] = half * (glw @ _lagrange_matrix(basis, pts))
+    return entries
 
 
 class TestBuildBasis:
@@ -162,6 +182,52 @@ class TestIntegrationMatrix:
             q = build_integration_matrix(build_basis(lam, order))
             smins.append(singular_values(q.entries)[-1])
         assert smins[0] < smins[1] < smins[2]
+
+
+class TestBlockedBuild:
+    @pytest.mark.parametrize("lam", [-0.49, -0.4, 0.0, 0.5, 2.0])
+    def test_bit_identical_to_per_row_build(self, lam):
+        # Orders up to 38 take one row block, larger ones several.
+        orders = [*range(1, 71), 128, 160]
+        for order in orders:
+            basis = build_basis(lam, order)
+            assert np.array_equal(build_integration_matrix(basis).entries,
+                                  per_row_integration_matrix(basis)), order
+
+    def test_blocks_span_one_and_several(self):
+        # The orders above cover both cases at the shipped block size.
+        def blocks(order):
+            npts, size = (order + 2) // 2 + 1, order + 1
+            rows = max(1, gegenbauer.Q_BLOCK_DOUBLES // (npts * size))
+            return -(-size // rows)
+
+        assert blocks(38) == 1 and blocks(39) == 2 and blocks(160) > 2
+
+    @pytest.mark.parametrize("block_doubles", [1, 500, 2 ** 30])
+    def test_independent_of_block_size(self, monkeypatch, block_doubles):
+        # One row per block, a few rows per block, and one block.
+        bases = [build_basis(lam, order)
+                 for lam, order in [(-0.4, 7), (0.5, 30), (2.0, 64)]]
+        shipped = [build_integration_matrix(basis).entries for basis in bases]
+        monkeypatch.setattr(gegenbauer, "Q_BLOCK_DOUBLES", block_doubles)
+        for basis, entries in zip(bases, shipped):
+            assert np.array_equal(build_integration_matrix(basis).entries,
+                                  entries)
+
+    def test_gauss_legendre_rule_cached_and_read_only(self):
+        glx, glw = _gauss_legendre(9)
+        assert _gauss_legendre(9)[0] is glx
+        expected = np.polynomial.legendre.leggauss(9)
+        assert np.array_equal(glx, expected[0])
+        assert np.array_equal(glw, expected[1])
+        for arr in (glx, glw):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_reference_rule_matrix_read_only(self):
+        _, qmat = reference_rule(-0.4, 12)
+        with pytest.raises(ValueError, match="read-only"):
+            qmat.entries[0, 0] = 0.0
 
 
 class TestShiftedMatrixAndGrid:

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg.lapack import dgejsv
 
 from .fourier import FourierGrid, synthesize_field
-from .gegenbauer import _lagrange_matrix, reference_rule, \
+from .gegenbauer import LAMBDA_MIN_GUARD, _lagrange_matrix, reference_rule, \
     shift_integration_matrix
 from .problems import ADProblem, SolverConfig
 from .solver import (_horizon_rule, _initial_spectrum, _prepare,
@@ -54,6 +54,30 @@ class BenchResult:
 
     median_total: float
     stages: dict
+
+
+# Per kind of sweep or study entry: the test each entry must pass, and that
+# test in words. The sweeps check their list arguments with these before any
+# rule is built, and the CLI checks its list keys with them.
+_ENTRY_RULES = {
+    "N": (lambda n: n >= 2 and n % 2 == 0, "even and >= 2"),
+    "M": (lambda m: m >= 1, ">= 1"),
+    "lambda": (lambda lam: lam > -0.5 + LAMBDA_MIN_GUARD,
+               f"> {-0.5 + LAMBDA_MIN_GUARD}"),
+}
+
+
+def _bad_entries(kind: str, values) -> list:
+    # The entries of values that fail the rule of their kind, in order.
+    valid = _ENTRY_RULES[kind][0]
+    return [value for value in values if not valid(value)]
+
+
+def _check_entries(caller: str, name: str, values, kind: str) -> None:
+    bad = _bad_entries(kind, values)
+    if bad:
+        raise ValueError(f"{caller}: {name} entry {bad[0]!r} is not "
+                         f"{_ENTRY_RULES[kind][1]}")
 
 
 def _field_errors(problem: ADProblem, numeric: np.ndarray, t_final: float):
@@ -116,10 +140,13 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
     takes one synthesis over the rows of all M and one sample of
     problem.exact. Rows are ordered N outer, M inner, and the log-error
     slope of each N is fitted over its M. A problem without an exact
-    solution, or a t_final <= 0, is refused before any solve.
+    solution, a t_final <= 0, an N that is not even and >= 2 or an M < 1 is
+    refused before any solve.
     """
     if not len(N_range) or not len(M_range):
         raise ValueError("N_range and M_range must be nonempty")
+    _check_entries("convergence_sweep", "N_range", N_range, "N")
+    _check_entries("convergence_sweep", "M_range", M_range, "M")
     t_final = problem.T if t_final is None else t_final
     _check_error_inputs(problem, t_final, "convergence_sweep")
     run = problem.with_horizon(t_final)
@@ -220,10 +247,14 @@ def conditioning_study(problem: ADProblem, config: SolverConfig,
     ``peak_at_nyquist`` (cond at n = N/2 dominates the sampled modes whenever
     mu, nu are not both zero), ``sigma_min_monotone_negative_lam`` (smallest
     singular value of Q shrinks as lam decreases below 0, per M), and
-    ``fundamental_max_cond`` (largest observed cond at n = 1).
+    ``fundamental_max_cond`` (largest observed cond at n = 1). A lambda at
+    or below -1/2 + LAMBDA_MIN_GUARD, or an M < 1, is refused before any
+    rule is built.
     """
     if not len(lambda_list) or not len(M_list):
         raise ValueError("lambda_list and M_list must be nonempty")
+    _check_entries("conditioning_study", "lambda_list", lambda_list, "lambda")
+    _check_entries("conditioning_study", "M_list", M_list, "M")
     lams = sorted(set(float(l) for l in lambda_list))
     Ms = sorted(set(int(m) for m in M_list))
     half = config.N // 2

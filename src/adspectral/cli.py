@@ -2,13 +2,19 @@
 
 Every command reads a key=value config file, writes CSV files into the output
 directory, and exits 0 only when all requested outputs were written. CSV
-fields carry 17 significant digits so reruns round-trip doubles exactly.
+fields carry 17 significant digits ("%.17g") so reruns round-trip doubles
+exactly.
 
-Every CSV is written as a header line plus one ``template % values``
-operation. The small tables build their template from one format per column.
-``solution.csv`` and ``coefficients.csv`` format each distinct number once:
-the repeated x, t, t_node, k and l values are literal text in the template,
-and a row of mode -n reuses the text of mode n, its exact conjugate.
+The small tables (``report.csv``, ``sweep.csv``, ``conditioning.csv``,
+``bench.csv``) are a header line plus one ``template % values`` operation.
+``solution.csv`` and ``coefficients.csv`` are written in row blocks of at
+most ``BLOCK_CELLS`` fields. A block is a byte array with one fixed cell per
+field; ``_g17_cells`` fills the cells of many float64 values at once with
+their exact "%.17g" bytes, and the NUL bytes left between them are dropped
+when the block is written. The repeated x, t, t_node, k and l values are
+formatted once and copied into every row that holds them, and a row of mode
+-n takes the cells of mode n, its exact conjugate, with the sign of the
+imaginary part toggled.
 """
 
 from __future__ import annotations
@@ -20,10 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (_check_error_inputs, _report_from_field, bench_solve,
-                       conditioning_study, convergence_sweep)
+from .analysis import (_ENTRY_RULES, _bad_entries, _check_error_inputs,
+                       _report_from_field, bench_solve, conditioning_study,
+                       convergence_sweep)
 from .fourier import FourierGrid, synthesize_derivative, synthesize_field
-from .gegenbauer import LAMBDA_MIN_GUARD, reference_rule, time_grid
+from .gegenbauer import reference_rule, time_grid
 from .problems import ConfigError, _finite, _get, config_from_pairs, \
     parse_config_pairs
 from .semianalytic import sa_coefficient_table, sa_field
@@ -54,16 +61,198 @@ def _write_table(path: Path, header, formats, rows) -> None:
     _write_text(path, header, (",".join(formats) + "\n") * len(rows), values)
 
 
-def _texts(values) -> list[str]:
-    # The "%.17g" text of each value, in C order, from one % operation.
+# Every field of solution.csv and coefficients.csv is one cell of CELL_BYTES
+# byte slots: the "%.17g" text of its value, NUL where the text has no byte,
+# and the separator that ends the field. Slot 0 holds the sign; slots 1-5 the
+# "0." and up to three zeros that lead a fixed-notation value below 1; slot
+# 7 + j digit j of the 17 significant digits, with the point and every digit
+# after it one slot later; slots 25-29 the exponent; slot 31 the separator.
+# Slots 6 and 30 stay NUL. A cell is four little-endian 64-bit words, so the
+# point goes in by one shift of those words.
+CELL_BYTES = 32
+# Fields per block. A block of cells (256 kB) and the formatter's temporaries
+# for it are all the text a writer holds at a time, besides the cells of the
+# values it reuses: x, t, t_node, k, l and modes 0 .. N/2 of the table.
+BLOCK_CELLS = 8192
+_POW_MIN, _POW_MAX = -300, 350  # range of k in the 10^k table
+_EXP_MIN = -330                 # lowest exponent in the exponent table
+_ZERO, _MINUS, _POINT = ord("0"), ord("-"), ord(".")
+
+
+@cache
+def _g17_tables():
+    """Lookup tables of the vectorized "%.17g" formatter, built on first use.
+
+    None when long double cannot certify a rounding (it is plain double, or
+    double-double, whose arithmetic is not correctly rounded) or when the
+    byte order is not little-endian, which the cell words assume.
+    """
+    info = np.finfo(np.longdouble)
+    if info.nmant not in (63, 112) or sys.byteorder != "little":
+        return None
+    ks = np.arange(_POW_MIN, _POW_MAX + 1)
+    # Correctly rounded 10^k from decimal strings; longdouble(10) ** k is
+    # 1 ulp off for some k. 10^k is exact for 0 <= k <= k_exact.
+    powers = np.array([f"1e{k}" for k in ks], dtype=np.longdouble)
+    k_exact = max(k for k in range(64) if 5 ** k < 2 ** (info.nmant + 1))
+    # Bound on |y - x 10^k| / y for y = x * powers[k] in long double: one
+    # rounding when 10^k is exact, two otherwise, each at most eps / 2.
+    bound = np.where((ks >= 0) & (ks <= k_exact), 1.0, 2.0) * float(info.eps)
+    two = np.arange(100, dtype=np.uint8)
+    two = np.stack([two // 10, two % 10], axis=1) + np.uint8(_ZERO)
+    four = np.concatenate([np.repeat(two, 100, axis=0), np.tile(two, (100, 1))],
+                          axis=1)  # the 4 digits of 0 .. 9999
+    nonzero = four != _ZERO
+    # 1-based position of the last nonzero digit of each 4-digit chunk, 0 for 0
+    last_digit = np.where(nonzero.any(axis=1),
+                          4 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    # Per (integer digit count, index of the last nonzero digit): the integer
+    # digits, the fraction digits and the point, as cell words.
+    slot = np.arange(CELL_BYTES)
+    n_int = np.arange(18)[:, None, None]
+    last = np.arange(17)[None, :, None]
+
+    def table(mask, byte):
+        return (np.broadcast_to(mask, (18, 17, CELL_BYTES)) * np.uint8(byte)
+                ).reshape(-1, CELL_BYTES).view(np.uint64)
+
+    int_mask = table((slot >= 7) & (slot < 7 + n_int), 255)
+    frac_mask = table((slot >= 7 + n_int) & (slot <= 7 + last), 255)
+    point = table((slot == 7 + n_int) & (n_int >= 1) & (last >= n_int), _POINT)
+    # Word 0 per (sign, leading zeros): "", "0.", "0.0", ... then with "-".
+    lead = np.zeros((10, 8), np.uint8)
+    for zeros in range(1, 5):
+        lead[zeros, 1:zeros + 2] = list(b"0." + b"0" * (zeros - 1))
+    lead[5:] = lead[:5]
+    lead[5:, 0] = _MINUS
+    # Word 3 per exponent from _EXP_MIN up, after a row for no exponent.
+    exps = np.arange(_EXP_MIN, -_EXP_MIN + 1)
+    mag = np.abs(exps)
+    expo = np.zeros((exps.size + 1, 8), np.uint8)
+    expo[1:, 1] = ord("e")
+    expo[1:, 2] = np.where(exps < 0, _MINUS, ord("+"))
+    expo[1:, 3] = (mag // 100 + _ZERO) * (mag >= 100)
+    expo[1:, 4] = mag // 10 % 10 + _ZERO
+    expo[1:, 5] = mag % 10 + _ZERO
+    return (powers, bound, four.view(np.uint32).ravel(),
+            last_digit.astype(np.int8), int_mask, frac_mask, point,
+            lead.view(np.uint64).ravel(), expo.view(np.uint64).ravel())
+
+
+def _percent_cells(values) -> np.ndarray:
+    """Cells of the values' "%.17g" texts, each from Python's % operator.
+
+    The sign, if any, goes to slot 0 and the rest of the text after it, so
+    a cell's sign can be toggled as in ``_g17_cells``.
+    """
     values = np.ravel(values).tolist()
-    return ((FLOAT + "\n") * len(values) % tuple(values)).splitlines()
+    texts = ((FLOAT + "\n") * len(values) % tuple(values)).split()
+    cells = "".join((text if text[0] == "-" else "\0" + text).ljust(CELL_BYTES, "\0")
+                    for text in texts)
+    return np.frombuffer(cells.encode("ascii"),
+                         np.uint8).reshape(-1, CELL_BYTES).copy()
 
 
-def _flip_sign(text: str) -> str:
-    # "%.17g" text of -v from that of v; it holds for signed zeros and
-    # infinities, not for NaN, whose text carries no sign.
-    return text[1:] if text.startswith("-") else "-" + text
+def _g17_block(v: np.ndarray) -> np.ndarray:
+    # Cells of the "%.17g" texts of a 1-D float64 array. See _g17_cells.
+    tables = _g17_tables()
+    if tables is None:
+        return _percent_cells(v)
+    (powers, bound, four, last_digit, int_mask, frac_mask, point, lead,
+     expo) = tables
+    a = np.abs(v)
+    finite = np.isfinite(a)
+    nonzero = finite & (a > 0)
+    safe = np.where(nonzero, a, 1.0)  # no log of 0, no cast of inf or NaN
+    # y = |v| 10^(16 - E) lies in [1e16, 1e17) for the right exponent E.
+    k = (16 - _POW_MIN) - np.floor(np.log10(safe)).astype(np.int64)
+    wide = safe.astype(np.longdouble)
+    y = wide * powers.take(k)
+    fix = np.flatnonzero((y < 1e16) | (y >= 1e17))
+    if fix.size:
+        k[fix] += np.where(y[fix] < 1e16, 1, -1)
+        y[fix] = wide[fix] * powers.take(k[fix])
+    digits = y.astype(np.int64)
+    frac = (y - digits).astype(float)
+    # The rounding of y to an integer is certified when y is in range and
+    # its fraction is further from 1/2 than y's error bound, plus 2^-53 for
+    # the rounding of the fraction to double (none in x87's long double,
+    # where y >= 1e16 leaves it 10 bits). Every other value, non-finite
+    # ones included, takes the % operator below.
+    ok = np.abs(frac - 0.5) > y.astype(float) * bound.take(k) + 2.0 ** -53
+    ok &= finite & (digits >= 10 ** 16) & (digits < 10 ** 17)
+    digits += frac > 0.5
+    exp10 = (16 - _POW_MIN) - k
+    carry = np.flatnonzero(digits == 10 ** 17)
+    digits[carry] = 10 ** 16
+    exp10[carry] += 1
+    digits *= nonzero
+    exp10 *= nonzero
+    # The 17 digits: the first, then four chunks of four by table lookup.
+    first = digits // 10 ** 16
+    rest = digits - first * 10 ** 16
+    high = rest // 10 ** 8
+    low = rest - high * 10 ** 8
+    chunks = np.empty((v.size, 4), np.int64)
+    chunks[:, 0] = high // 10 ** 4
+    chunks[:, 1] = high - chunks[:, 0] * 10 ** 4
+    chunks[:, 2] = low // 10 ** 4
+    chunks[:, 3] = low - chunks[:, 2] * 10 ** 4
+    words = np.zeros((v.size, 4), np.uint64)
+    words[:, 0] = (first + _ZERO).astype(np.uint64) << np.uint64(56)
+    words[:, 1:3] = four.take(chunks).view(np.uint64)
+    # Index of the last nonzero digit, 0 when only the first is nonzero.
+    last = last_digit.take(chunks)
+    last += np.arange(0, 16, 4, dtype=np.int8) * (last > 0)
+    last = np.maximum(np.maximum(last[:, 0], last[:, 1]),
+                      np.maximum(last[:, 2], last[:, 3]))
+    # Fixed notation for -4 <= E < 17, with E + 1 integer digits (none below
+    # 1, where the lead holds "0."); otherwise one integer digit and an
+    # exponent. Trailing zeros after the point, and a bare point, are cut.
+    fixed = (exp10 >= -4) & (exp10 < 17)
+    pattern = np.where(fixed, np.maximum(exp10 + 1, 0), 1) * 17 + last
+    fraction = words & frac_mask.take(pattern, axis=0)
+    cells = words & int_mask.take(pattern, axis=0)
+    cells |= point.take(pattern, axis=0)
+    cells |= fraction << np.uint64(8)
+    # The top byte of each word moves to the next word. The last word of a
+    # cell holds no digit, so nothing crosses into the next cell.
+    cells.reshape(-1)[1:] |= fraction.reshape(-1)[:-1] >> np.uint64(56)
+    cells[:, 0] |= lead.take(np.where(fixed & (exp10 < 0), -exp10, 0)
+                             + 5 * np.signbit(v))
+    cells[:, 3] |= expo.take(np.where(fixed, 0, exp10 - _EXP_MIN + 1))
+    cells = cells.view(np.uint8)
+    uncertified = np.flatnonzero(~ok)
+    if uncertified.size:
+        cells[uncertified] = _percent_cells(v[uncertified])
+    return cells
+
+
+def _g17_cells(values) -> np.ndarray:
+    """The exact "%.17g" bytes of float64 values, one cell per value.
+
+    Returns an array of shape ``values.shape + (CELL_BYTES,)``; the non-NUL
+    bytes of a cell, in order, are ``"%.17g" % value``. Each finite value
+    v != 0 gets its 17 digits D and exponent E from y = |v| 10^(16 - E) in
+    long double, with 10^k from a correctly rounded table; D is y rounded to
+    an integer. That rounding is used only where it is certified; near-ties,
+    values out of range and non-finite values take the % operator.
+    """
+    values = np.asarray(values, dtype=float)
+    flat = values.reshape(-1)
+    cells = np.empty((flat.size, CELL_BYTES), np.uint8)
+    for start in range(0, flat.size, BLOCK_CELLS):
+        block = slice(start, start + BLOCK_CELLS)
+        cells[block] = _g17_block(flat[block])
+    return cells.reshape(values.shape + (CELL_BYTES,))
+
+
+def _write_cells(handle, cells: np.ndarray) -> None:
+    # Write a (rows, columns, CELL_BYTES) block as CSV lines: a comma after
+    # each field but the last of a row, a newline after that, NULs dropped.
+    cells[:, :-1, -1] = ord(",")
+    cells[:, -1, -1] = ord("\n")
+    handle.write(cells.tobytes().translate(None, b"\0"))
 
 
 def _ensure_outdir(path: Path) -> None:
@@ -108,28 +297,27 @@ def _parse_int_list(text: str, key: str) -> list[int]:
         raise ConfigError(f"invalid value for key '{key}': {text!r}") from exc
 
 
-# Per list key: its parser, the test every entry must pass, and that test in
-# words. The lists are checked before any rule is built, so a bad entry is
-# reported with its key rather than by the solver stage that refuses it.
+# Per list key: its parser and the kind of its entries, whose rule
+# analysis._ENTRY_RULES holds. The lists are checked before any rule is
+# built, so a bad entry is reported with its key rather than by the solver
+# stage that refuses it.
 _LIST_KEYS = {
-    "N_range": (_parse_range, lambda n: n >= 2 and n % 2 == 0, "even and >= 2"),
-    "M_range": (_parse_range, lambda m: m >= 1, ">= 1"),
-    "M_list": (_parse_int_list, lambda m: m >= 1, ">= 1"),
-    "lambda_list": (_parse_float_list,
-                    lambda lam: lam > -0.5 + LAMBDA_MIN_GUARD,
-                    f"> {-0.5 + LAMBDA_MIN_GUARD}"),
+    "N_range": (_parse_range, "N"),
+    "M_range": (_parse_range, "M"),
+    "M_list": (_parse_int_list, "M"),
+    "lambda_list": (_parse_float_list, "lambda"),
 }
 
 
 def _list_value(pairs: dict, key: str, default) -> list:
     # The entries of a sweep or study list key, or of its default.
-    parse, valid, rule = _LIST_KEYS[key]
+    parse, kind = _LIST_KEYS[key]
     text = pairs.get(key, str(default))
     values = parse(text, key)
-    bad = [value for value in values if not valid(value)]
+    bad = _bad_entries(kind, values)
     if bad:
         raise ConfigError(f"invalid value for key '{key}': "
-                          f"{bad[0]!r} in {text!r} is not {rule}")
+                          f"{bad[0]!r} in {text!r} is not {_ENTRY_RULES[kind][1]}")
     return values
 
 
@@ -150,15 +338,21 @@ def _write_fields(out: Path, problem, config, nodes, table_at) -> None:
                          dtype=float)
         columns += [exact, np.abs(u - exact)]
         header += ["u_exact", "abs_err"]
-    # Rows run x fastest within each time. The N x texts and the t text of a
-    # block are formatted once and written into its line template, so %
-    # formats only the per-point columns.
-    xs = _texts(grid.nodes)
-    fields = ("," + FLOAT) * len(columns) + "\n"
-    template = "".join(sep.join(xs) + sep
-                       for sep in ("," + t + fields for t in _texts(times)))
-    _write_text(out / "solution.csv", header, template,
-                np.stack(columns, axis=-1).ravel().tolist())
+    # Rows run x fastest within each time; the N x cells and the t cell of
+    # each time are formatted once.
+    x_cells, t_cells = _g17_cells(grid.nodes), _g17_cells(times)
+    width = 2 + len(columns)
+    rows_per_block = max(1, BLOCK_CELLS // width)
+    with open(out / "solution.csv", "wb") as handle:
+        handle.write((",".join(header) + "\n").encode())
+        for start in range(0, u.size, rows_per_block):
+            block = np.arange(start, min(start + rows_per_block, u.size))
+            cells = np.empty((block.size, width, CELL_BYTES), np.uint8)
+            cells[:, 0] = x_cells.take(block % config.N, axis=0)
+            cells[:, 1] = t_cells.take(block // config.N, axis=0)
+            cells[:, 2:] = _g17_cells(np.stack(
+                [column.reshape(-1)[block] for column in columns], axis=-1))
+            _write_cells(handle, cells)
 
     if problem.exact is not None:
         report = _report_from_field(problem, config, u[-1], problem.T)
@@ -171,10 +365,10 @@ def _write_fields(out: Path, problem, config, nodes, table_at) -> None:
 def _write_coefficients(path: Path, table, nodes) -> None:
     # coefficients.csv from the (M + 1, N + 1) nodal table of modes
     # -N/2 .. N/2: rows k = -N/2 .. N/2, then l = 0 .. M. Only modes
-    # 0 .. N/2 are formatted; the row of mode -n takes the real text of mode
-    # n and its imaginary text with the sign flipped. That is exact only
-    # when mode -n is conj(mode n) bit for bit, so check it first: == fails
-    # on NaN, and the sign bits tell -0.0 from 0.0, whose texts differ.
+    # 0 .. N/2 are formatted; the row of mode -n takes the cells of mode n
+    # with the sign of the imaginary part toggled. That is exact only when
+    # mode -n is conj(mode n) bit for bit, so check it first: == fails on
+    # NaN, and the sign bits tell -0.0 from 0.0, whose texts differ.
     half = table.shape[1] // 2
     neg, pos = table[:, :half], np.conj(table[:, :half:-1])
     if not (np.array_equal(neg, pos)
@@ -182,16 +376,23 @@ def _write_coefficients(path: Path, table, nodes) -> None:
                                np.signbit([pos.real, pos.imag]))):
         raise ValueError("coefficient table is not conjugate symmetric")
     upper = table[:, half:].T
-    cells = np.array(_texts(np.stack([upper.real, upper.imag], axis=-1)),
-                     dtype=object).reshape(upper.shape + (2,))
-    mirror = cells[:0:-1].copy()
-    mirror[..., 1] = np.frompyfunc(_flip_sign, 1, 1)(mirror[..., 1])
-    # k, l and t_node are literal text; each row takes its two texts by %s.
-    rest = [f",{l},{t},%s,%s\n" for l, t in enumerate(_texts(nodes))]
-    template = "".join(k + k.join(rest)
-                       for k in map(str, range(-half, half + 1)))
-    _write_text(path, ["k", "l", "t_node", "re_psi", "im_psi"], template,
-                np.concatenate([mirror, cells]).ravel().tolist())
+    psi_cells = _g17_cells(np.stack([upper.real, upper.imag], axis=-1))
+    # k and l as floats: their "%.17g" text is their "%d" text.
+    k_cells = _g17_cells(np.arange(-half, half + 1, dtype=float))
+    l_cells = _g17_cells(np.arange(len(nodes), dtype=float))
+    t_cells = _g17_cells(nodes)
+    modes_per_block = max(1, BLOCK_CELLS // (5 * len(nodes)))
+    with open(path, "wb") as handle:
+        handle.write(b"k,l,t_node,re_psi,im_psi\n")
+        for start in range(-half, half + 1, modes_per_block):
+            ks = np.arange(start, min(start + modes_per_block, half + 1))
+            cells = np.empty((ks.size, len(nodes), 5, CELL_BYTES), np.uint8)
+            cells[:, :, 0] = k_cells[ks + half, None]
+            cells[:, :, 1] = l_cells
+            cells[:, :, 2] = t_cells
+            cells[:, :, 3:] = psi_cells[np.abs(ks)]
+            cells[ks < 0, :, 4, 0] ^= _MINUS
+            _write_cells(handle, cells.reshape(-1, 5, CELL_BYTES))
 
 
 def cmd_solve(pairs: dict, out: Path) -> None:

@@ -10,7 +10,7 @@ from adspectral import (ADProblem, ModeSolveError, SolverConfig, bench_solve,
                         conditioning_study, convergence_sweep, error_report,
                         evaluate_u, jacobi_svd, mode_rate, singular_values,
                         solve_modes)
-from adspectral import analysis, solver
+from adspectral import analysis, gegenbauer, solver
 from adspectral import test_problem as builtin_problem
 from adspectral.analysis import _report_from_field
 from adspectral.gegenbauer import RULE_CACHE_SIZE, build_basis, \
@@ -19,6 +19,17 @@ from adspectral.solver import _horizon_rule, _initial_spectrum, \
     _scaled_solution, _unit_solve
 
 SWEEP_NS, SWEEP_MS = range(4, 65, 4), range(2, 41, 2)
+
+
+@pytest.fixture
+def no_rule_builds(monkeypatch):
+    """Fail any Gegenbauer rule build, with the rule cache emptied."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rule was built")
+
+    monkeypatch.setattr(gegenbauer, "build_basis", unreachable)
+    reference_rule.cache_clear()
 
 
 def per_cell_sweep_rows(problem, N_range, M_range, lam, t_final):
@@ -130,6 +141,15 @@ class TestConvergenceSweep:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             convergence_sweep(builtin_problem(1), [], [4], -0.4)
+
+    @pytest.mark.parametrize("N_range,M_range,message", [
+        ([4, 5], [4], "N_range entry 5 is not even and >= 2"),
+        ([4], [4, 0], "M_range entry 0 is not >= 1"),
+    ], ids=["N_range", "M_range"])
+    def test_bad_entry_names_the_argument(self, no_rule_builds, N_range,
+                                          M_range, message):
+        with pytest.raises(ValueError, match=f"^convergence_sweep: {message}$"):
+            convergence_sweep(builtin_problem(1), N_range, M_range, -0.4)
 
     def test_requires_exact_solution(self):
         problem = ADProblem(mu=0.0, nu=1.0, L=2.0, T=1.0,
@@ -458,6 +478,17 @@ class TestConditioning:
         with pytest.raises(ValueError, match="nonempty"):
             conditioning_study(builtin_problem(1), SolverConfig(N=4, M=4, N0=6),
                                [], [4])
+
+    @pytest.mark.parametrize("lambda_list,M_list,message", [
+        ([-0.4, -0.7], [4], "lambda_list entry -0.7 is not > -0.499999"),
+        ([float("nan")], [4], "lambda_list entry nan is not > -0.499999"),
+        ([-0.4], [4, 0], "M_list entry 0 is not >= 1"),
+    ], ids=["lambda_list", "lambda_list-nan", "M_list"])
+    def test_bad_entry_names_the_argument(self, no_rule_builds, lambda_list,
+                                          M_list, message):
+        with pytest.raises(ValueError, match=f"^conditioning_study: {message}$"):
+            conditioning_study(builtin_problem(1), SolverConfig(N=4, M=4, N0=6),
+                               lambda_list, M_list)
 
 
 class TestBench:

@@ -2,7 +2,9 @@
 
 import csv
 import io
+import tracemalloc
 import warnings
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -13,8 +15,10 @@ from adspectral import (FourierGrid, build_basis, conditioning_study,
                         synthesize_derivative, synthesize_field, time_grid)
 from adspectral import gegenbauer
 from adspectral import test_problem as builtin_problem
-from adspectral.cli import (FLOAT, INT, _flip_sign, _write_coefficients,
-                            _write_table, main)
+from adspectral import cli
+from adspectral.cli import (CELL_BYTES, FLOAT, INT, _g17_cells, _g17_tables,
+                            _percent_cells, _write_coefficients, _write_table,
+                            main)
 from adspectral.fourier import complete_half_spectrum
 from adspectral.gegenbauer import reference_rule
 from adspectral.problems import config_from_pairs
@@ -230,7 +234,116 @@ class TestFieldWriters:
         0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300,
         np.pi, -np.pi, np.inf, -np.inf])
     def test_sign_flip_of_text(self, value):
-        assert _flip_sign(FLOAT % value) == FLOAT % -value
+        # A row of mode -n toggles the sign slot of mode n's imaginary cell.
+        for formatter in (_g17_cells, _percent_cells):
+            cells = formatter(np.array([value]))
+            cells[:, 0] ^= ord("-")
+            assert _cell_texts(cells) == (FLOAT % -value + "\n").encode()
+
+    def test_solve_peak_traced_memory(self, tmp_path):
+        # The writers hold one block of cells at a time: a writer that built
+        # the whole solution.csv block at N = 1024, M = 32 would peak above.
+        cfg = _write(tmp_path, "problem_id = 1\nN = 1024\nM = 32\n")
+        argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0  # warm: rule cache and formatter tables
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
+
+
+def _cell_texts(cells) -> bytes:
+    # The text of each cell, one per line.
+    cells = cells.reshape(-1, CELL_BYTES).copy()
+    cells[:, -1] = ord("\n")
+    flat = cells.reshape(-1)
+    return flat[flat != 0].tobytes()
+
+
+def _percent_texts(values) -> bytes:
+    values = np.ravel(values).tolist()
+    return ((FLOAT + "\n") * len(values) % tuple(values)).encode()
+
+
+def _first_mismatch(values, got: bytes) -> str:
+    for value, text in zip(np.ravel(values), got.splitlines()):
+        if text.decode() != FLOAT % value:
+            return f"{value!r}: {text.decode()!r} != {FLOAT % value!r}"
+    return "line count differs"
+
+
+class TestG17Cells:
+    """The vectorized formatter against Python's "%.17g" % v, value by value."""
+
+    @staticmethod
+    def _edge_values():
+        big = np.finfo(float).max
+        # Every power of ten in range, as parsed: 1e-5 .. 1e22 among them,
+        # and doubles such as 1e-14 whose 17 digits round up to 10^17.
+        tens = np.array([float(f"1e{n}") for n in range(-323, 309)])
+        values = [0.0, -0.0, 5e-324, -5e-324, big, -big, np.inf, -np.inf,
+                  np.nan, 9.9999999999999999e-5,
+                  # exact ties at the 17th digit, which round half to even
+                  2.0 ** 50 + 0.25, 2.0 ** 50 + 0.75,
+                  *tens, *np.nextafter(tens, 0.0), *np.nextafter(tens, np.inf)]
+        return np.array(values + [-v for v in values])
+
+    @staticmethod
+    def _random_values():
+        rng = np.random.default_rng(20251019)
+        bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64,
+                            endpoint=False).view(np.float64)
+        normals = (rng.standard_normal(50_000)
+                   * 10.0 ** rng.integers(-40, 41, 50_000))
+        integers = (rng.integers(-2 ** 53, 2 ** 53, 50_000).astype(float)
+                    * 2.0 ** rng.integers(-80, 81, 50_000))
+        return np.concatenate([bits, normals, integers])
+
+    @pytest.mark.parametrize("source", ["edge", "random"])
+    @pytest.mark.parametrize("formatter", [_g17_cells, _percent_cells],
+                             ids=["g17", "percent"])
+    def test_bytes_match_percent_operator(self, source, formatter):
+        values = self._edge_values() if source == "edge" else self._random_values()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _cell_texts(formatter(values))
+        assert got == _percent_texts(values), _first_mismatch(values, got)
+
+    def test_cells_keep_the_input_shape(self):
+        values = np.arange(12.0).reshape(3, 2, 2) - 5.5
+        cells = _g17_cells(values)
+        assert cells.shape == (3, 2, 2, CELL_BYTES)
+        assert _cell_texts(cells) == _percent_texts(values)
+        assert _g17_cells(np.empty(0)).shape == (0, CELL_BYTES)
+
+    @pytest.mark.skipif(_g17_tables() is None,
+                        reason="long double cannot certify a rounding here")
+    def test_fast_path_formats_most_values(self, monkeypatch):
+        # Only near-ties and non-finite values take the % operator.
+        fallback = []
+
+        def counting(values):
+            fallback.append(np.size(values))
+            return _percent_cells(values)
+
+        monkeypatch.setattr(cli, "_percent_cells", counting)
+        values = np.random.default_rng(3).standard_normal(20_000)
+        assert _cell_texts(_g17_cells(values)) == _percent_texts(values)
+        assert sum(fallback) < 0.05 * values.size
+
+    @pytest.mark.skipif(_g17_tables() is None,
+                        reason="long double cannot certify a rounding here")
+    def test_power_table_is_correctly_rounded(self):
+        powers = _g17_tables()[0]
+        for k, power in zip(range(cli._POW_MIN, cli._POW_MAX + 1), powers):
+            exact = Fraction(10) ** k
+            error = abs(Fraction(*power.as_integer_ratio()) - exact)
+            for neighbour in (np.nextafter(power, np.longdouble(0)),
+                              np.nextafter(power, np.longdouble(np.inf))):
+                assert error <= abs(Fraction(*neighbour.as_integer_ratio()) - exact), k
 
 
 class TestSaCommand:

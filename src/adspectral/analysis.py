@@ -56,28 +56,33 @@ class BenchResult:
     stages: dict
 
 
-# Per kind of sweep or study entry: the test each entry must pass, and that
-# test in words. The sweeps check their list arguments with these before any
-# rule is built, and the CLI checks its list keys with them.
+# Per kind of sweep or study entry: the tests each entry must pass, each with
+# its words. The sweeps check their list arguments with these before any rule
+# is built, and the CLI checks its list keys with them. The sweeps would
+# truncate an M of 2.5 to 2; is_integer() is False for NaN and inf.
 _ENTRY_RULES = {
-    "N": (lambda n: n >= 2 and n % 2 == 0, "even and >= 2"),
-    "M": (lambda m: m >= 1, ">= 1"),
-    "lambda": (lambda lam: lam > -0.5 + LAMBDA_MIN_GUARD,
-               f"> {-0.5 + LAMBDA_MIN_GUARD}"),
+    "N": ((lambda n: n >= 2 and n % 2 == 0, "even and >= 2"),),
+    "M": ((lambda m: m >= 1, ">= 1"),
+          (lambda m: float(m).is_integer(), "a whole number")),
+    "lambda": ((lambda lam: lam > -0.5 + LAMBDA_MIN_GUARD,
+                f"> {-0.5 + LAMBDA_MIN_GUARD}"),),
 }
 
 
-def _bad_entries(kind: str, values) -> list:
-    # The entries of values that fail the rule of their kind, in order.
-    valid = _ENTRY_RULES[kind][0]
-    return [value for value in values if not valid(value)]
+def _bad_entry(kind: str, values):
+    # The first entry of values that fails a test of its kind, with that test
+    # in words; None when every entry passes.
+    for value in values:
+        for valid, words in _ENTRY_RULES[kind]:
+            if not valid(value):
+                return value, words
+    return None
 
 
 def _check_entries(caller: str, name: str, values, kind: str) -> None:
-    bad = _bad_entries(kind, values)
+    bad = _bad_entry(kind, values)
     if bad:
-        raise ValueError(f"{caller}: {name} entry {bad[0]!r} is not "
-                         f"{_ENTRY_RULES[kind][1]}")
+        raise ValueError(f"{caller}: {name} entry {bad[0]!r} is not {bad[1]}")
 
 
 def _field_errors(problem: ADProblem, numeric: np.ndarray, t_final: float):
@@ -140,8 +145,8 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
     takes one synthesis over the rows of all M and one sample of
     problem.exact. Rows are ordered N outer, M inner, and the log-error
     slope of each N is fitted over its M. A problem without an exact
-    solution, a t_final <= 0, an N that is not even and >= 2 or an M < 1 is
-    refused before any solve.
+    solution, a t_final <= 0, an N that is not even and >= 2 or an M that
+    is not a whole number >= 1 is refused before any solve.
     """
     if not len(N_range) or not len(M_range):
         raise ValueError("N_range and M_range must be nonempty")
@@ -248,8 +253,8 @@ def conditioning_study(problem: ADProblem, config: SolverConfig,
     mu, nu are not both zero), ``sigma_min_monotone_negative_lam`` (smallest
     singular value of Q shrinks as lam decreases below 0, per M), and
     ``fundamental_max_cond`` (largest observed cond at n = 1). A lambda at
-    or below -1/2 + LAMBDA_MIN_GUARD, or an M < 1, is refused before any
-    rule is built.
+    or below -1/2 + LAMBDA_MIN_GUARD, or an M that is not a whole number
+    >= 1, is refused before any rule is built.
     """
     if not len(lambda_list) or not len(M_list):
         raise ValueError("lambda_list and M_list must be nonempty")

@@ -12,8 +12,10 @@ most ``BLOCK_CELLS`` fields. A block is a byte array with one fixed cell per
 field; ``_g17_cells`` fills the cells of many float64 values at once with
 their exact "%.17g" bytes, and the NUL bytes left between them are dropped
 when the block is written. The repeated x, t, t_node, k and l values are
-formatted once and copied into every row that holds them, and a row of mode
--n takes the cells of mode n, its exact conjugate, with the sign of the
+formatted once and copied into every row that holds them. ``solve`` and
+``sa`` share the field writer, which calls ``solver.evaluate_u``/``ux`` on
+either kind of solution. ``coefficients.csv`` takes modes 0 .. N/2; the row
+of mode -n, their conjugate, takes mode n's cells with the sign of the
 imaginary part toggled.
 """
 
@@ -21,20 +23,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import (_ENTRY_RULES, _bad_entries, _check_error_inputs,
+from .analysis import (_bad_entry, _check_error_inputs,
                        _report_from_field, bench_solve, conditioning_study,
                        convergence_sweep)
-from .fourier import FourierGrid, synthesize_derivative, synthesize_field
 from .gegenbauer import reference_rule, time_grid
 from .problems import ConfigError, _finite, _get, config_from_pairs, \
     parse_config_pairs
-from .semianalytic import sa_coefficient_table, sa_field
-from .solver import _coefficient_table, solve_modes
+from .semianalytic import sa_field
+from .solver import evaluate_u, evaluate_ux, solve_modes
 
 INT, FLOAT = "%d", "%.17g"
 
@@ -297,7 +298,7 @@ def _parse_int_list(text: str, key: str) -> list[int]:
         raise ConfigError(f"invalid value for key '{key}': {text!r}") from exc
 
 
-# Per list key: its parser and the kind of its entries, whose rule
+# Per list key: its parser and the kind of its entries, whose rules
 # analysis._ENTRY_RULES holds. The lists are checked before any rule is
 # built, so a bad entry is reported with its key rather than by the solver
 # stage that refuses it.
@@ -314,24 +315,20 @@ def _list_value(pairs: dict, key: str, default) -> list:
     parse, kind = _LIST_KEYS[key]
     text = pairs.get(key, str(default))
     values = parse(text, key)
-    bad = _bad_entries(kind, values)
+    bad = _bad_entry(kind, values)
     if bad:
         raise ConfigError(f"invalid value for key '{key}': "
-                          f"{bad[0]!r} in {text!r} is not {_ENTRY_RULES[kind][1]}")
+                          f"{bad[0]!r} in {text!r} is not {bad[1]}")
     return values
 
 
-def _write_fields(out: Path, problem, config, nodes, table_at) -> None:
-    # solution.csv on the time nodes plus T, from the (times, N + 1)
-    # coefficient table that table_at(times) returns, and report.csv at T
-    # when the problem has an exact solution. The table is dropped once u
-    # and ux are formed, so it is not held while the CSV text is.
-    grid = FourierGrid(L=problem.L, N=config.N)
-    times = np.append(nodes, problem.T)
-    coeffs = table_at(times)
-    u = synthesize_field(coeffs, grid, [float(problem.g(float(t))) for t in times])
-    ux = synthesize_derivative(coeffs, grid)
-    del coeffs
+def _write_fields(out: Path, problem, config, sol) -> None:
+    # solution.csv on the (lambda, M) time nodes plus T, from either kind of
+    # solution sol, and report.csv at T when the problem has an exact solution.
+    grid = sol.grid
+    times = np.append(time_grid(reference_rule(config.lam, config.M)[0],
+                                problem.T).nodes, problem.T)
+    u, ux = evaluate_u(sol, grid, times), evaluate_ux(sol, grid, times)
     columns, header = [u, ux], ["x", "t", "u", "ux"]
     if problem.exact is not None:
         exact = np.array([problem.exact(grid.nodes, t) for t in times],
@@ -363,20 +360,11 @@ def _write_fields(out: Path, problem, config, nodes, table_at) -> None:
 
 
 def _write_coefficients(path: Path, table, nodes) -> None:
-    # coefficients.csv from the (M + 1, N + 1) nodal table of modes
-    # -N/2 .. N/2: rows k = -N/2 .. N/2, then l = 0 .. M. Only modes
-    # 0 .. N/2 are formatted; the row of mode -n takes the cells of mode n
-    # with the sign of the imaginary part toggled. That is exact only when
-    # mode -n is conj(mode n) bit for bit, so check it first: == fails on
-    # NaN, and the sign bits tell -0.0 from 0.0, whose texts differ.
-    half = table.shape[1] // 2
-    neg, pos = table[:, :half], np.conj(table[:, :half:-1])
-    if not (np.array_equal(neg, pos)
-            and np.array_equal(np.signbit([neg.real, neg.imag]),
-                               np.signbit([pos.real, pos.imag]))):
-        raise ValueError("coefficient table is not conjugate symmetric")
-    upper = table[:, half:].T
-    psi_cells = _g17_cells(np.stack([upper.real, upper.imag], axis=-1))
+    # coefficients.csv from the (M + 1, N/2 + 1) nodal table of modes 0 .. N/2:
+    # rows k = -N/2 .. N/2, then l = 0 .. M. Mode -n, the conjugate of mode n,
+    # takes mode n's cells with the sign of the imaginary part toggled.
+    half = table.shape[1] - 1
+    psi_cells = _g17_cells(np.stack([table.real.T, table.imag.T], axis=-1))
     # k and l as floats: their "%.17g" text is their "%d" text.
     k_cells = _g17_cells(np.arange(-half, half + 1, dtype=float))
     l_cells = _g17_cells(np.arange(len(nodes), dtype=float))
@@ -398,18 +386,14 @@ def _write_coefficients(path: Path, table, nodes) -> None:
 def cmd_solve(pairs: dict, out: Path) -> None:
     problem, config = config_from_pairs(pairs)
     sol = solve_modes(problem, config)
-    _write_fields(out, problem, config, sol.time_grid.nodes,
-                  partial(_coefficient_table, sol))
-    _write_coefficients(out / "coefficients.csv", sol.table,
+    _write_fields(out, problem, config, sol)
+    _write_coefficients(out / "coefficients.csv", sol.table[:, config.N // 2:],
                         sol.time_grid.nodes)
 
 
 def cmd_sa(pairs: dict, out: Path) -> None:
     problem, config = config_from_pairs(pairs)
-    field = sa_field(problem, config.N, config.N0)
-    nodes = time_grid(reference_rule(config.lam, config.M)[0], problem.T).nodes
-    _write_fields(out, problem, config, nodes,
-                  partial(sa_coefficient_table, field))
+    _write_fields(out, problem, config, sa_field(problem, config.N, config.N0))
 
 
 def cmd_convergence(pairs: dict, out: Path) -> None:

@@ -46,8 +46,8 @@ class ADProblem:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite; got {value}")
-        if self.mu < 0 or self.nu < 0:
-            raise ValueError("mu and nu must be nonnegative")
+        if self.nu < 0:
+            raise ValueError(f"nu must be nonnegative; got {self.nu}")
         if not self.L > 0:
             raise ValueError(f"L must be positive; got {self.L}")
         if not self.T > 0:

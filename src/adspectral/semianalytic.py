@@ -1,9 +1,10 @@
 """Closed-form mode coefficients and direct field evaluation, no linear solves.
 
 Differentiating each mode's Volterra equation gives a scalar ODE whose
-solution is psi_n(t) = u0_hat_n exp(-alpha_n t); the field is summed from
-the table that ``fourier.complete_half_spectrum`` completes from modes
-1 .. N/2, without ever forming a collocation system.
+solution is psi_n(t) = u0_hat_n exp(-alpha_n t). ``SAField`` has the
+``grid`` and ``coefficients(times)`` of ``solver.SpectralSolution``, so the
+solver's grid evaluation serves both; ``sa_evaluate_u``/``ux`` sum the
+series directly at any x. No collocation system is ever formed.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import InitialSpectrum, complete_half_spectrum
+from .fourier import FourierGrid, InitialSpectrum, complete_half_spectrum
 from .problems import ADProblem
-from .solver import _initial_spectrum, _times_in_horizon, mode_rate
+from .solver import _initial_spectrum, _times_in_horizon, coefficients_at, \
+    mode_rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,12 +28,28 @@ class SAField:
     N: int
 
     def __post_init__(self):
-        if self.N < 2 or self.N % 2:
-            raise ValueError(f"N must be even and >= 2; got {self.N}")
+        self.grid  # FourierGrid refuses an odd N or N < 2
         if self.N > self.spectrum.N0 - 2:
             raise ValueError(
                 f"N must be <= N0 - 2 = {self.spectrum.N0 - 2}; got {self.N}"
             )
+
+    @property
+    def grid(self) -> FourierGrid:
+        return FourierGrid(L=self.problem.L, N=self.N)
+
+    def coefficients(self, times) -> np.ndarray:
+        """Modes -N/2 .. N/2 at each time in [0, T], shape (len(times), N + 1).
+
+        u0_hat_n exp(-alpha_n t) for n = 1 .. N/2 in one broadcast product,
+        completed by conjugation and the zero-sum constraint, in the layout
+        of ``SpectralSolution.table``.
+        """
+        times = _times_in_horizon(times, self.problem.T)
+        half = self.N // 2
+        rates = mode_rate(self.problem, np.arange(1, half + 1))
+        c0 = self.spectrum.values[1:half + 1]
+        return complete_half_spectrum(c0 * np.exp(-np.multiply.outer(times, rates)))
 
 
 def sa_field(problem: ADProblem, N: int, N0: int = 0) -> SAField:
@@ -50,24 +68,9 @@ def sa_coefficient(field: SAField, n: int, t: float) -> complex:
     return field.spectrum.mode(n) * np.exp(-mode_rate(field.problem, n) * t)
 
 
-def sa_coefficient_table(field: SAField, times) -> np.ndarray:
-    """Modes -N/2 .. N/2 at each time, shape (len(times), N + 1).
-
-    u0_hat_n exp(-alpha_n t) for n = 1 .. N/2 in one broadcast product,
-    completed by conjugation and the zero-sum constraint, in the layout of
-    ``SpectralSolution.table``.
-    """
-    times = _times_in_horizon(times, field.problem.T)
-    half = field.N // 2
-    rates = mode_rate(field.problem, np.arange(1, half + 1))
-    c0 = field.spectrum.values[1:half + 1]
-    return complete_half_spectrum(c0 * np.exp(-np.multiply.outer(times, rates)))
-
-
 def sa_coefficient_map(field: SAField, t: float) -> dict:
     """All modes |k| <= N/2 at time t, completed by conjugation and zero sum."""
-    half = field.N // 2
-    return dict(zip(range(-half, half + 1), sa_coefficient_table(field, [t])[0]))
+    return coefficients_at(field, t)
 
 
 def _dense_terms(field: SAField, x, t):
@@ -75,8 +78,8 @@ def _dense_terms(field: SAField, x, t):
     # x along the leading axes. Callers sum them with numpy's pairwise sum:
     # a BLAS product accumulates one running total, 1.4e-15 off at N = 1024.
     half = field.N // 2
-    om = 2.0 * np.pi * np.arange(-half, half + 1) / field.problem.L
-    c = sa_coefficient_table(field, [t])[0]
+    om = field.grid.wavenumbers(np.arange(-half, half + 1))
+    c = field.coefficients([t])[0]
     return om, c * np.exp(1j * np.multiply.outer(np.asarray(x), om))
 
 

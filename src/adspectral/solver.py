@@ -12,7 +12,9 @@ Schur form Q = U R U^H, cached with the rule, turns all N/2 systems into
 one back-substitution (I + alpha_n (T/2) R) y_n = U^H ones along the mode
 axis (the many-shifts method of Laub, IEEE TAC 26, 1981). One step of
 iterative refinement against TQ follows, and each mode is refused when its
-eigenvalues or its refined residual show it numerically singular.
+eigenvalues or its refined residual show it numerically singular. Field
+evaluation takes this solution or a ``semianalytic.SAField``: both have a
+``grid`` and ``coefficients(times)``.
 """
 
 from __future__ import annotations
@@ -68,6 +70,16 @@ class SpectralSolution:
     @property
     def grid(self) -> FourierGrid:
         return FourierGrid(L=self.problem.L, N=self.config.N)
+
+    def coefficients(self, times) -> np.ndarray:
+        """Modes -N/2 .. N/2 at times in [0, T], shape (len(times), N + 1).
+
+        One product of real Lagrange rows in s = 2 t / T - 1 with the table:
+        conjugate symmetry and the nodal values at the nodes are kept exactly.
+        """
+        T = self.problem.T
+        times = _times_in_horizon(times, T)
+        return _lagrange_matrix(self.basis, 2.0 * times / T - 1.0) @ self.table
 
 
 def mode_rate(problem: ADProblem, n):
@@ -219,45 +231,35 @@ def _times_in_horizon(times, T: float) -> np.ndarray:
     return times
 
 
-def _coefficient_table(sol: SpectralSolution, times) -> np.ndarray:
-    # Coefficients of modes -N/2 .. N/2 at each time, shape (len(times), N + 1),
-    # from one product of Lagrange rows and the nodal table. The map
-    # s = 2 t / T - 1 reuses the reference-interval barycentric weights; the
-    # rows are real, so conjugate symmetry is preserved exactly, and a time
-    # on a node takes the nodal values exactly.
-    T = sol.problem.T
-    times = _times_in_horizon(times, T)
-    return _lagrange_matrix(sol.basis, 2.0 * times / T - 1.0) @ sol.table
+def coefficients_at(sol, t: float) -> dict:
+    """Map each mode k = -N/2 .. N/2 to its coefficient at time t in [0, T]."""
+    half = sol.grid.N // 2
+    row = sol.coefficients([t])[0]
+    return {k: complex(c) for k, c in zip(range(-half, half + 1), row)}
 
 
-def coefficients_at(sol: SpectralSolution, t: float) -> dict:
-    """Interpolate every mode's nodal coefficients to time t in [0, T]."""
-    row = _coefficient_table(sol, [t])[0]
-    return {k: complex(c) for k, c in zip(sorted(sol.psi), row)}
-
-
-def _check_grid(sol: SpectralSolution, x_grid: FourierGrid) -> None:
+def _check_grid(sol, x_grid: FourierGrid) -> None:
     if x_grid != sol.grid:
         raise ValueError(f"{x_grid} does not match the solution's {sol.grid}")
 
 
-def evaluate_u(sol: SpectralSolution, x_grid: FourierGrid, t) -> np.ndarray:
-    """Solution values at the grid nodes and time t.
+def evaluate_u(sol, x_grid: FourierGrid, t) -> np.ndarray:
+    """Solution values at the grid nodes and time t, for either kind of sol.
 
     A scalar t gives shape (N,); a 1-D array of times gives one row per
-    time, shape (len(t), N), from one interpolation and one synthesis.
+    time, shape (len(t), N), from one coefficient table and one synthesis.
     Any ``x_grid`` other than ``sol.grid`` raises ValueError.
     """
     _check_grid(sol, x_grid)
     times = np.atleast_1d(np.asarray(t, dtype=float))
     g = [float(sol.problem.g(float(tk))) for tk in times]
-    u = synthesize_field(_coefficient_table(sol, times), x_grid, g)
+    u = synthesize_field(sol.coefficients(times), x_grid, g)
     return u[0] if np.ndim(t) == 0 else u
 
 
-def evaluate_ux(sol: SpectralSolution, x_grid: FourierGrid, t) -> np.ndarray:
+def evaluate_ux(sol, x_grid: FourierGrid, t) -> np.ndarray:
     """Spatial-derivative values at the grid nodes and time t (scalar or 1-D)."""
     _check_grid(sol, x_grid)
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    ux = synthesize_derivative(_coefficient_table(sol, times), x_grid)
+    ux = synthesize_derivative(sol.coefficients(times), x_grid)
     return ux[0] if np.ndim(t) == 0 else ux

@@ -145,7 +145,9 @@ class TestConvergenceSweep:
     @pytest.mark.parametrize("N_range,M_range,message", [
         ([4, 5], [4], "N_range entry 5 is not even and >= 2"),
         ([4], [4, 0], "M_range entry 0 is not >= 1"),
-    ], ids=["N_range", "M_range"])
+        ([4], [4, 2.5], "M_range entry 2.5 is not a whole number"),
+        ([4], [3.7], "M_range entry 3.7 is not a whole number"),
+    ], ids=["N_range", "M_range", "M_range-2.5", "M_range-3.7"])
     def test_bad_entry_names_the_argument(self, no_rule_builds, N_range,
                                           M_range, message):
         with pytest.raises(ValueError, match=f"^convergence_sweep: {message}$"):
@@ -483,7 +485,10 @@ class TestConditioning:
         ([-0.4, -0.7], [4], "lambda_list entry -0.7 is not > -0.499999"),
         ([float("nan")], [4], "lambda_list entry nan is not > -0.499999"),
         ([-0.4], [4, 0], "M_list entry 0 is not >= 1"),
-    ], ids=["lambda_list", "lambda_list-nan", "M_list"])
+        ([-0.4], [2.5], "M_list entry 2.5 is not a whole number"),
+        ([-0.4], [4, 3.7], "M_list entry 3.7 is not a whole number"),
+    ], ids=["lambda_list", "lambda_list-nan", "M_list", "M_list-2.5",
+            "M_list-3.7"])
     def test_bad_entry_names_the_argument(self, no_rule_builds, lambda_list,
                                           M_list, message):
         with pytest.raises(ValueError, match=f"^conditioning_study: {message}$"):

@@ -200,6 +200,12 @@ M = 4
             -np.exp(-np.pi ** 2 * 0.1) * np.sin(np.pi * 0.1), rel=1e-15)
         assert config.N == 50
 
+    def test_negative_nu_refused_by_name(self):
+        pairs = {"mu": "0.5", "nu": "-0.1", "L": "2", "T": "1",
+                 "u0": "first_harmonic", "N": "8", "M": "4"}
+        with pytest.raises(ConfigError, match=r"nu must be nonnegative; got -0\.1"):
+            config_from_pairs(pairs)
+
     def test_custom_problem_unknown_sampler(self, tmp_path):
         path = self._write(tmp_path,
                            "mu = 1\nnu = 1\nL = 2\nT = 1\nu0 = bump\nN = 4\nM = 4\n")

@@ -8,10 +8,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from adspectral import (ADProblem, FourierGrid, SAField, SolverConfig,
-                        dft_coefficients, evaluate_u, mode_rate,
-                        sa_coefficient, sa_coefficient_map, sa_evaluate_u,
-                        sa_evaluate_ux, sa_field, solve_modes, synthesize_field)
-from adspectral.semianalytic import sa_coefficient_table
+                        coefficients_at, dft_coefficients, evaluate_u,
+                        evaluate_ux, mode_rate, sa_coefficient,
+                        sa_coefficient_map, sa_evaluate_u, sa_evaluate_ux,
+                        sa_field, solve_modes, synthesize_field)
 from adspectral import test_problem as builtin_problem
 
 
@@ -100,7 +100,7 @@ class TestSaCoefficientTable:
         problem = builtin_problem(3)
         field = sa_field(problem, 16, 18)
         times = np.linspace(0.0, problem.T, 5)
-        table = sa_coefficient_table(field, times)
+        table = field.coefficients(times)
         assert table.shape == (5, 17)
         for t, row in zip(times, table):
             pos = np.array([sa_coefficient(field, n, float(t)) for n in range(1, 9)])
@@ -111,7 +111,7 @@ class TestSaCoefficientTable:
     def test_time_outside_horizon_rejected(self):
         field = sa_field(builtin_problem(1), 4, 6)
         with pytest.raises(ValueError, match="t must lie"):
-            sa_coefficient_table(field, [0.1, 0.25])
+            field.coefficients([0.1, 0.25])
         for evaluate in (sa_evaluate_u, sa_evaluate_ux):
             with pytest.raises(ValueError, match="t must lie"):
                 evaluate(field, 0.5, 0.25)
@@ -123,8 +123,33 @@ class TestSaCoefficientTable:
         config = SolverConfig(N=16, M=12, N0=18, lam=-0.4)
         sol = solve_modes(problem, config)
         field = sa_field(problem, config.N, config.N0)
-        closed = sa_coefficient_table(field, sol.time_grid.nodes)
+        closed = field.coefficients(sol.time_grid.nodes)
         assert np.max(np.abs(sol.table - closed)) <= 1e-11
+
+
+class TestSharedInterface:
+    # The solver's grid evaluation takes an SAField as it takes a
+    # SpectralSolution, through the same grid and coefficients members.
+    @pytest.mark.parametrize("pid", [1, 2, 3])
+    def test_grid_evaluation_matches_direct_sums(self, pid):
+        problem = builtin_problem(pid)
+        field = sa_field(problem, 64)
+        times = np.linspace(0.0, problem.T, 5)
+        u = evaluate_u(field, field.grid, times)
+        ux = evaluate_ux(field, field.grid, times)
+        for t, u_row, ux_row in zip(times, u, ux):
+            assert_allclose(u_row, sa_evaluate_u(field, field.grid.nodes, t),
+                            rtol=0, atol=1e-14)
+            assert_allclose(ux_row, sa_evaluate_ux(field, field.grid.nodes, t),
+                            rtol=0, atol=1e-14)
+            assert coefficients_at(field, t) == sa_coefficient_map(field, t)
+
+    @pytest.mark.parametrize("evaluate", [evaluate_u, evaluate_ux])
+    def test_foreign_grid_refused(self, evaluate):
+        field = sa_field(builtin_problem(1), 8)
+        with pytest.raises(ValueError, match=r"FourierGrid\(L=4.0, N=8\).*"
+                                             r"FourierGrid\(L=2.0, N=8\)"):
+            evaluate(field, FourierGrid(L=4.0, N=8), 0.1)
 
 
 class TestSaEvaluation:

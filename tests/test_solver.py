@@ -15,8 +15,8 @@ from adspectral import test_problem as builtin_problem
 from adspectral import solver
 from adspectral.gegenbauer import build_basis, build_integration_matrix, \
     reference_rule, shift_integration_matrix, time_grid
-from adspectral.solver import PIVOT_RTOL, _coefficient_table, _prepare, \
-    _unit_solutions
+from adspectral.problems import config_from_pairs
+from adspectral.solver import PIVOT_RTOL, _prepare, _unit_solutions
 
 
 def _degenerate_problem(u0=None, g=None):
@@ -435,7 +435,7 @@ class TestBatchedEvaluation:
         ks = sorted(sol.psi)
         nodes = sol.time_grid.nodes
         off_node = np.linspace(0.0, problem.T, 7)
-        table = _coefficient_table(sol, np.concatenate([nodes, off_node]))
+        table = sol.coefficients(np.concatenate([nodes, off_node]))
         for l, row in enumerate(table[:len(nodes)]):
             assert np.array_equal(row, [sol.psi[k][l] for k in ks])
         for t, row in zip(off_node, table[len(nodes):]):
@@ -471,6 +471,26 @@ class TestBatchedEvaluation:
         ux = evaluate_ux(sol, grid, times)
         exact = np.array([problem.exact_dx(grid.nodes, t) for t in times])
         assert np.max(np.abs(ux - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["collocation", "closed_form"])
+def test_left_moving_advection_matches_exact(kind):
+    # mu < 0 carries the harmonic to the left: with L = 2,
+    # u = e^{-nu pi^2 t} sin(pi (x - mu t)).
+    mu, nu, T = -0.5, 0.1, 1.0
+    problem, config = config_from_pairs(
+        {"mu": str(mu), "nu": str(nu), "L": "2", "T": str(T),
+         "u0": "first_harmonic", "N": "16", "M": "24"})
+    sol = (solve_modes(problem, config) if kind == "collocation"
+           else sa_field(problem, config.N, config.N0))
+    grid = sol.grid
+    times = np.append(time_grid(build_basis(config.lam, config.M), T).nodes, T)
+    phase = np.pi * (grid.nodes - mu * times[:, None])
+    decay = np.exp(-nu * np.pi ** 2 * times)[:, None]
+    assert np.max(np.abs(evaluate_u(sol, grid, times)
+                         - decay * np.sin(phase))) <= 1e-13
+    assert np.max(np.abs(evaluate_ux(sol, grid, times)
+                         - np.pi * decay * np.cos(phase))) <= 1e-12
 
 
 class TestValueObjects:

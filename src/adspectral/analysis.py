@@ -243,6 +243,41 @@ def singular_values(matrix) -> np.ndarray:
     return jacobi_svd(a)
 
 
+# Largest a-priori relative error bound on sigma_min, (m eps sigma_max /
+# sigma_min), under which a complex member of a conditioning stack keeps its
+# numpy.linalg.svd values.
+_GESDD_RTOL = 1e-13
+
+
+def _study_values(stack: np.ndarray) -> np.ndarray:
+    # Singular values of each square member of a finite stack, descending.
+    # A complex member with a nonzero imaginary part first takes
+    # numpy.linalg.svd (LAPACK gesdd). It is backward stable, so each value
+    # is off by at most about m eps sigma_max; the values are kept when that
+    # bound, relative to sigma_min, is below _GESDD_RTOL. Every other member,
+    # real ones and those whose bound is NaN or too large included, goes
+    # through one jacobi_svd call.
+    m = stack.shape[-1]
+    sing = np.empty(stack.shape[:-1])
+    fallback = np.ones(len(stack), dtype=bool)
+    if np.iscomplexobj(stack):
+        tried = np.flatnonzero(stack.imag.any(axis=(-2, -1)))
+        if tried.size:
+            try:
+                s = np.linalg.svd(stack[tried], compute_uv=False)
+            except np.linalg.LinAlgError:  # no convergence: all fall back
+                s = np.full((tried.size, m), np.nan)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bound = m * np.finfo(float).eps * s[:, 0] / s[:, -1]
+            certified = bound < _GESDD_RTOL
+            kept = tried[certified]
+            sing[kept] = s[certified]
+            fallback[kept] = False
+    if fallback.any():
+        sing[fallback] = jacobi_svd(stack[fallback])
+    return sing
+
+
 def conditioning_study(problem: ADProblem, config: SolverConfig,
                        lambda_list: Sequence[float],
                        M_list: Sequence[int]):
@@ -255,6 +290,16 @@ def conditioning_study(problem: ADProblem, config: SolverConfig,
     ``fundamental_max_cond`` (largest observed cond at n = 1). A lambda at
     or below -1/2 + LAMBDA_MIN_GUARD, or an M that is not a whole number
     >= 1, is refused before any rule is built.
+
+    Each (lambda, M) cell stacks TQ and the A matrices. A whose rate alpha_n
+    is complex takes the values of numpy.linalg.svd (LAPACK gesdd) when they
+    are certified: the a-priori relative error bound on sigma_min,
+    (M + 1) eps sigma_max / sigma_min, is below 1e-13. Every other member
+    keeps the relative accuracy of jacobi_svd, in one call per cell: TQ,
+    whose sigma_min falls to about 1e-6 as lambda nears -1/2, every A with a
+    real rate, and every A that fails the certificate. A cell with a member
+    that overflows (|alpha_n| T or max |Q| T too large) is refused before
+    its SVD, with the member named.
     """
     if not len(lambda_list) or not len(M_list):
         raise ValueError("lambda_list and M_list must be nonempty")
@@ -273,11 +318,24 @@ def conditioning_study(problem: ADProblem, config: SolverConfig,
 
     for lam in lams:
         for M in Ms:
-            tq = shift_integration_matrix(reference_rule(lam, M)[1], problem.T)
-            # one complex stack per cell: TQ, then A at each sampled mode
-            sing = singular_values(np.concatenate(
-                [tq.entries[None],
-                 np.eye(M + 1) + rates[:, None, None] * tq.entries]))
+            q = reference_rule(lam, M)[1]
+            # One stack per cell: TQ, then A at each sampled mode. An entry
+            # that overflows (inf times a zero part gives NaN) is refused
+            # below, before any SVD.
+            with np.errstate(over="ignore", invalid="ignore"):
+                tq = shift_integration_matrix(q, problem.T).entries
+                stack = np.concatenate(
+                    [tq[None], np.eye(M + 1) + rates[:, None, None] * tq])
+            bad = np.flatnonzero(~np.isfinite(stack).all(axis=(-2, -1)))
+            if bad.size:
+                i = int(bad[0])
+                scale = (f"|alpha_n| T = {abs(rates[i - 1]):.6g} * " if i
+                         else f"max |Q| T = {np.abs(q.entries).max():.6g} * ")
+                raise ValueError(
+                    f"conditioning_study: {'A' if i else 'TQ'} at n = "
+                    f"{[0, *modes][i]}, lambda = {lam}, M = {M} is not finite: "
+                    f"{scale}{problem.T:.6g} overflows")
+            sing = _study_values(stack)
             conds = {}
             for n, s in zip([0, *modes], sing):
                 smax, smin = float(s[0]), float(s[-1])

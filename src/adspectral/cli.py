@@ -12,11 +12,13 @@ most ``BLOCK_CELLS`` fields. A block is a byte array with one fixed cell per
 field; ``_g17_cells`` fills the cells of many float64 values at once with
 their exact "%.17g" bytes, and the NUL bytes left between them are dropped
 when the block is written. The repeated x, t, t_node, k and l values are
-formatted once and copied into every row that holds them. ``solve`` and
-``sa`` share the field writer, which calls ``solver.evaluate_u``/``ux`` on
-either kind of solution. ``coefficients.csv`` takes modes 0 .. N/2; the row
-of mode -n, their conjugate, takes mode n's cells with the sign of the
-imaginary part toggled.
+formatted once, each left-packed into a cell as wide as its column's
+longest text plus the separator, and copied into every row that holds
+them. ``solve`` and ``sa`` share the field writer, which calls
+``solver.evaluate_u``/``ux`` on either kind of solution.
+``coefficients.csv`` takes modes 0 .. N/2; the row of mode -n, their
+conjugate, takes mode n's cells with the sign of the imaginary part
+toggled.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .gegenbauer import reference_rule, time_grid
 from .problems import ConfigError, _finite, _get, config_from_pairs, \
     parse_config_pairs
 from .semianalytic import sa_field
-from .solver import evaluate_u, evaluate_ux, solve_modes
+from .solver import ModeSolveError, evaluate_u, evaluate_ux, solve_modes
 
 INT, FLOAT = "%d", "%.17g"
 
@@ -62,12 +64,14 @@ def _write_table(path: Path, header, formats, rows) -> None:
     _write_text(path, header, (",".join(formats) + "\n") * len(rows), values)
 
 
-# Every field of solution.csv and coefficients.csv is one cell of CELL_BYTES
-# byte slots: the "%.17g" text of its value, NUL where the text has no byte,
-# and the separator that ends the field. Slot 0 holds the sign; slots 1-5 the
-# "0." and up to three zeros that lead a fixed-notation value below 1; slot
-# 7 + j digit j of the 17 significant digits, with the point and every digit
-# after it one slot later; slots 25-29 the exponent; slot 31 the separator.
+# Every field of solution.csv and coefficients.csv is one cell: the "%.17g"
+# text of its value, NUL where the text has no byte, and a last slot for the
+# separator that ends the field. A formatted value takes CELL_BYTES byte
+# slots, which _packed narrows for a repeated column. Slot 0 holds the
+# sign; slots 1-5 the "0." and up to three zeros that lead a fixed-notation
+# value below 1; slot 7 + j digit j of the 17 significant digits, with the
+# point and every digit after it one slot later; slots 25-29 the exponent;
+# slot 31 the separator.
 # Slots 6 and 30 stay NUL. A cell is four little-endian 64-bit words, so the
 # point goes in by one shift of those words.
 CELL_BYTES = 32
@@ -248,12 +252,24 @@ def _g17_cells(values) -> np.ndarray:
     return cells.reshape(values.shape + (CELL_BYTES,))
 
 
-def _write_cells(handle, cells: np.ndarray) -> None:
-    # Write a (rows, columns, CELL_BYTES) block as CSV lines: a comma after
-    # each field but the last of a row, a newline after that, NULs dropped.
-    cells[:, :-1, -1] = ord(",")
-    cells[:, -1, -1] = ord("\n")
-    handle.write(cells.tobytes().translate(None, b"\0"))
+def _packed(cells: np.ndarray) -> np.ndarray:
+    # The (n, CELL_BYTES) cells of a repeated column with each text moved to
+    # the left of a cell as wide as the longest text plus the separator slot;
+    # NULs fill the rest.
+    text = cells != 0
+    width = int(text.sum(axis=1).max()) + 1
+    order = np.argsort(~text, axis=1, kind="stable")[:, :width]
+    return np.take_along_axis(cells, order, axis=1)
+
+
+def _write_rows(handle, rows: np.ndarray, widths) -> None:
+    # Write a (rows, sum(widths)) block of cells, one field per width, as CSV
+    # lines: a comma in the last slot of each field but the last of a row, a
+    # newline there, NULs dropped.
+    ends = np.cumsum(widths) - 1
+    rows[:, ends[:-1]] = ord(",")
+    rows[:, ends[-1]] = ord("\n")
+    handle.write(rows.tobytes().translate(None, b"\0"))
 
 
 def _ensure_outdir(path: Path) -> None:
@@ -336,20 +352,23 @@ def _write_fields(out: Path, problem, config, sol) -> None:
         columns += [exact, np.abs(u - exact)]
         header += ["u_exact", "abs_err"]
     # Rows run x fastest within each time; the N x cells and the t cell of
-    # each time are formatted once.
-    x_cells, t_cells = _g17_cells(grid.nodes), _g17_cells(times)
-    width = 2 + len(columns)
-    rows_per_block = max(1, BLOCK_CELLS // width)
+    # each time are formatted and packed once.
+    x_cells = _packed(_g17_cells(grid.nodes))
+    t_cells = _packed(_g17_cells(times))
+    widths = [x_cells.shape[1], t_cells.shape[1]] + [CELL_BYTES] * len(columns)
+    x_end, lead = np.cumsum(widths[:2])
+    rows_per_block = max(1, BLOCK_CELLS // len(widths))
     with open(out / "solution.csv", "wb") as handle:
         handle.write((",".join(header) + "\n").encode())
         for start in range(0, u.size, rows_per_block):
             block = np.arange(start, min(start + rows_per_block, u.size))
-            cells = np.empty((block.size, width, CELL_BYTES), np.uint8)
-            cells[:, 0] = x_cells.take(block % config.N, axis=0)
-            cells[:, 1] = t_cells.take(block // config.N, axis=0)
-            cells[:, 2:] = _g17_cells(np.stack(
-                [column.reshape(-1)[block] for column in columns], axis=-1))
-            _write_cells(handle, cells)
+            rows = np.empty((block.size, sum(widths)), np.uint8)
+            rows[:, :x_end] = x_cells.take(block % config.N, axis=0)
+            rows[:, x_end:lead] = t_cells.take(block // config.N, axis=0)
+            rows[:, lead:] = _g17_cells(np.stack(
+                [column.reshape(-1)[block] for column in columns], axis=-1)
+            ).reshape(block.size, -1)
+            _write_rows(handle, rows, widths)
 
     if problem.exact is not None:
         report = _report_from_field(problem, config, u[-1], problem.T)
@@ -364,23 +383,27 @@ def _write_coefficients(path: Path, table, nodes) -> None:
     # rows k = -N/2 .. N/2, then l = 0 .. M. Mode -n, the conjugate of mode n,
     # takes mode n's cells with the sign of the imaginary part toggled.
     half = table.shape[1] - 1
-    psi_cells = _g17_cells(np.stack([table.real.T, table.imag.T], axis=-1))
+    psi_cells = _g17_cells(np.stack([table.real.T, table.imag.T], axis=-1)
+                           ).reshape(half + 1, len(nodes), 2 * CELL_BYTES)
     # k and l as floats: their "%.17g" text is their "%d" text.
-    k_cells = _g17_cells(np.arange(-half, half + 1, dtype=float))
-    l_cells = _g17_cells(np.arange(len(nodes), dtype=float))
-    t_cells = _g17_cells(nodes)
+    k_cells = _packed(_g17_cells(np.arange(-half, half + 1, dtype=float)))
+    l_cells = _packed(_g17_cells(np.arange(len(nodes), dtype=float)))
+    t_cells = _packed(_g17_cells(nodes))
+    widths = [k_cells.shape[1], l_cells.shape[1], t_cells.shape[1],
+              CELL_BYTES, CELL_BYTES]
+    k_end, l_end, lead = np.cumsum(widths[:3])
     modes_per_block = max(1, BLOCK_CELLS // (5 * len(nodes)))
     with open(path, "wb") as handle:
         handle.write(b"k,l,t_node,re_psi,im_psi\n")
         for start in range(-half, half + 1, modes_per_block):
             ks = np.arange(start, min(start + modes_per_block, half + 1))
-            cells = np.empty((ks.size, len(nodes), 5, CELL_BYTES), np.uint8)
-            cells[:, :, 0] = k_cells[ks + half, None]
-            cells[:, :, 1] = l_cells
-            cells[:, :, 2] = t_cells
-            cells[:, :, 3:] = psi_cells[np.abs(ks)]
-            cells[ks < 0, :, 4, 0] ^= _MINUS
-            _write_cells(handle, cells.reshape(-1, 5, CELL_BYTES))
+            rows = np.empty((ks.size, len(nodes), sum(widths)), np.uint8)
+            rows[:, :, :k_end] = k_cells[ks + half, None]
+            rows[:, :, k_end:l_end] = l_cells
+            rows[:, :, l_end:lead] = t_cells
+            rows[:, :, lead:] = psi_cells[np.abs(ks)]
+            rows[ks < 0, :, lead + CELL_BYTES] ^= _MINUS
+            _write_rows(handle, rows.reshape(-1, sum(widths)), widths)
 
 
 def cmd_solve(pairs: dict, out: Path) -> None:
@@ -467,7 +490,7 @@ def main(argv=None) -> int:
     try:
         _ensure_outdir(out)
         _COMMANDS[args.command](parse_config_pairs(args.config), out)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, ModeSolveError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

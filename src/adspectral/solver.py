@@ -147,10 +147,12 @@ def _unit_solutions(a: np.ndarray, r: np.ndarray, u: np.ndarray,
     # norm = 1 + |alpha_i| ||a||_inf >= ||I + alpha_i a||_inf stands in for
     # the norm in both tests, so that neither needs an (M + 1, len(alpha))
     # temporary: it makes the pivot test stricter, and the residual test,
-    # which divides by it, a little looser.
-    norm = 1.0 + np.abs(alpha) * np.abs(a).sum(axis=1).max()
-    # The diagonal of I + alpha_i r holds the eigenvalues of the mode matrix.
-    y = np.multiply.outer(r.diagonal(), alpha)
+    # which divides by it, a little looser. A norm that overflows reads inf,
+    # and the pivot test then refuses its mode.
+    with np.errstate(over="ignore"):
+        norm = 1.0 + np.abs(alpha) * np.abs(a).sum(axis=1).max()
+        # The diagonal of I + alpha_i r holds the mode matrix's eigenvalues.
+        y = np.multiply.outer(r.diagonal(), alpha)
     y += 1.0
     pivot = np.abs(y).min(axis=0)
     bad = np.flatnonzero(~(pivot >= PIVOT_RTOL * norm))

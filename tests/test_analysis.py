@@ -1,6 +1,8 @@
 """Error metrics, sweeps, the preconditioned Jacobi SVD, and conditioning studies."""
 
 import dataclasses
+import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +32,34 @@ def no_rule_builds(monkeypatch):
 
     monkeypatch.setattr(gegenbauer, "build_basis", unreachable)
     reference_rule.cache_clear()
+
+
+def conditioning_stack(lam, M):
+    """The stack conditioning_study builds on problem 3 at N = 64: TQ, then
+    A at n = 1 and n = 32."""
+    problem = builtin_problem(3)
+    tq = shift_integration_matrix(reference_rule(lam, M)[1], problem.T).entries
+    rates = mode_rate(problem, np.array([1, 32]))
+    return np.concatenate([tq[None] + 0j,
+                           np.eye(M + 1) + rates[:, None, None] * tq])
+
+
+@functools.cache
+def conditioning_stack_reference(lam, M):
+    """conditioning_stack(lam, M) and its singular values from 40-digit
+    mpmath, descending per member.
+
+    Cached, so that the tests of the Jacobi SVD and of the study share one
+    mpmath computation per point.
+    """
+    import mpmath
+
+    stack = conditioning_stack(lam, M)
+    with mpmath.workdps(40):
+        exact = [np.sort([float(v) for v in mpmath.svd_c(
+            mpmath.matrix(member.tolist()), compute_uv=False)])[::-1]
+            for member in stack]
+    return stack, np.array(exact)
 
 
 def per_cell_sweep_rows(problem, N_range, M_range, lam, t_final):
@@ -353,17 +383,9 @@ class TestJacobiSvd:
         # The stack conditioning_study builds on problem 3 at N = 64: TQ, then
         # A at n = 1 and n = 32. A has complex rates, so it goes through the
         # real embedding; sigma_min of TQ is about 1e-6 at lam = -0.45, M = 48.
-        mpmath = pytest.importorskip("mpmath")
-        problem = builtin_problem(3)
-        tq = shift_integration_matrix(reference_rule(lam, M)[1], problem.T).entries
-        rates = mode_rate(problem, np.array([1, 32]))
-        stack = np.concatenate([tq[None] + 0j,
-                                np.eye(M + 1) + rates[:, None, None] * tq])
+        pytest.importorskip("mpmath")
+        stack, exact = conditioning_stack_reference(lam, M)
         got = singular_values(stack)
-        with mpmath.workdps(40):
-            exact = [np.sort([float(v) for v in mpmath.svd_c(
-                mpmath.matrix(member.tolist()), compute_uv=False)])[::-1]
-                for member in stack]
         assert_allclose(got, exact, rtol=1e-13, atol=0.0)
 
     def test_zero_imaginary_part_gives_the_real_values(self):
@@ -494,6 +516,123 @@ class TestConditioning:
         with pytest.raises(ValueError, match=f"^conditioning_study: {message}$"):
             conditioning_study(builtin_problem(1), SolverConfig(N=4, M=4, N0=6),
                                lambda_list, M_list)
+
+
+class TestCertifiedStudyValues:
+    """conditioning_study's rule: gesdd values where certified, else Jacobi."""
+
+    @staticmethod
+    def _count_jacobi_members(monkeypatch):
+        # Members per jacobi_svd call made through the analysis module.
+        counts = []
+
+        def counted(stack):
+            counts.append(len(stack))
+            return jacobi_svd(stack)
+
+        monkeypatch.setattr(analysis, "jacobi_svd", counted)
+        return counts
+
+    def test_ill_conditioned_complex_member_falls_back(self, monkeypatch):
+        # The a-priori bound on sigma_min is about 4 eps 1e10 = 9e-6.
+        counts = self._count_jacobi_members(monkeypatch)
+        a = (1 + 1j) * np.diag([1.0, 1e-10, 0.5, 0.25])
+        well = np.eye(4) + 0.1j * np.ones((4, 4))
+        got = analysis._study_values(np.stack([well, a]))
+        assert counts == [1]
+        assert np.array_equal(got[1], jacobi_svd(a))
+
+    def test_members_of_a_study_stack(self, monkeypatch):
+        # Problem 3 at N = 64, lam = -0.45, M = 48: A at n = 1 is certified
+        # (cond 1.1), A at n = 32 is not (cond about 130), TQ is real.
+        stack = conditioning_stack(-0.45, 48)
+        counts = self._count_jacobi_members(monkeypatch)
+        got = analysis._study_values(stack)
+        assert counts == [2]
+        assert np.array_equal(got[0], jacobi_svd(stack[0].real))
+        assert np.array_equal(got[1], np.linalg.svd(stack[1], compute_uv=False))
+        assert np.array_equal(got[2], jacobi_svd(stack[2]))
+
+    def test_gesdd_failure_falls_back(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        counts = self._count_jacobi_members(monkeypatch)
+        stack = np.eye(6) + 0.1j * np.ones((2, 6, 6))
+        got = analysis._study_values(stack)
+        assert counts == [2]
+        assert np.array_equal(got, jacobi_svd(stack))
+
+    def test_one_jacobi_call_per_cell(self, monkeypatch):
+        counts = self._count_jacobi_members(monkeypatch)
+        conditioning_study(builtin_problem(3), SolverConfig(N=64, M=8, N0=66),
+                           [-0.45, 1.5], [8, 48])
+        assert counts == [2] * 4  # TQ and A at n = 32
+        counts.clear()
+        conditioning_study(builtin_problem(1), SolverConfig(N=4, M=4, N0=6),
+                           [-0.4], [4, 12])
+        assert counts == [3] * 2  # mu = 0: every member is real
+
+    def test_reports_match_jacobi_over_problem_3(self):
+        # Within 1e-13 relative of the all-Jacobi values where gesdd's are
+        # certified; bit-identical to them for TQ and every fallback member.
+        problem = builtin_problem(3)
+        reports, _ = conditioning_study(problem, SolverConfig(N=64, M=8, N0=66),
+                                        [-0.45, 0.2, 1.5], range(8, 49, 8))
+        assert len(reports) == 3 * 6 * 3
+        certified_by_n = {0: set(), 1: set(), 32: set()}
+        for r in reports:
+            tq = shift_integration_matrix(reference_rule(r.lam, r.M)[1],
+                                          problem.T).entries
+            matrix = tq if r.kind == "TQ" else (
+                np.eye(r.M + 1) + mode_rate(problem, r.n) * tq)
+            want = singular_values(matrix)[[0, -1]]
+            got = np.array([r.sigma_max, r.sigma_min])
+            s = np.linalg.svd(matrix, compute_uv=False)
+            certified = (r.kind == "A"
+                         and (r.M + 1) * np.finfo(float).eps * s[0] / s[-1]
+                         < analysis._GESDD_RTOL)
+            certified_by_n[r.n].add(certified)
+            if certified:
+                assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            else:
+                assert np.array_equal(got, want)
+        assert certified_by_n == {0: {False}, 1: {True}, 32: {False}}
+
+    @pytest.mark.parametrize("M", [8, 48])
+    @pytest.mark.parametrize("lam", [-0.45, 0.2, 1.5])
+    def test_reports_against_mpmath(self, lam, M):
+        # The points and mpmath values of the Jacobi SVD's stack test.
+        pytest.importorskip("mpmath")
+        _, exact = conditioning_stack_reference(lam, M)
+        reports, _ = conditioning_study(builtin_problem(3),
+                                        SolverConfig(N=64, M=M, N0=66),
+                                        [lam], [M])
+        assert [(r.kind, r.n) for r in reports] == [("TQ", 0), ("A", 1),
+                                                     ("A", 32)]
+        assert_allclose([[r.sigma_max, r.sigma_min] for r in reports],
+                        exact[:, [0, -1]], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("pid,horizon,lam,M,member,scale", [
+        (3, 1e308, -0.4, 8, "A at n = 32", r"\|alpha_n\| T = 1010.65 \* 1e\+308"),
+        # max |Q| grows with lambda: 4e5 at lambda = 10, M = 64
+        (1, 1e304, 10.0, 64, "TQ at n = 0", r"max \|Q\| T = 405980 \* 1e\+304"),
+    ], ids=["A", "TQ"])
+    def test_overflowing_member_refused_before_any_svd(
+            self, monkeypatch, pid, horizon, lam, M, member, scale):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an SVD ran")
+
+        monkeypatch.setattr(analysis, "_study_values", unreachable)
+        problem = builtin_problem(pid).with_horizon(horizon)
+        message = (f"^conditioning_study: {member}, lambda = {lam}, M = {M} is "
+                   f"not finite: {scale} overflows$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                conditioning_study(problem, SolverConfig(N=64, M=8, N0=66),
+                                   [lam], [M])
 
 
 class TestBench:

@@ -207,6 +207,23 @@ class TestFieldWriters:
         assert path.read_bytes() == reference.read_bytes()
         assert ",-0\n" in path.read_text(encoding="utf-8")
 
+    def test_packed_cells_keep_texts_in_narrow_columns(self):
+        # A repeated column keeps each text, left-packed, in a cell one slot
+        # wider than its longest text; that last slot takes the separator.
+        values = np.array([0.0, -0.0, 5e-324, -1e300, np.pi, -np.inf, 0.25,
+                           12.0, 1e-5])
+        for formatter in (_g17_cells, _percent_cells):
+            cells = formatter(values)
+            packed = cli._packed(cells)
+            longest = max(len(FLOAT % v) for v in values)
+            assert packed.shape == (values.size, longest + 1)
+            assert np.all(packed[:, -1] == 0)
+            lengths = (packed != 0).sum(axis=1)
+            assert all(np.all(row[:n] != 0) for row, n in zip(packed, lengths))
+            lines = packed.copy()
+            lines[:, -1] = ord("\n")
+            assert lines[lines != 0].tobytes() == _percent_texts(values)
+
     @pytest.mark.parametrize("value", [
         0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300,
         np.pi, -np.pi, np.inf, -np.inf])
@@ -566,6 +583,26 @@ class TestFailureModes:
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(_read_rows(out / "solution.csv")) - 1 == (10 + 2) * 4
+
+    # At this horizon |alpha_n| T overflows for the higher modes.
+    OVERFLOW = "problem_id = 3\nN = 64\nM = 8\nt_final = 1e308\n"
+
+    @pytest.mark.parametrize("command,message", [
+        ("solve", "error: mode 2: singular or ill-conditioned system"),
+        ("conditioning", "error: conditioning_study: A at n = 32, "
+                         "lambda = -0.4, M = 8 is not finite"),
+    ])
+    def test_overflowing_mode_reported_without_traceback(
+            self, tmp_path, capsys, command, message):
+        cfg = _write(tmp_path, self.OVERFLOW)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize("value", ["inf", "-0.4,nan"])
     def test_non_finite_lambda_list_names_the_key(self, tmp_path, capsys, value):

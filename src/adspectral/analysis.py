@@ -92,7 +92,19 @@ def _field_errors(problem: ADProblem, numeric: np.ndarray, t_final: float):
     N = numeric.shape[-1]
     nodes = FourierGrid(L=problem.L, N=N).nodes
     diff = numeric - np.asarray(problem.exact(nodes, t_final), dtype=float)
-    return diff, np.sqrt(problem.L / N * np.sum(diff ** 2, axis=-1))
+    with np.errstate(over="ignore"):
+        squares = np.sum(diff ** 2, axis=-1)
+    dne = np.asarray(np.sqrt(problem.L / N * squares))
+    # The sum of squares underflows when every error is below about 1e-154
+    # and overflows above about 1e154. Only those fields are recomputed, with
+    # their errors scaled by the largest, so every other dne keeps its bytes.
+    big = np.abs(diff).max(axis=-1)
+    redo = ~(squares >= np.finfo(float).tiny) | (squares == np.inf)
+    redo &= (big > 0) & (big < np.inf)
+    if redo.any():
+        scaled = diff[redo] / big[redo][:, None]
+        dne[redo] = big[redo] * np.sqrt(problem.L / N * np.sum(scaled ** 2, axis=-1))
+    return diff, dne
 
 
 def _report_from_field(problem: ADProblem, config: SolverConfig,

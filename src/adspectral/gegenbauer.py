@@ -28,10 +28,12 @@ LAMBDA_MIN_GUARD = 1e-6
 NODE_COINCIDENCE_TOL = 1e-14
 
 # Reference rules (basis and Q) kept by reference_rule, least recently used
-# evicted first. Q and its complex Schur factors are O(M^3) to build and
-# depend only on (lam, M); an entry at M = 64 holds about 35 kB for Q and,
-# once a solve has used it, about 140 kB more for U and R. The Gauss-Legendre
-# rules that build Q share this bound; one holds about 2 kB at M = 256.
+# evicted first. Q and its Schur factors are O(M^3) to build and depend only
+# on (lam, M); an entry at M = 64 holds about 35 kB for Q and, once solves
+# have used them, about 140 kB more for the complex factors U and R and 70 kB
+# for the real factors Z and S. An entry holds both sets when real and
+# complex rates have used it. The Gauss-Legendre rules that build Q share
+# this bound; one holds about 2 kB at M = 256.
 RULE_CACHE_SIZE = 32
 
 # Doubles in one row block's Lagrange values while Q is built (256 kB): M <= 38
@@ -86,6 +88,21 @@ class IntegrationMatrix:
             arr.setflags(write=False)
         return r, u
 
+    @functools.cached_property
+    def real_schur(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real Schur factors (S, Z) with entries = Z S Z^T, read-only.
+
+        S is quasi-upper triangular in LAPACK's standard form: a 1x1
+        diagonal block holds a real eigenvalue, and a 2x2 block
+        [[a, b], [c, a]] with b c < 0 the pair a +- i sqrt(-b c). Z is
+        orthogonal. Computed on first use and kept with the matrix, like
+        ``schur``; a run with real rates needs only this one.
+        """
+        s, z = _schur(self.entries, output="real")
+        for arr in (s, z):
+            arr.setflags(write=False)
+        return s, z
+
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
@@ -122,7 +139,9 @@ def build_basis(lam: float, order: int) -> GegenbauerBasis:
     Parameters
     ----------
     lam : float
-        Gegenbauer index, > -1/2 + LAMBDA_MIN_GUARD.
+        Gegenbauer index, > -1/2 + LAMBDA_MIN_GUARD. An index whose weight
+        mass overflows in its gamma function terms (above about 85.3)
+        raises ValueError.
     order : int
         Highest node index, >= 1; yields order + 1 nodes.
     """
@@ -133,7 +152,16 @@ def build_basis(lam: float, order: int) -> GegenbauerBasis:
     if order < 1:
         raise ValueError(f"order must be >= 1; got {order}")
 
-    b0, b = _recurrence_offdiag(lam, order)
+    try:
+        b0, b = _recurrence_offdiag(lam, order)
+    except OverflowError:
+        b0 = math.inf
+    if not math.isfinite(b0):
+        raise ValueError(
+            f"lam = {lam} is too large: the gamma function terms of its weight "
+            f"mass 2^(2 lam) Gamma(lam + 1/2)^2 / Gamma(2 lam + 1) overflow "
+            f"(lam above about 85.3)")
+
     nodes, vectors = eigh_tridiagonal(np.zeros(order + 1), np.sqrt(b))
     weights = b0 * vectors[0, :] ** 2
 

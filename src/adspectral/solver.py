@@ -1,17 +1,21 @@
 """Mode systems, one Schur-form solve over all modes, and field evaluation.
 
 Each nonzero Fourier mode n of the spatial-derivative antiderivative obeys a
-Volterra integral equation whose collocated form is the dense complex system
+Volterra integral equation whose collocated form is the dense system
 
     (I + alpha_n TQ) psi_n = u0_hat_n * ones,    TQ = (T/2) Q,
 
 solved for n = 1 .. N/2 only; negative modes follow by conjugation and the
 zero mode from the zero-sum constraint of the coefficient vector. The
-reference integration matrix Q is the same for every mode, so its complex
-Schur form Q = U R U^H, cached with the rule, turns all N/2 systems into
-one back-substitution (I + alpha_n (T/2) R) y_n = U^H ones along the mode
-axis (the many-shifts method of Laub, IEEE TAC 26, 1981). One step of
-iterative refinement against TQ follows, and each mode is refused when its
+reference integration matrix Q is the same for every mode, so a Schur form
+of Q, cached with the rule, turns all N/2 systems into one back-substitution
+along the mode axis (the many-shifts method of Laub, IEEE TAC 26, 1981).
+Complex rates take the complex form Q = U R U^H and solve
+(I + alpha_n (T/2) R) y_n = U^H ones. When every rate is real (mu = 0),
+the real form Q = Z S Z^T, with S quasi-upper triangular (Golub and Van
+Loan, Matrix Computations, sec. 7.4), keeps the solve in real arithmetic,
+one 1x1 or 2x2 diagonal block of S at a time. One step of iterative
+refinement against TQ follows, and each mode is refused when its
 eigenvalues or its refined residual show it numerically singular. Field
 evaluation takes this solution or a ``semianalytic.SAField``: both have a
 ``grid`` and ``coefficients(times)``.
@@ -36,6 +40,12 @@ from .problems import ADProblem, SolverConfig
 # ||I + alpha_n TQ||_inf, or whose refined normwise residual exceeds it, is
 # numerically singular; reported, never regularized.
 PIVOT_RTOL = 1e-14
+
+# Real rates take the real Schur form while max |alpha_n| times a bound of
+# every entry of its factor stays below this, so that the squares in its 2x2
+# determinants cannot overflow. Rates beyond it, far past any the time grid
+# resolves, take the complex form, as complex rates do.
+REAL_SOLVE_LIMIT = 1e150
 
 
 class ModeSolveError(RuntimeError):
@@ -110,6 +120,56 @@ def _back_substitute(r: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> None:
         y[j] /= 1.0 + alpha * r[j, j]
 
 
+def _back_substitute_real(s: np.ndarray, alpha: np.ndarray, p: np.ndarray,
+                          det: np.ndarray, y: np.ndarray) -> None:
+    # Solve (I + alpha_i s) y_i = b_i in place for every column i, where y
+    # holds b_i on entry, one diagonal block of the quasi-upper triangular s
+    # at a time from the bottom. p and det come from _real_pivots: a 1x1
+    # block divides by its p, a 2x2 block takes Cramer's rule with its det.
+    j, k = len(s), len(det)
+    while j:
+        if j > 1 and s[j - 1, j - 2]:
+            i, k = j - 2, k - 1
+            y[i:j] -= alpha * (s[i:j, j:] @ y[j:])
+            top = p[i + 1] * y[i] - alpha * s[i, i + 1] * y[i + 1]
+            y[i + 1] *= p[i]
+            y[i + 1] -= alpha * s[i + 1, i] * y[i]
+            y[i] = top
+            y[i:j] /= det[k]
+        else:
+            i = j - 1
+            y[i] -= alpha * (s[i, j:] @ y[j:])
+            y[i] /= p[i]
+        j = i
+
+
+def _complex_pivots(r: np.ndarray, alpha: np.ndarray):
+    # The smallest eigenvalue modulus of each mode matrix, read from the
+    # diagonal of I + alpha_i r, and the back-substitution against r.
+    with np.errstate(over="ignore"):
+        y = np.multiply.outer(r.diagonal(), alpha)
+    y += 1.0
+    return np.abs(y).min(axis=0), lambda b: _back_substitute(r, alpha, b)
+
+
+def _real_pivots(s: np.ndarray, alpha: np.ndarray):
+    # The same for real rates and the real Schur factor s. Each 2x2 diagonal
+    # block [[a, b], [c, a]] of s, in LAPACK's standard form with b c < 0,
+    # holds the pair a +- i sqrt(-b c), so the determinant
+    # (1 + alpha a)^2 - alpha^2 b c of its block of I + alpha s is the
+    # squared modulus of both eigenvalues. p = 1 + alpha s_jj and det are
+    # formed once here, for the pivot test and both back-substitutions.
+    starts = np.flatnonzero(s.diagonal(-1))
+    p = np.multiply.outer(s.diagonal(), alpha)
+    p += 1.0
+    det = p[starts] * p[starts + 1] - np.multiply.outer(
+        s[starts, starts + 1] * s[starts + 1, starts], alpha * alpha)
+    modulus = np.abs(p)
+    modulus[starts] = modulus[starts + 1] = np.sqrt(det)
+    return (modulus.min(axis=0),
+            lambda b: _back_substitute_real(s, alpha, p, det, b))
+
+
 def _residual(a: np.ndarray, alpha: np.ndarray, x: np.ndarray,
               out: np.ndarray) -> np.ndarray:
     # out = ones - (I + alpha_i a) x_i for every column i.
@@ -140,9 +200,12 @@ def _horizon_rule(problem: ADProblem, lam: float, M: int):
 def _unit_solutions(a: np.ndarray, r: np.ndarray, u: np.ndarray,
                     alpha: np.ndarray) -> np.ndarray:
     # Column i solves (I + alpha_i a) x = ones, the system of mode i + 1,
-    # given the complex Schur form a = u r u^H (up to rounding; the
-    # refinement step works with a itself). At most three (M + 1, len(alpha))
-    # arrays are alive at once, and only the result outlives the call.
+    # given a Schur form a = u r u^H (up to rounding; the refinement step
+    # works with a itself): the complex form, or, with real rates, the real
+    # form with r quasi-upper triangular. At most three (M + 1, len(alpha))
+    # arrays of the result's type are alive at once, and only the result
+    # outlives the call; the real form also keeps p and det, at most one and
+    # a half more real ones.
     #
     # norm = 1 + |alpha_i| ||a||_inf >= ||I + alpha_i a||_inf stands in for
     # the norm in both tests, so that neither needs an (M + 1, len(alpha))
@@ -151,10 +214,8 @@ def _unit_solutions(a: np.ndarray, r: np.ndarray, u: np.ndarray,
     # and the pivot test then refuses its mode.
     with np.errstate(over="ignore"):
         norm = 1.0 + np.abs(alpha) * np.abs(a).sum(axis=1).max()
-        # The diagonal of I + alpha_i r holds the mode matrix's eigenvalues.
-        y = np.multiply.outer(r.diagonal(), alpha)
-    y += 1.0
-    pivot = np.abs(y).min(axis=0)
+    pivots = _complex_pivots if np.iscomplexobj(r) else _real_pivots
+    pivot, back_substitute = pivots(r, alpha)
     bad = np.flatnonzero(~(pivot >= PIVOT_RTOL * norm))
     if bad.size:
         i = int(bad[0])
@@ -165,12 +226,13 @@ def _unit_solutions(a: np.ndarray, r: np.ndarray, u: np.ndarray,
             f"= {PIVOT_RTOL * norm[i]:.3e})")
 
     uh = u.conj().T
+    y = np.empty((len(u), len(alpha)), dtype=np.result_type(u, alpha))
     y[:] = uh.sum(axis=1)[:, None]  # U^H ones
-    _back_substitute(r, alpha, y)
+    back_substitute(y)
     x = u @ y
     # One step of iterative refinement; y is free once x is formed.
     step = uh @ _residual(a, alpha, x, out=y)
-    _back_substitute(r, alpha, step)
+    back_substitute(step)
     x += np.matmul(u, step, out=y)
     # A zero rate leaves the identity, whose solution is exactly ones.
     x[:, alpha == 0] = 1.0
@@ -192,10 +254,20 @@ def _unit_solve(problem: ADProblem, basis: GegenbauerBasis,
     # Column n - 1 holds the unit solution x_n of (I + alpha_n TQ) x_n = ones
     # for n = 1 .. half. It depends on the rule and the rates, not on N or
     # u0, so one call serves every N with N/2 <= half. TQ = U (T/2 R) U^H,
-    # so the cached Schur form of the reference Q serves every horizon.
-    r, u = reference_rule(basis.lam, basis.order)[1].schur
-    return _unit_solutions(tq.entries, 0.5 * problem.T * r, u,
-                           mode_rate(problem, np.arange(1, half + 1)))
+    # so the cached Schur form of the reference Q serves every horizon:
+    # the real one when every rate is real, so the solve and its result
+    # stay real, and the complex one otherwise.
+    q = reference_rule(basis.lam, basis.order)[1]
+    rates = mode_rate(problem, np.arange(1, half + 1))
+    with np.errstate(over="ignore"):
+        # (M + 1) max |TQ| >= ||TQ||_F, which bounds every entry of the factor
+        reach = np.abs(rates).max() * len(tq.entries) * np.abs(tq.entries).max()
+    if rates.imag.any() or not reach < REAL_SOLVE_LIMIT:
+        r, u = q.schur
+    else:
+        rates = np.ascontiguousarray(rates.real)
+        r, u = q.real_schur
+    return _unit_solutions(tq.entries, 0.5 * problem.T * r, u, rates)
 
 
 def _scaled_solution(problem: ADProblem, config: SolverConfig,

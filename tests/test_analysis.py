@@ -14,7 +14,7 @@ from adspectral import (ADProblem, ModeSolveError, SolverConfig, bench_solve,
                         solve_modes)
 from adspectral import analysis, gegenbauer, solver
 from adspectral import test_problem as builtin_problem
-from adspectral.analysis import _report_from_field
+from adspectral.analysis import _field_errors, _report_from_field
 from adspectral.gegenbauer import RULE_CACHE_SIZE, build_basis, \
     build_integration_matrix, reference_rule, shift_integration_matrix
 from adspectral.solver import _horizon_rule, _initial_spectrum, \
@@ -114,6 +114,29 @@ class TestErrorReport:
         problem = builtin_problem(2)
         report = error_report(problem, SolverConfig(N=8, M=5, N0=10), 0.7)
         assert report.dne <= np.sqrt(problem.L) * report.pointwise_max + 1e-300
+
+    def test_dne_kept_when_squares_underflow_or_overflow(self):
+        # Problem 1's exact field is exactly 0 at t = 100, so each numeric
+        # field is its own error. Only the first two sums of squares leave
+        # the normal range; the third keeps the plain formula's bytes.
+        problem = builtin_problem(1)
+        shape = np.sin(np.arange(16) + 0.3)
+        scales = np.array([1e-300, 1e200, 1e-3])
+        fields = scales[:, None] * shape
+        _, dne = _field_errors(problem, fields, 100.0)
+        plain = np.sqrt(problem.L / 16 * np.sum(shape ** 2))
+        assert_allclose(dne, scales * plain, rtol=1e-15)
+        assert dne[2] == np.sqrt(problem.L / 16 * np.sum(fields[2] ** 2))
+        assert _field_errors(problem, fields[0], 100.0)[1] == dne[0]
+
+    @pytest.mark.parametrize("pid", [1, 3])
+    def test_dne_of_errors_below_1e_154(self, pid):
+        # At this horizon every pointwise error is about 1e-298.
+        problem = builtin_problem(pid)
+        report = error_report(problem, SolverConfig(N=64, M=8), 1e300)
+        assert 0 < report.pointwise_max < 1e-290
+        assert (report.pointwise_max * np.sqrt(problem.L / 64) <= report.dne
+                <= report.pointwise_max * np.sqrt(problem.L))
 
     def test_dne_two_computations_agree(self):
         problem = builtin_problem(1)

@@ -604,6 +604,22 @@ class TestFailureModes:
         assert err.startswith(message) and err.count("\n") == 1
         assert list((tmp_path / "o").iterdir()) == []
 
+    @pytest.mark.parametrize("command,key", [("solve", "lambda"),
+                                             ("conditioning", "lambda_list")])
+    def test_overflowing_lambda_reported_without_traceback(
+            self, tmp_path, capsys, command, key):
+        cfg = _write(tmp_path, f"problem_id = 1\nN = 4\nM = 8\n{key} = 100\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lam = 100.0 is too large: the gamma "
+                              "function terms of its weight mass")
+        assert err.count("\n") == 1
+        assert list((tmp_path / "o").iterdir()) == []
+
     @pytest.mark.parametrize("value", ["inf", "-0.4,nan"])
     def test_non_finite_lambda_list_names_the_key(self, tmp_path, capsys, value):
         cfg = _write(tmp_path, f"problem_id = 1\nN = 4\nM = 4\nlambda_list = {value}\n")

@@ -97,6 +97,15 @@ class TestBuildBasis:
         with pytest.raises(ValueError, match="order"):
             build_basis(0.0, 0)
 
+    def test_rejects_overflowing_weight_mass(self):
+        # The gamma function terms of b0 overflow just above lam = 85.31,
+        # which still builds.
+        assert np.isfinite(build_basis(85.31, 8).christoffel).all()
+        for lam in (85.32, 100.0):
+            with pytest.raises(ValueError, match=rf"lam = {lam} is too large: "
+                                                 r"the gamma function terms"):
+                build_basis(lam, 8)
+
 
 class TestBaryInterpolate:
     def test_constant_partition_of_unity(self):
@@ -182,6 +191,26 @@ class TestIntegrationMatrix:
             q = build_integration_matrix(build_basis(lam, order))
             smins.append(singular_values(q.entries)[-1])
         assert smins[0] < smins[1] < smins[2]
+
+    @pytest.mark.parametrize("lam,order", [(-0.49, 40), (-0.4, 7), (0.0, 8),
+                                           (2.0, 64)])
+    def test_real_schur_in_standard_form(self, lam, order):
+        # The real solve reads each 2x2 diagonal block [[a, b], [c, a]] with
+        # b c < 0 as the pair a +- i sqrt(-b c).
+        q = reference_rule(lam, order)[1]
+        s, z = q.real_schur
+        assert q.real_schur is q.real_schur
+        assert not s.flags.writeable and not z.flags.writeable
+        assert s.dtype == z.dtype == np.float64
+        assert_allclose(z @ s @ z.T, q.entries, rtol=0,
+                        atol=1e-13 * np.abs(q.entries).max())
+        assert_allclose(z.T @ z, np.eye(order + 1), rtol=0, atol=1e-14)
+        assert not np.tril(s, -2).any()
+        starts = np.flatnonzero(s.diagonal(-1))
+        assert not np.isin(starts + 1, starts).any()
+        for j in starts:
+            assert s[j, j] == s[j + 1, j + 1]
+            assert s[j, j + 1] * s[j + 1, j] < 0
 
 
 class TestBlockedBuild:

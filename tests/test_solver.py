@@ -266,6 +266,36 @@ class TestDirectLapack:
             solve_modes(problem, config)
         assert info.value.mode == 2
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="the oracle needs an extended long double")
+    def test_real_path_accuracy_over_grid(self):
+        # The real Schur path against the complex one on real rates, over a
+        # (lam, M) grid, each in first-order bound units as above. The oracle
+        # is LU in double plus four refinement steps whose residuals
+        # 1 - x - z (Q x) are formed in long double; it sits within 0.001
+        # units of 40-digit mpmath solves at (-0.49, 40) and (2, 40). Both
+        # paths round the residual of their one refinement step in double,
+        # so neither stays within one unit across the grid.
+        zs = np.array([0.5, 5, 50, 500, 5e3, 5e5])
+        eps = np.finfo(float).eps
+        worst = {"real": 0.0, "complex": 0.0}
+        for lam in (-0.49, -0.45, -0.4, 0.0, 0.5, 1.0, 2.0):
+            for M in (10, 16, 32, 40, 48, 64):
+                q = reference_rule(lam, M)[1]
+                solved = {
+                    "real": _unit_solutions(q.entries, *q.real_schur, zs),
+                    "complex": _unit_solutions(q.entries, *q.schur,
+                                               zs.astype(complex))}
+                for i, z in enumerate(zs):
+                    a = np.eye(M + 1) + z * q.entries
+                    exact = _long_double_solve(q.entries, z)
+                    x_abs = np.abs(exact).astype(float)
+                    cond = (np.abs(np.linalg.inv(a)) @ (np.abs(a) @ x_abs + 1.0)).max()
+                    for path, x in solved.items():
+                        err = float(np.abs(x[:, i] - exact).max())
+                        worst[path] = max(worst[path], err / (eps / 2 * cond))
+        assert worst["real"] <= worst["complex"] <= 3.0
+
     def test_refined_residual_check_names_the_mode(self, monkeypatch):
         # A back-substitution that goes wrong in mode 2's column leaves a
         # residual that the refinement step cannot remove.
@@ -280,6 +310,73 @@ class TestDirectLapack:
                            match="mode 2: refined residual") as info:
             solve_modes(builtin_problem(3), SolverConfig(N=8, M=6))
         assert info.value.mode == 2
+
+
+def _long_double_solve(q: np.ndarray, z: float) -> np.ndarray:
+    # (I + z q) x = ones by LU in double and four refinement steps with
+    # long-double residuals, returned in long double.
+    lu = lu_factor(np.eye(len(q)) + z * q)
+    q_ld = q.astype(np.longdouble)
+    x = lu_solve(lu, np.ones(len(q))).astype(np.longdouble)
+    for _ in range(4):
+        residual = 1 - x - np.longdouble(z) * (q_ld @ x)
+        x += lu_solve(lu, residual.astype(float))
+    return x
+
+
+class TestRealSchurPath:
+    """Real rates (mu = 0) are solved through the real Schur form of Q."""
+
+    def test_singular_real_mode_reported_with_mode(self, monkeypatch):
+        # Problem 1 at N = 8, M = 6: the 7 x 7 Q has a real eigenvalue, a 1x1
+        # diagonal block s_jj of its real Schur factor, and mode 3 takes the
+        # rate -1 / ((T/2) s_jj), at which 1 + alpha (T/2) s_jj = 0.
+        problem, config = builtin_problem(1), SolverConfig(N=8, M=6)
+        reference_rule.cache_clear()
+        q = reference_rule(config.lam, config.M)[1]
+        s = q.real_schur[0]
+        sub = np.concatenate([[0.0], s.diagonal(-1), [0.0]])
+        j = int(np.flatnonzero((sub[:-1] == 0) & (sub[1:] == 0))[0])
+        rates = mode_rate(problem, np.arange(1, config.N // 2 + 1))
+        rates[2] = -1.0 / (0.5 * problem.T * s[j, j])
+        true_rate = solver.mode_rate
+        monkeypatch.setattr(solver, "mode_rate", lambda problem, ns: (
+            rates if np.ndim(ns) else true_rate(problem, ns)))
+        with pytest.raises(ModeSolveError, match="mode 3: singular") as info:
+            solve_modes(problem, config)
+        assert info.value.mode == 3
+        assert "schur" not in q.__dict__
+
+    def test_refined_residual_check_names_the_mode(self, monkeypatch):
+        back_substitute = solver._back_substitute_real
+
+        def off_in_column_one(s, alpha, p, det, y):
+            back_substitute(s, alpha, p, det, y)
+            y[:, 1] *= 1.001
+
+        monkeypatch.setattr(solver, "_back_substitute_real", off_in_column_one)
+        with pytest.raises(ModeSolveError,
+                           match="mode 2: refined residual") as info:
+            solve_modes(builtin_problem(1), SolverConfig(N=8, M=6))
+        assert info.value.mode == 2
+
+    @pytest.mark.parametrize("pid,horizon,factors", [
+        (1, None, {"real_schur"}),
+        (2, None, {"real_schur"}),
+        (3, None, {"schur"}),
+        # max |alpha| (M + 1) max |TQ| passes REAL_SOLVE_LIMIT
+        (1, 1e200, {"schur"}),
+    ])
+    def test_rule_keeps_only_the_factors_used(self, pid, horizon, factors):
+        problem = builtin_problem(pid)
+        if horizon is not None:
+            problem = problem.with_horizon(horizon)
+        config = SolverConfig(N=16, M=8)
+        reference_rule.cache_clear()
+        sol = solve_modes(problem, config)
+        assert np.all(np.isfinite(sol.table))
+        q = reference_rule(config.lam, config.M)[1]
+        assert {"schur", "real_schur"} & set(q.__dict__) == factors
 
 
 class TestReferenceRuleCache:

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg.lapack import dgejsv
 
-from .fourier import FourierGrid, synthesize_field
+from .fourier import FourierGrid, complete_half_spectrum, synthesize_field
 from .gegenbauer import LAMBDA_MIN_GUARD, _lagrange_matrix, reference_rule, \
     shift_integration_matrix
 from .problems import ADProblem, SolverConfig
@@ -151,14 +151,14 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
     on M and not on N, so each M in turn takes one rule lookup, one unit
     solve for modes 1 .. max(N)/2 and one Lagrange row at t_final, the end
     of the run's horizon; only one M's unit solutions are alive at a time.
-    Each cell scales the leading N/2 unit solutions by the u0 spectrum of
-    its N, sampled once at N0 = N + 2 points, and keeps only its
-    coefficients at t_final: the Lagrange row times its table. Then each N
-    takes one synthesis over the rows of all M and one sample of
-    problem.exact. Rows are ordered N outer, M inner, and the log-error
-    slope of each N is fitted over its M. A problem without an exact
-    solution, a t_final <= 0, an N that is not even and >= 2 or an M that
-    is not a whole number >= 1 is refused before any solve.
+    Each cell keeps only that row times its leading N/2 unit solutions.
+    Then each N scales the rows of all M by its u0 spectrum, sampled once at
+    N0 = N + 2 points, and takes one completion of the half spectrum, one
+    synthesis and one sample of problem.exact. Rows are ordered N outer, M
+    inner, and the log-error slope of each N is fitted over its M. A problem
+    without an exact solution, a t_final <= 0, an N that is not even and
+    >= 2 or an M that is not a whole number >= 1 is refused before any
+    solve.
     """
     if not len(N_range) or not len(M_range):
         raise ValueError("N_range and M_range must be nonempty")
@@ -169,23 +169,22 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
     run = problem.with_horizon(t_final)
     Ns = sorted(set(int(n) for n in N_range))
     spectra = [_initial_spectrum(run, N + 2) for N in Ns]
-    coeffs = [[] for _ in Ns]  # per N: coefficients at t_final, a row per M
+    ends = [[] for _ in Ns]  # per N: unit solutions at t_final, a row per M
     Ms = sorted(set(int(m) for m in M_range))
     for M in Ms:
-        basis, tq, tgrid = _horizon_rule(run, lam, M)
+        basis, tq, _ = _horizon_rule(run, lam, M)
         units = _unit_solve(run, basis, tq, Ns[-1] // 2)
         # t_final is the horizon, so it maps to s = 1 on the reference interval
         end_row = _lagrange_matrix(basis, 1.0)
-        for N, spectrum, coeffs_N in zip(Ns, spectra, coeffs):
-            config = SolverConfig(N=N, M=M, N0=N + 2, lam=lam)
-            coeffs_N.append(end_row @ _scaled_solution(
-                run, config, basis, tgrid, units, spectrum).table)
+        for N, ends_N in zip(Ns, ends):
+            ends_N.append(end_row @ units[:, :N // 2])
     g_final = float(run.g(t_final))
     ms = np.array(Ms, dtype=float)
     rows, slopes = [], {}
-    for N, coeffs_N in zip(Ns, coeffs):
-        field = synthesize_field(np.concatenate(coeffs_N),
-                                 FourierGrid(L=run.L, N=N), g_final)
+    for N, spectrum, ends_N in zip(Ns, spectra, ends):
+        coeffs = complete_half_spectrum(
+            np.concatenate(ends_N) * spectrum.values[1:N // 2 + 1])
+        field = synthesize_field(coeffs, FourierGrid(L=run.L, N=N), g_final)
         _, dnes = _field_errors(problem, field, t_final)
         logs = np.array([np.log10(dne) if dne > 0 else -np.inf for dne in dnes])
         rows.extend((N, M, float(dne), float(log))
@@ -381,8 +380,8 @@ def bench_solve(problem: ADProblem, config: SolverConfig,
     """Median wall-clock time of the stages of solve_modes, then one synthesis.
 
     "assembly" is the rule lookup, time grid and u0 spectrum, "solve" the
-    mode solves and the completed coefficient table, and "synthesis" one
-    evaluate_u call at every time node.
+    unit solves of the modes, and "synthesis" one evaluate_u call at every
+    time node, which scales and completes the coefficients it synthesizes.
     """
     if repeats < 3:
         raise ValueError(f"repeats must be >= 3; got {repeats}")

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Above this imaginary residue the coefficient map has lost conjugate
-# symmetry upstream and synthesis refuses to discard the imaginary part.
+# Above this imaginary residue times max(1, sum_k |c_k|) of its row, whose
+# rounding alone is a few eps sum_k |c_k|, the coefficient map has lost
+# conjugate symmetry upstream and synthesis refuses to discard it.
 RESIDUE_ERROR_THRESHOLD = 1e-8
 
 
@@ -123,11 +124,16 @@ def _synthesize(c: np.ndarray, grid: FourierGrid) -> np.ndarray:
     folded = np.fft.ifftshift(c[..., :-1], axes=-1)
     folded[..., half] += c[..., -1]
     total = np.fft.ifft(folded, axis=-1, norm="forward")
-    residue = float(np.max(np.abs(total.imag))) if total.size else 0.0
-    if residue > RESIDUE_ERROR_THRESHOLD:
+    residue = np.abs(total.imag).max(axis=-1, initial=0.0).ravel()
+    bound = (RESIDUE_ERROR_THRESHOLD
+             * np.maximum(1.0, np.abs(c).sum(axis=-1))).ravel()
+    bad = np.flatnonzero(residue > bound)
+    if bad.size:
+        i = bad[0]
         raise ValueError(
-            f"imaginary synthesis residue {residue:.3e} exceeds "
-            f"{RESIDUE_ERROR_THRESHOLD:.0e}; conjugate symmetry broken upstream"
+            f"imaginary synthesis residue {residue[i]:.3e} exceeds "
+            f"{RESIDUE_ERROR_THRESHOLD:.0e} * max(1, sum |c_k|) = "
+            f"{bound[i]:.3e}; conjugate symmetry broken upstream"
         )
     return total.real.copy()
 

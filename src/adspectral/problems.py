@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
@@ -72,6 +73,12 @@ class SolverConfig:
     lam: float = DEFAULT_LAMBDA
 
     def __post_init__(self):
+        # A whole float is stored as its int; numpy takes no other as a size.
+        for name in ("N", "M", "N0"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+                raise ValueError(f"{name} is not a whole number; got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.N < 2 or self.N % 2:
             raise ValueError(f"N must be even and >= 2; got {self.N}")
         if self.N0 == 0:

@@ -16,9 +16,10 @@ the real form Q = Z S Z^T, with S quasi-upper triangular (Golub and Van
 Loan, Matrix Computations, sec. 7.4), keeps the solve in real arithmetic,
 one 1x1 or 2x2 diagonal block of S at a time. One step of iterative
 refinement against TQ follows, and each mode is refused when its
-eigenvalues or its refined residual show it numerically singular. Field
-evaluation takes this solution or a ``semianalytic.SAField``: both have a
-``grid`` and ``coefficients(times)``.
+eigenvalues or its refined residual show it numerically singular. The
+solution stores psi_n = u0_hat_n x_n as its factors, the unit solutions x_n
+of right-hand side ones and the u0_hat_n. Field evaluation takes it or a
+``semianalytic.SAField``: both have a ``grid`` and ``coefficients(times)``.
 """
 
 from __future__ import annotations
@@ -58,18 +59,28 @@ class ModeSolveError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SpectralSolution:
-    """Nodal Fourier coefficients psi_k(t_l) on the time-node x mode grid.
+    """Nodal Fourier coefficients psi_n(t_l) = u0_hat_n x_n(t_l), in factors.
 
-    ``table`` is read-only with shape (M + 1, N + 1): row l holds time node
-    t_l and column j holds mode k = j - N/2, for k = -N/2 .. N/2. ``psi``
-    maps each mode k to its column, a view of ``table``.
+    ``units`` (M + 1, N/2) holds the unit solutions x_n at the time nodes
+    and ``scale`` the u0_hat_n, for n = 1 .. N/2. They and ``table``, built
+    on first use, are read-only; ``table`` has shape (M + 1, N + 1): row l
+    holds time node t_l and column j holds mode k = j - N/2, for
+    k = -N/2 .. N/2. ``psi`` maps each mode k to its column, a view of
+    ``table``.
     """
 
     config: SolverConfig
     problem: ADProblem
     basis: GegenbauerBasis
     time_grid: TimeGrid
-    table: np.ndarray
+    units: np.ndarray
+    scale: np.ndarray
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        table = complete_half_spectrum(self.units * self.scale)
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def psi(self) -> MappingProxyType:
@@ -84,12 +95,14 @@ class SpectralSolution:
     def coefficients(self, times) -> np.ndarray:
         """Modes -N/2 .. N/2 at times in [0, T], shape (len(times), N + 1).
 
-        One product of real Lagrange rows in s = 2 t / T - 1 with the table:
-        conjugate symmetry and the nodal values at the nodes are kept exactly.
+        Real Lagrange rows in s = 2 t / T - 1 times the unit solutions, scaled
+        by u0_hat_n and completed: conjugate symmetry and the zero sum are
+        exact, and at the nodes the rows equal ``table``.
         """
         T = self.problem.T
         times = _times_in_horizon(times, T)
-        return _lagrange_matrix(self.basis, 2.0 * times / T - 1.0) @ self.table
+        rows = _lagrange_matrix(self.basis, 2.0 * times / T - 1.0) @ self.units
+        return complete_half_spectrum(rows * self.scale)
 
 
 def mode_rate(problem: ADProblem, n):
@@ -274,18 +287,18 @@ def _scaled_solution(problem: ADProblem, config: SolverConfig,
                      basis: GegenbauerBasis, tgrid: TimeGrid,
                      units: np.ndarray,
                      spectrum: InitialSpectrum) -> SpectralSolution:
-    # Row l, column n - 1 of the half table holds psi_n(t_l) for
-    # n = 1 .. N/2: the leading N/2 unit solutions scaled by u0_hat_n.
+    # Read-only views of the leading N/2 unit solutions and u0_hat_n.
     half = config.N // 2
-    table = complete_half_spectrum(units[:, :half] * spectrum.values[1:half + 1])
-    table.setflags(write=False)
+    units = units[:, :half]
+    units.setflags(write=False)
     return SpectralSolution(config=config, problem=problem, basis=basis,
-                            time_grid=tgrid, table=table)
+                            time_grid=tgrid, units=units,
+                            scale=spectrum.values[1:half + 1])
 
 
 def solve_modes(problem: ADProblem, config: SolverConfig,
                 parallel: bool = False) -> SpectralSolution:
-    """Solve all positive-mode systems and complete the coefficient table.
+    """Solve all positive-mode systems; the coefficients complete when read.
 
     Negative modes are the exact conjugates of the positive ones and the zero
     mode is -2 sum_k Re(psi_k), enforcing the zero-sum constraint.

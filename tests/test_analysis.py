@@ -261,8 +261,8 @@ class TestConvergenceSweep:
                                                   -0.4, t_final)
 
     def test_one_synthesis_and_exact_sample_per_N(self, monkeypatch):
-        counts = dict.fromkeys(
-            ["synthesize_field", "evaluate_u", "_unit_solve", "exact"], 0)
+        counts = dict.fromkeys(["synthesize_field", "complete_half_spectrum",
+                                "evaluate_u", "_unit_solve", "exact"], 0)
 
         def counted(name, function):
             def call(*args, **kwargs):
@@ -270,11 +270,12 @@ class TestConvergenceSweep:
                 return function(*args, **kwargs)
             return call
 
-        # Synthesis is counted wherever the sweep could reach it, directly
-        # or through evaluate_u.
-        for module in (analysis, solver):
-            monkeypatch.setattr(module, "synthesize_field", counted(
-                "synthesize_field", solver.synthesize_field), raising=False)
+        # Synthesis and completion are counted wherever the sweep could
+        # reach them, directly or through the solver.
+        for name in ("synthesize_field", "complete_half_spectrum"):
+            for module in (analysis, solver):
+                monkeypatch.setattr(module, name, counted(
+                    name, getattr(solver, name)), raising=False)
         for name in ("evaluate_u", "_unit_solve"):
             monkeypatch.setattr(analysis, name,
                                 counted(name, getattr(analysis, name)))
@@ -283,8 +284,10 @@ class TestConvergenceSweep:
                                       exact=counted("exact", problem.exact))
         result = convergence_sweep(problem, SWEEP_NS, SWEEP_MS, -0.4)
         assert len(result.rows) == len(SWEEP_NS) * len(SWEEP_MS)
-        assert counts == {"synthesize_field": len(SWEEP_NS), "evaluate_u": 0,
-                          "_unit_solve": len(SWEEP_MS), "exact": len(SWEEP_NS)}
+        assert counts == {"synthesize_field": len(SWEEP_NS),
+                          "complete_half_spectrum": len(SWEEP_NS),
+                          "evaluate_u": 0, "_unit_solve": len(SWEEP_MS),
+                          "exact": len(SWEEP_NS)}
 
     def test_names_the_lowest_singular_mode(self, rates_with):
         # Modes 2 and 4 are singular at this M; the lowest is named.

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from adspectral import (FourierGrid, dft_coefficients, synthesize_derivative,
-                        synthesize_field)
+from adspectral import (ADProblem, FourierGrid, SolverConfig, dft_coefficients,
+                        evaluate_u, evaluate_ux, solve_modes,
+                        synthesize_derivative, synthesize_field)
 from adspectral.fourier import complete_half_spectrum
 from adspectral import test_problem as builtin_problem
 
@@ -211,6 +212,26 @@ class TestSynthesis:
         coeffs[-1] = 0.5j + 1e-14
         field = synthesize_field(coeffs, grid, 0.0)
         assert field.dtype == float
+
+    def test_large_field_not_refused(self):
+        # The residue of an exactly symmetric row grows with its coefficients,
+        # so it is held to 1e-8 * sum |c_k|: the s = 1e12 run reads 2.1e-4
+        # against a fixed 1e-8. The field is compared normwise, since at its
+        # zeros a relative difference is all rounding.
+        def run(s):
+            problem = ADProblem(
+                mu=0.5, nu=0.1, L=2.0, T=0.5,
+                u0=lambda x: s * np.exp(np.cos(np.pi * x)) * np.sin(np.pi * x),
+                g=lambda t: 0.0 * np.asarray(t))
+            sol = solve_modes(problem, SolverConfig(N=64, M=16))
+            times = np.append(sol.time_grid.nodes, problem.T)
+            return (evaluate_u(sol, sol.grid, times),
+                    evaluate_ux(sol, sol.grid, times))
+
+        for large, small in zip(run(1e12), run(1.0)):
+            expected = 1e12 * small
+            assert_allclose(large, expected, rtol=0,
+                            atol=1e-13 * np.abs(expected).max())
 
 
 class TestBatchedSynthesis:

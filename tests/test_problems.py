@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from adspectral import ADProblem, ConfigError, SolverConfig, load_config
+from adspectral import ADProblem, ConfigError, SolverConfig, load_config, \
+    solve_modes
 from adspectral.problems import config_from_pairs, parse_config_pairs
 from adspectral import test_problem as builtin_problem
 
@@ -109,6 +110,24 @@ class TestSolverConfig:
     def test_rejects_degenerate_lambda(self):
         with pytest.raises(ValueError, match="lambda"):
             SolverConfig(N=4, M=10, lam=-0.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("N", 8.5), ("M", 2.5), ("N0", 10.5)])
+    def test_rejects_non_whole_size(self, field, value):
+        # Refused by name here, not later as a TypeError from numpy.
+        sizes = {"N": 8, "M": 2, "N0": 10, field: value}
+        with pytest.raises(ValueError,
+                           match=f"^{field} is not a whole number; got {value}$"):
+            SolverConfig(**sizes)
+
+    @pytest.mark.parametrize("field", ["N", "M", "N0"])
+    def test_whole_float_size_stored_as_int(self, field):
+        sizes = {"N": 8, "M": 2, "N0": 10}
+        config = SolverConfig(**{**sizes, field: float(sizes[field])})
+        assert type(getattr(config, field)) is int
+        assert config == SolverConfig(**sizes)
+        sol = solve_modes(builtin_problem(1), config)
+        assert sol.table.shape == (3, 9)
 
 
 @pytest.mark.parametrize("field,value", [

@@ -180,6 +180,7 @@ class TestSolveModes:
         sol = solve_modes(builtin_problem(3), SolverConfig(N=8, M=6))
         assert sol.table.shape == (7, 9)
         assert not sol.table.flags.writeable
+        assert not sol.units.flags.writeable and not sol.scale.flags.writeable
         with pytest.raises(ValueError):
             sol.table[0, 0] = 1.0
         assert sorted(sol.psi) == list(range(-4, 5))
@@ -539,6 +540,29 @@ class TestBatchedEvaluation:
             s = 2.0 * t / problem.T - 1.0
             expected = [bary_interpolate(sol.basis, sol.psi[k], s) for k in ks]
             assert_allclose(row, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("pid", [1, 3])  # real rates, complex rates
+    def test_nodal_rows_equal_table(self, pid):
+        sol = solve_modes(builtin_problem(pid), SolverConfig(N=16, M=10))
+        assert np.array_equal(sol.coefficients(sol.time_grid.nodes), sol.table)
+
+    @pytest.mark.parametrize("pid", [1, 3])
+    def test_interpolated_rows_symmetric_and_zero_sum(self, pid):
+        # Each row is completed after interpolation, so its -n mode is the
+        # exact conjugate of its n mode and its zero mode is exactly
+        # -2 sum_n Re c_n of its own positive modes.
+        problem = builtin_problem(pid)
+        sol = solve_modes(problem, SolverConfig(N=16, M=10))
+        rows = sol.coefficients(np.linspace(0.0, problem.T, 7))
+        half = 8
+        assert np.array_equal(rows[:, :half], np.conj(rows[:, :half:-1]))
+        assert np.array_equal(rows[:, half],
+                              -2.0 * rows[:, half + 1:].real.sum(axis=1))
+
+    def test_evaluation_builds_no_table(self):
+        sol = solve_modes(builtin_problem(3), SolverConfig(N=16, M=10))
+        evaluate_u(sol, sol.grid, sol.problem.T)
+        assert "table" not in vars(sol)
 
     def test_array_of_times_matches_scalar_calls(self):
         problem = builtin_problem(3)

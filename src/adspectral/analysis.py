@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgejsv
@@ -142,50 +142,49 @@ def error_report(problem: ADProblem, config: SolverConfig,
 
 
 def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
-                      M_range: Sequence[int], lam: float,
-                      t_final: Optional[float] = None) -> SweepResult:
+                      M_range: Sequence[int], lam: float) -> SweepResult:
     """One error report per (N, M) cell, N0 = N + 2 in each cell.
 
     Every cell gives the dne of error_report, from one batched pass over the
     solver's own stages. The unit systems (I + alpha_n TQ) x_n = ones depend
     on M and not on N, so each M in turn takes one rule lookup, one unit
-    solve for modes 1 .. max(N)/2 and one Lagrange row at t_final, the end
-    of the run's horizon; only one M's unit solutions are alive at a time.
+    solve for modes 1 .. max(N)/2 and one Lagrange row at the horizon T,
+    where the error is taken; only one M's unit solutions are alive at a
+    time.
     Each cell keeps only that row times its leading N/2 unit solutions.
     Then each N scales the rows of all M by its u0 spectrum, sampled once at
     N0 = N + 2 points, and takes one completion of the half spectrum, one
     synthesis and one sample of problem.exact. Rows are ordered N outer, M
     inner, and the log-error slope of each N is fitted over its M. A problem
-    without an exact solution, a t_final <= 0, an N that is not even and
-    >= 2 or an M that is not a whole number >= 1 is refused before any
-    solve.
+    without an exact solution, an N that is not even and >= 2 or an M that
+    is not a whole number >= 1 is refused before any solve; sweep another
+    horizon with problem.with_horizon(t).
     """
     if not len(N_range) or not len(M_range):
         raise ValueError("N_range and M_range must be nonempty")
     _check_entries("convergence_sweep", "N_range", N_range, "N")
     _check_entries("convergence_sweep", "M_range", M_range, "M")
-    t_final = problem.T if t_final is None else t_final
-    _check_error_inputs(problem, t_final, "convergence_sweep")
-    run = problem.with_horizon(t_final)
+    T = problem.T
+    _check_error_inputs(problem, T, "convergence_sweep")
     Ns = sorted(set(int(n) for n in N_range))
-    spectra = [_initial_spectrum(run, N + 2) for N in Ns]
-    ends = [[] for _ in Ns]  # per N: unit solutions at t_final, a row per M
+    spectra = [_initial_spectrum(problem, N + 2) for N in Ns]
+    ends = [[] for _ in Ns]  # per N: unit solutions at T, a row per M
     Ms = sorted(set(int(m) for m in M_range))
     for M in Ms:
-        basis, tq, _ = _horizon_rule(run, lam, M)
-        units = _unit_solve(run, basis, tq, Ns[-1] // 2)
-        # t_final is the horizon, so it maps to s = 1 on the reference interval
+        basis, tq, _ = _horizon_rule(problem, lam, M)
+        units = _unit_solve(problem, basis, tq, Ns[-1] // 2)
+        # T maps to s = 1 on the reference interval
         end_row = _lagrange_matrix(basis, 1.0)
         for N, ends_N in zip(Ns, ends):
             ends_N.append(end_row @ units[:, :N // 2])
-    g_final = float(run.g(t_final))
+    g_final = float(problem.g(T))
     ms = np.array(Ms, dtype=float)
     rows, slopes = [], {}
     for N, spectrum, ends_N in zip(Ns, spectra, ends):
         coeffs = complete_half_spectrum(
             np.concatenate(ends_N) * spectrum.values[1:N // 2 + 1])
-        field = synthesize_field(coeffs, FourierGrid(L=run.L, N=N), g_final)
-        _, dnes = _field_errors(problem, field, t_final)
+        field = synthesize_field(coeffs, FourierGrid(L=problem.L, N=N), g_final)
+        _, dnes = _field_errors(problem, field, T)
         logs = np.array([np.log10(dne) if dne > 0 else -np.inf for dne in dnes])
         rows.extend((N, M, float(dne), float(log))
                     for M, dne, log in zip(Ms, dnes, logs))

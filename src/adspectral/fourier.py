@@ -127,9 +127,12 @@ def _synthesize(c: np.ndarray, grid: FourierGrid) -> np.ndarray:
     residue = np.abs(total.imag).max(axis=-1, initial=0.0).ravel()
     bound = (RESIDUE_ERROR_THRESHOLD
              * np.maximum(1.0, np.abs(c).sum(axis=-1))).ravel()
-    bad = np.flatnonzero(residue > bound)
+    # A NaN or infinite coefficient makes its row's bound NaN or inf.
+    bad = np.flatnonzero(~(residue <= bound) | np.isinf(bound))
     if bad.size:
         i = bad[0]
+        if not np.isfinite(bound[i]):
+            raise ValueError(f"coefficients are not finite: sum |c_k| = {bound[i]}")
         raise ValueError(
             f"imaginary synthesis residue {residue[i]:.3e} exceeds "
             f"{RESIDUE_ERROR_THRESHOLD:.0e} * max(1, sum |c_k|) = "
@@ -159,4 +162,6 @@ def synthesize_derivative(coeffs, grid: FourierGrid) -> np.ndarray:
     """
     c = _gather(coeffs, grid)
     om = grid.wavenumbers(np.arange(-grid.N // 2, grid.N // 2 + 1))
-    return _synthesize(1j * om * c, grid)
+    with np.errstate(invalid="ignore"):  # inf * 0; _synthesize refuses it
+        terms = 1j * om * c
+    return _synthesize(terms, grid)

@@ -79,11 +79,15 @@ class IntegrationMatrix:
     def schur(self) -> tuple[np.ndarray, np.ndarray]:
         """Complex Schur factors (R, U) with entries = U R U^H, read-only.
 
-        R is upper triangular with the eigenvalues on its diagonal and U is
-        unitary. Computed on first use and kept with the matrix, so the
-        cached reference rule factors each Q once.
+        R is upper triangular with the eigenvalues on its diagonal, stored
+        with exact zeros below it, and U is unitary. Computed on first use
+        and kept with the matrix, so the cached reference rule factors each
+        Q once.
         """
         r, u = _schur(self.entries, output="complex")
+        # Exact zeros, set in place: the layout, and so the rounding of the
+        # solver's row products, stays LAPACK's.
+        r[np.tril_indices_from(r, -1)] = 0.0
         for arr in (r, u):
             arr.setflags(write=False)
         return r, u

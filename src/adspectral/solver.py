@@ -10,11 +10,12 @@ zero mode from the zero-sum constraint of the coefficient vector. The
 reference integration matrix Q is the same for every mode, so a Schur form
 of Q, cached with the rule, turns all N/2 systems into one back-substitution
 along the mode axis (the many-shifts method of Laub, IEEE TAC 26, 1981).
-Complex rates take the complex form Q = U R U^H and solve
-(I + alpha_n (T/2) R) y_n = U^H ones. When every rate is real (mu = 0),
-the real form Q = Z S Z^T, with S quasi-upper triangular (Golub and Van
-Loan, Matrix Computations, sec. 7.4), keeps the solve in real arithmetic,
-one 1x1 or 2x2 diagonal block of S at a time. One step of iterative
+With Q = U S U^H it solves (I + alpha_n (T/2) S) y_n = U^H ones, one
+diagonal block of S at a time from the bottom. When every rate is real
+(mu = 0), the real form, with S quasi-upper triangular and U orthogonal
+(Golub and Van Loan, Matrix Computations, sec. 7.4), keeps the solve in
+real arithmetic with 1x1 and 2x2 blocks; complex rates take the complex
+form, with S upper triangular, and the same kernel. One step of iterative
 refinement against TQ follows, and each mode is refused when its
 eigenvalues or its refined residual show it numerically singular. The
 solution stores psi_n = u0_hat_n x_n as its factors, the unit solutions x_n
@@ -125,20 +126,13 @@ def assemble_mode(n: int, problem: ADProblem, config: SolverConfig,
     return np.eye(tq.order + 1) + mode_rate(problem, n) * tq.entries
 
 
-def _back_substitute(r: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> None:
-    # Solve (I + alpha_i r) y_i = b_i in place for every column i, where y
-    # holds b_i on entry: one step per row of the upper triangular r.
-    for j in range(len(r) - 1, -1, -1):
-        y[j] -= alpha * (r[j, j + 1:] @ y[j + 1:])
-        y[j] /= 1.0 + alpha * r[j, j]
-
-
-def _back_substitute_real(s: np.ndarray, alpha: np.ndarray, p: np.ndarray,
-                          det: np.ndarray, y: np.ndarray) -> None:
+def _back_substitute(s: np.ndarray, alpha: np.ndarray, p: np.ndarray,
+                     det: np.ndarray, y: np.ndarray) -> None:
     # Solve (I + alpha_i s) y_i = b_i in place for every column i, where y
     # holds b_i on entry, one diagonal block of the quasi-upper triangular s
-    # at a time from the bottom. p and det come from _real_pivots: a 1x1
-    # block divides by its p, a 2x2 block takes Cramer's rule with its det.
+    # at a time from the bottom. p and det come from _pivots: a 1x1 block
+    # divides by its p, a 2x2 block takes Cramer's rule with its det. An
+    # upper triangular s has only 1x1 blocks.
     j, k = len(s), len(det)
     while j:
         if j > 1 and s[j - 1, j - 2]:
@@ -156,31 +150,24 @@ def _back_substitute_real(s: np.ndarray, alpha: np.ndarray, p: np.ndarray,
         j = i
 
 
-def _complex_pivots(r: np.ndarray, alpha: np.ndarray):
-    # The smallest eigenvalue modulus of each mode matrix, read from the
-    # diagonal of I + alpha_i r, and the back-substitution against r.
-    with np.errstate(over="ignore"):
-        y = np.multiply.outer(r.diagonal(), alpha)
-    y += 1.0
-    return np.abs(y).min(axis=0), lambda b: _back_substitute(r, alpha, b)
-
-
-def _real_pivots(s: np.ndarray, alpha: np.ndarray):
-    # The same for real rates and the real Schur factor s. Each 2x2 diagonal
-    # block [[a, b], [c, a]] of s, in LAPACK's standard form with b c < 0,
-    # holds the pair a +- i sqrt(-b c), so the determinant
-    # (1 + alpha a)^2 - alpha^2 b c of its block of I + alpha s is the
-    # squared modulus of both eigenvalues. p = 1 + alpha s_jj and det are
-    # formed once here, for the pivot test and both back-substitutions.
+def _pivots(s: np.ndarray, alpha: np.ndarray):
+    # The smallest eigenvalue modulus of each mode matrix I + alpha_i s, and
+    # p = 1 + alpha s_jj and det, formed once for both back-substitutions.
+    # Each 2x2 diagonal block [[a, b], [c, a]] of the real factor, in
+    # LAPACK's standard form with b c < 0, holds the pair a +- i sqrt(-b c),
+    # so the determinant (1 + alpha a)^2 - alpha^2 b c of its block of
+    # I + alpha s is the squared modulus of both eigenvalues. The complex
+    # factor has no blocks, so det is empty; an overflow reads inf, which
+    # the pivot test refuses.
     starts = np.flatnonzero(s.diagonal(-1))
-    p = np.multiply.outer(s.diagonal(), alpha)
-    p += 1.0
-    det = p[starts] * p[starts + 1] - np.multiply.outer(
-        s[starts, starts + 1] * s[starts + 1, starts], alpha * alpha)
+    with np.errstate(over="ignore"):
+        p = alpha * s.diagonal()[:, None]
+        p += 1.0
+        det = p[starts] * p[starts + 1] - np.multiply.outer(
+            s[starts, starts + 1] * s[starts + 1, starts], alpha * alpha)
     modulus = np.abs(p)
-    modulus[starts] = modulus[starts + 1] = np.sqrt(det)
-    return (modulus.min(axis=0),
-            lambda b: _back_substitute_real(s, alpha, p, det, b))
+    modulus[starts] = modulus[starts + 1] = np.sqrt(det.real)
+    return modulus.min(axis=0), p, det
 
 
 def _residual(a: np.ndarray, alpha: np.ndarray, x: np.ndarray,
@@ -216,9 +203,9 @@ def _unit_solutions(a: np.ndarray, r: np.ndarray, u: np.ndarray,
     # given a Schur form a = u r u^H (up to rounding; the refinement step
     # works with a itself): the complex form, or, with real rates, the real
     # form with r quasi-upper triangular. At most three (M + 1, len(alpha))
-    # arrays of the result's type are alive at once, and only the result
-    # outlives the call; the real form also keeps p and det, at most one and
-    # a half more real ones.
+    # arrays of the result's type are alive at once besides p and det, at
+    # most one and a half more of that type, and only the result outlives
+    # the call.
     #
     # norm = 1 + |alpha_i| ||a||_inf >= ||I + alpha_i a||_inf stands in for
     # the norm in both tests, so that neither needs an (M + 1, len(alpha))
@@ -227,8 +214,7 @@ def _unit_solutions(a: np.ndarray, r: np.ndarray, u: np.ndarray,
     # and the pivot test then refuses its mode.
     with np.errstate(over="ignore"):
         norm = 1.0 + np.abs(alpha) * np.abs(a).sum(axis=1).max()
-    pivots = _complex_pivots if np.iscomplexobj(r) else _real_pivots
-    pivot, back_substitute = pivots(r, alpha)
+    pivot, p, det = _pivots(r, alpha)
     bad = np.flatnonzero(~(pivot >= PIVOT_RTOL * norm))
     if bad.size:
         i = int(bad[0])
@@ -241,11 +227,11 @@ def _unit_solutions(a: np.ndarray, r: np.ndarray, u: np.ndarray,
     uh = u.conj().T
     y = np.empty((len(u), len(alpha)), dtype=np.result_type(u, alpha))
     y[:] = uh.sum(axis=1)[:, None]  # U^H ones
-    back_substitute(y)
+    _back_substitute(r, alpha, p, det, y)
     x = u @ y
     # One step of iterative refinement; y is free once x is formed.
     step = uh @ _residual(a, alpha, x, out=y)
-    back_substitute(step)
+    _back_substitute(r, alpha, p, det, step)
     x += np.matmul(u, step, out=y)
     # A zero rate leaves the identity, whose solution is exactly ones.
     x[:, alpha == 0] = 1.0
@@ -312,6 +298,9 @@ def solve_modes(problem: ADProblem, config: SolverConfig,
 
 def _times_in_horizon(times, T: float) -> np.ndarray:
     times = np.asarray(times, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(
+            f"t must be a scalar or a 1-D array; got shape {times.shape}")
     outside = times[~((times >= 0.0) & (times <= T))]
     if outside.size:
         raise ValueError(f"t must lie in [0, {T}]; got {outside[0]}")
@@ -335,10 +324,11 @@ def evaluate_u(sol, x_grid: FourierGrid, t) -> np.ndarray:
 
     A scalar t gives shape (N,); a 1-D array of times gives one row per
     time, shape (len(t), N), from one coefficient table and one synthesis.
-    Any ``x_grid`` other than ``sol.grid`` raises ValueError.
+    Any other shape of t, or ``x_grid`` other than ``sol.grid``, raises
+    ValueError.
     """
     _check_grid(sol, x_grid)
-    times = np.atleast_1d(np.asarray(t, dtype=float))
+    times = np.atleast_1d(_times_in_horizon(t, sol.problem.T))
     g = [float(sol.problem.g(float(tk))) for tk in times]
     u = synthesize_field(sol.coefficients(times), x_grid, g)
     return u[0] if np.ndim(t) == 0 else u

@@ -205,6 +205,19 @@ class TestSynthesis:
         with pytest.raises(ValueError, match="residue"):
             synthesize_field(coeffs, grid, 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("synthesize", [
+        lambda c, grid: synthesize_field(c, grid, 0.0), synthesize_derivative],
+        ids=["field", "derivative"])
+    def test_non_finite_coefficient_refused(self, synthesize, value):
+        # A NaN residue or bound compares false with the bound, and an
+        # infinite bound admits an infinite residue.
+        grid = FourierGrid(L=2.0, N=4)
+        coeffs = {k: 0j for k in range(-2, 3)}
+        coeffs[1] = value
+        with pytest.raises(ValueError, match="coefficients are not finite"):
+            synthesize(coeffs, grid)
+
     def test_small_residue_discarded(self):
         grid = FourierGrid(L=2.0, N=4)
         coeffs = {k: 0j for k in range(-2, 3)}

@@ -86,6 +86,11 @@ class TestBuiltinProblems:
         assert problem.T == 0.1
         assert problem.nu == 1.0
 
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_with_horizon_rejects_nonpositive(self, T):
+        with pytest.raises(ValueError, match="T must be positive"):
+            builtin_problem(1).with_horizon(T)
+
 
 class TestSolverConfig:
     def test_defaults(self):

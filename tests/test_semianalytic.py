@@ -151,6 +151,20 @@ class TestSharedInterface:
                                              r"FourierGrid\(L=2.0, N=8\)"):
             evaluate(field, FourierGrid(L=4.0, N=8), 0.1)
 
+    @pytest.mark.parametrize("read", [
+        lambda sol, t: evaluate_u(sol, sol.grid, t),
+        lambda sol, t: evaluate_ux(sol, sol.grid, t),
+        lambda sol, t: sol.coefficients(t)], ids=["u", "ux", "coefficients"])
+    @pytest.mark.parametrize("kind", ["collocation", "closed_form"])
+    def test_two_dimensional_times_refused(self, kind, read):
+        # Times are a scalar or 1-D; evaluate_u refuses the shape before it
+        # samples g, which takes one float per time.
+        problem = builtin_problem(1)
+        sol = (solve_modes(problem, SolverConfig(N=8, M=6))
+               if kind == "collocation" else sa_field(problem, 8))
+        with pytest.raises(ValueError, match=r"1-D array; got shape \(2, 1\)"):
+            read(sol, np.array([[0.05], [0.1]]))
+
 
 class TestSaEvaluation:
     def test_tp1_pointwise(self):

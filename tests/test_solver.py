@@ -297,19 +297,22 @@ class TestDirectLapack:
                         worst[path] = max(worst[path], err / (eps / 2 * cond))
         assert worst["real"] <= worst["complex"] <= 3.0
 
-    def test_refined_residual_check_names_the_mode(self, monkeypatch):
+    # Problem 1 has real rates and takes the real Schur factor, problem 3
+    # the complex one; both go through the one back-substitution.
+    @pytest.mark.parametrize("pid", [1, 3])
+    def test_refined_residual_check_names_the_mode(self, monkeypatch, pid):
         # A back-substitution that goes wrong in mode 2's column leaves a
         # residual that the refinement step cannot remove.
         back_substitute = solver._back_substitute
 
-        def off_in_column_one(r, alpha, y):
-            back_substitute(r, alpha, y)
+        def off_in_column_one(s, alpha, p, det, y):
+            back_substitute(s, alpha, p, det, y)
             y[:, 1] *= 1.001
 
         monkeypatch.setattr(solver, "_back_substitute", off_in_column_one)
         with pytest.raises(ModeSolveError,
                            match="mode 2: refined residual") as info:
-            solve_modes(builtin_problem(3), SolverConfig(N=8, M=6))
+            solve_modes(builtin_problem(pid), SolverConfig(N=8, M=6))
         assert info.value.mode == 2
 
 
@@ -347,19 +350,6 @@ class TestRealSchurPath:
             solve_modes(problem, config)
         assert info.value.mode == 3
         assert "schur" not in q.__dict__
-
-    def test_refined_residual_check_names_the_mode(self, monkeypatch):
-        back_substitute = solver._back_substitute_real
-
-        def off_in_column_one(s, alpha, p, det, y):
-            back_substitute(s, alpha, p, det, y)
-            y[:, 1] *= 1.001
-
-        monkeypatch.setattr(solver, "_back_substitute_real", off_in_column_one)
-        with pytest.raises(ModeSolveError,
-                           match="mode 2: refined residual") as info:
-            solve_modes(builtin_problem(1), SolverConfig(N=8, M=6))
-        assert info.value.mode == 2
 
     @pytest.mark.parametrize("pid,horizon,factors", [
         (1, None, {"real_schur"}),

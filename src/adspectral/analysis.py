@@ -253,10 +253,51 @@ def singular_values(matrix) -> np.ndarray:
     return jacobi_svd(a)
 
 
-# Largest a-priori relative error bound on sigma_min, (m eps sigma_max /
-# sigma_min), under which a complex member of a conditioning stack keeps its
-# numpy.linalg.svd values.
+# Largest relative error bound on sigma_min, a priori or a posteriori, under
+# which a complex member of a conditioning stack keeps its numpy.linalg.svd
+# values.
 _GESDD_RTOL = 1e-13
+# The complex type in which the a-posteriori certificate forms A v, its
+# Rayleigh quotient and its residual. On x86-64 Linux it is the x87 extended
+# type, eps 1.1e-19. Where it is no wider than complex128, the bound's
+# rounding term, 4 m eps s_1 / sigma_min, is 4 times the a-priori bound, so
+# every member that failed that bound falls back to jacobi_svd.
+_CERTIFICATE_DTYPE = np.clongdouble
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    return np.sum(x.real ** 2 + x.imag ** 2, axis=-1)
+
+
+def _kato_temple(stack: np.ndarray, s: np.ndarray, vh: np.ndarray):
+    # sigma_min of each member A of a finite complex stack, and a relative
+    # error bound on it, from gesdd's values s and right singular vectors vh
+    # of A. v, the last row of vh conjugated, is the right vector of s_min;
+    # in _CERTIFICATE_DTYPE, w = A v with |v| = 1, theta = |w|^2 and
+    # r = A^H w - theta v. By Kato-Temple (Parlett, The Symmetric Eigenvalue
+    # Problem, ch. 10), the eigenvalue sigma_min^2 of A^H A lies in
+    # [theta - |r|^2 / (b - theta), theta] for any b with
+    # theta < b <= sigma_{m-1}^2; gesdd's absolute error, m eps s_1, gives
+    # b = (s_{m-1} - m eps s_1)^2. sqrt(theta) is returned with that
+    # interval's width relative to theta, plus the rounding of theta (about
+    # 4 m eps_ext s_1 / sigma_min) and of r; the bound is inf with no gap
+    # (b <= theta).
+    m = stack.shape[-1]
+    eps, eps_ext = np.finfo(float).eps, np.finfo(_CERTIFICATE_DTYPE).eps
+    a = stack.astype(_CERTIFICATE_DTYPE)
+    v = vh[:, -1].conj().astype(_CERTIFICATE_DTYPE)
+    v /= np.sqrt(_squared_norms(v))[:, None]
+    w = (a @ v[..., None])[..., 0]
+    theta = _squared_norms(w)
+    r = (a.conj().swapaxes(-2, -1) @ w[..., None])[..., 0] - theta[:, None] * v
+    rounding = 4 * m * eps_ext * s[:, 0]
+    residual = np.sqrt(_squared_norms(r)) + rounding * s[:, 0]
+    gap = np.maximum(s[:, -2] - m * eps * s[:, 0], 0.0) ** 2 - theta
+    sigma = np.sqrt(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = residual ** 2 / (gap * theta) + rounding / sigma
+    bound[~(gap > 0)] = np.inf
+    return sigma.astype(float), bound.astype(float)
 
 
 def _study_values(stack: np.ndarray) -> np.ndarray:
@@ -264,9 +305,13 @@ def _study_values(stack: np.ndarray) -> np.ndarray:
     # A complex member with a nonzero imaginary part first takes
     # numpy.linalg.svd (LAPACK gesdd). It is backward stable, so each value
     # is off by at most about m eps sigma_max; the values are kept when that
-    # bound, relative to sigma_min, is below _GESDD_RTOL. Every other member,
-    # real ones and those whose bound is NaN or too large included, goes
-    # through one jacobi_svd call.
+    # a-priori bound, relative to sigma_min, is below _GESDD_RTOL. A member
+    # whose a-priori bound is finite but too large takes gesdd again, with
+    # vectors, and keeps those values with sigma_min replaced by
+    # _kato_temple's when its a-posteriori bound is below _GESDD_RTOL; its
+    # middle values are gesdd's. Every other member, real ones and those
+    # whose bounds are NaN or too large included, goes through one
+    # jacobi_svd call.
     m = stack.shape[-1]
     sing = np.empty(stack.shape[:-1])
     fallback = np.ones(len(stack), dtype=bool)
@@ -283,6 +328,18 @@ def _study_values(stack: np.ndarray) -> np.ndarray:
             kept = tried[certified]
             sing[kept] = s[certified]
             fallback[kept] = False
+            late = tried[~certified & np.isfinite(bound)]
+            if late.size:
+                try:
+                    _, s, vh = np.linalg.svd(stack[late])
+                except np.linalg.LinAlgError:
+                    pass
+                else:
+                    sigma, bound = _kato_temple(stack[late], s, vh)
+                    s[:, -1] = sigma
+                    certified = bound < _GESDD_RTOL
+                    sing[late[certified]] = s[certified]
+                    fallback[late[certified]] = False
     if fallback.any():
         sing[fallback] = jacobi_svd(stack[fallback])
     return sing
@@ -304,12 +361,15 @@ def conditioning_study(problem: ADProblem, config: SolverConfig,
     Each (lambda, M) cell stacks TQ and the A matrices. A whose rate alpha_n
     is complex takes the values of numpy.linalg.svd (LAPACK gesdd) when they
     are certified: the a-priori relative error bound on sigma_min,
-    (M + 1) eps sigma_max / sigma_min, is below 1e-13. Every other member
+    (M + 1) eps sigma_max / sigma_min, is below 1e-13. Failing that, gesdd's
+    right singular vector v of sigma_min gives sigma_min as |A v| in
+    extended precision, kept when its Kato-Temple bound, relative to
+    sigma_min, is below 1e-13; sigma_max stays gesdd's. Every other member
     keeps the relative accuracy of jacobi_svd, in one call per cell: TQ,
     whose sigma_min falls to about 1e-6 as lambda nears -1/2, every A with a
-    real rate, and every A that fails the certificate. A cell with a member
-    that overflows (|alpha_n| T or max |Q| T too large) is refused before
-    its SVD, with the member named.
+    real rate, and every A that fails both certificates. A cell with a
+    member that overflows (|alpha_n| T or max |Q| T too large) is refused
+    before its SVD, with the member named.
     """
     if not len(lambda_list) or not len(M_list):
         raise ValueError("lambda_list and M_list must be nonempty")

@@ -41,6 +41,8 @@ class SAField:
     def coefficients(self, times) -> np.ndarray:
         """Modes -N/2 .. N/2 at each time in [0, T], shape (len(times), N + 1).
 
+        A scalar time gives one row, shape (1, N + 1).
+
         u0_hat_n exp(-alpha_n t) for n = 1 .. N/2 in one broadcast product,
         completed by conjugation and the zero-sum constraint, in the layout
         of ``SpectralSolution.table``.

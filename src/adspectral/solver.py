@@ -96,6 +96,8 @@ class SpectralSolution:
     def coefficients(self, times) -> np.ndarray:
         """Modes -N/2 .. N/2 at times in [0, T], shape (len(times), N + 1).
 
+        A scalar time gives one row, shape (1, N + 1).
+
         Real Lagrange rows in s = 2 t / T - 1 times the unit solutions, scaled
         by u0_hat_n and completed: conjugate symmetry and the zero sum are
         exact, and at the nodes the rows equal ``table``.
@@ -297,7 +299,9 @@ def solve_modes(problem: ADProblem, config: SolverConfig,
 
 
 def _times_in_horizon(times, T: float) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
+    # A scalar time becomes a 1-D array of one, so either kind of solution
+    # gives one coefficient row per time.
+    times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim > 1:
         raise ValueError(
             f"t must be a scalar or a 1-D array; got shape {times.shape}")
@@ -328,7 +332,7 @@ def evaluate_u(sol, x_grid: FourierGrid, t) -> np.ndarray:
     ValueError.
     """
     _check_grid(sol, x_grid)
-    times = np.atleast_1d(_times_in_horizon(t, sol.problem.T))
+    times = _times_in_horizon(t, sol.problem.T)
     g = [float(sol.problem.g(float(tk))) for tk in times]
     u = synthesize_field(sol.coefficients(times), x_grid, g)
     return u[0] if np.ndim(t) == 0 else u
@@ -337,6 +341,5 @@ def evaluate_u(sol, x_grid: FourierGrid, t) -> np.ndarray:
 def evaluate_ux(sol, x_grid: FourierGrid, t) -> np.ndarray:
     """Spatial-derivative values at the grid nodes and time t (scalar or 1-D)."""
     _check_grid(sol, x_grid)
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    ux = synthesize_derivative(sol.coefficients(times), x_grid)
+    ux = synthesize_derivative(sol.coefficients(t), x_grid)
     return ux[0] if np.ndim(t) == 0 else ux

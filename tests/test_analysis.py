@@ -567,13 +567,47 @@ class TestCertifiedStudyValues:
         assert np.array_equal(got[1], jacobi_svd(a))
 
     def test_members_of_a_study_stack(self, monkeypatch):
-        # Problem 3 at N = 64, lam = -0.45, M = 48: A at n = 1 is certified
-        # (cond 1.1), A at n = 32 is not (cond about 130), TQ is real.
+        # Problem 3 at N = 64, lam = -0.45, M = 48: A at n = 1 is certified a
+        # priori (cond 1.1), A at n = 32 (cond about 80) a posteriori, TQ is
+        # real.
+        stack = conditioning_stack(-0.45, 48)
+        counts = self._count_jacobi_members(monkeypatch)
+        got = analysis._study_values(stack)
+        assert counts == [1]
+        assert np.array_equal(got[0], jacobi_svd(stack[0].real))
+        assert np.array_equal(got[1], np.linalg.svd(stack[1], compute_uv=False))
+        assert_allclose(got[2, [0, -1]], jacobi_svd(stack[2])[[0, -1]],
+                        rtol=1e-13, atol=0.0)
+        # the other values are those of gesdd with vectors
+        assert np.array_equal(got[2, :-1], np.linalg.svd(stack[2])[1][:-1])
+
+    def test_clustered_sigma_min_falls_back(self, monkeypatch):
+        # The two smallest singular values are 1 and 1 + 1e-14, so the
+        # a-posteriori certificate finds no gap to bound sigma_min with; the
+        # a-priori bound is about 7 eps 1000 = 1.6e-12.
+        rng = np.random.default_rng(21)
+        u, _ = np.linalg.qr(rng.standard_normal((7, 7))
+                            + 1j * rng.standard_normal((7, 7)))
+        v, _ = np.linalg.qr(rng.standard_normal((7, 7))
+                            + 1j * rng.standard_normal((7, 7)))
+        a = (u * [1000.0, 300.0, 100.0, 30.0, 10.0, 1.0 + 1e-14, 1.0]) @ v
+        _, s, vh = np.linalg.svd(a)
+        assert analysis._kato_temple(a[None], s[None], vh[None])[1] == np.inf
+        well = np.eye(7) + 0.1j * np.ones((7, 7))
+        counts = self._count_jacobi_members(monkeypatch)
+        got = analysis._study_values(np.stack([well, a]))
+        assert counts == [1]
+        assert np.array_equal(got[1], jacobi_svd(a))
+
+    def test_double_precision_certificate_falls_back(self, monkeypatch):
+        # In complex128 the rounding term of the bound, 4 m eps s_1 /
+        # sigma_min, is about 3.5e-12 for A at n = 32 (cond about 80,
+        # m = 49).
+        monkeypatch.setattr(analysis, "_CERTIFICATE_DTYPE", np.complex128)
         stack = conditioning_stack(-0.45, 48)
         counts = self._count_jacobi_members(monkeypatch)
         got = analysis._study_values(stack)
         assert counts == [2]
-        assert np.array_equal(got[0], jacobi_svd(stack[0].real))
         assert np.array_equal(got[1], np.linalg.svd(stack[1], compute_uv=False))
         assert np.array_equal(got[2], jacobi_svd(stack[2]))
 
@@ -592,11 +626,24 @@ class TestCertifiedStudyValues:
         counts = self._count_jacobi_members(monkeypatch)
         conditioning_study(builtin_problem(3), SolverConfig(N=64, M=8, N0=66),
                            [-0.45, 1.5], [8, 48])
-        assert counts == [2] * 4  # TQ and A at n = 32
+        assert counts == [1] * 4  # TQ only
         counts.clear()
         conditioning_study(builtin_problem(1), SolverConfig(N=4, M=4, N0=6),
                            [-0.4], [4, 12])
         assert counts == [3] * 2  # mu = 0: every member is real
+
+    @staticmethod
+    def _route(matrix, M):
+        # The certificate a complex member passes: "a priori", "a posteriori"
+        # with its sigma_min and bound, or None.
+        s = np.linalg.svd(matrix, compute_uv=False)
+        if (M + 1) * np.finfo(float).eps * s[0] / s[-1] < analysis._GESDD_RTOL:
+            return "a priori", None, None
+        _, s, vh = np.linalg.svd(matrix)
+        sigma, bound = analysis._kato_temple(matrix[None], s[None], vh[None])
+        if bound[0] < analysis._GESDD_RTOL:
+            return "a posteriori", sigma[0], bound[0]
+        return None, None, None
 
     def test_reports_match_jacobi_over_problem_3(self):
         # Within 1e-13 relative of the all-Jacobi values where gesdd's are
@@ -605,7 +652,7 @@ class TestCertifiedStudyValues:
         reports, _ = conditioning_study(problem, SolverConfig(N=64, M=8, N0=66),
                                         [-0.45, 0.2, 1.5], range(8, 49, 8))
         assert len(reports) == 3 * 6 * 3
-        certified_by_n = {0: set(), 1: set(), 32: set()}
+        routes_by_n = {0: set(), 1: set(), 32: set()}
         for r in reports:
             tq = shift_integration_matrix(reference_rule(r.lam, r.M)[1],
                                           problem.T).entries
@@ -613,16 +660,42 @@ class TestCertifiedStudyValues:
                 np.eye(r.M + 1) + mode_rate(problem, r.n) * tq)
             want = singular_values(matrix)[[0, -1]]
             got = np.array([r.sigma_max, r.sigma_min])
-            s = np.linalg.svd(matrix, compute_uv=False)
-            certified = (r.kind == "A"
-                         and (r.M + 1) * np.finfo(float).eps * s[0] / s[-1]
-                         < analysis._GESDD_RTOL)
-            certified_by_n[r.n].add(certified)
-            if certified:
+            route = self._route(matrix, r.M)[0] if r.kind == "A" else None
+            routes_by_n[r.n].add(route)
+            if route:
                 assert_allclose(got, want, rtol=1e-13, atol=0.0)
             else:
                 assert np.array_equal(got, want)
-        assert certified_by_n == {0: {False}, 1: {True}, 32: {False}}
+        assert routes_by_n == {0: {None}, 1: {"a priori"}, 32: {"a posteriori"}}
+
+    def test_nyquist_member_certified_over_a_grid(self):
+        # Problem 3 at N = 64: A at n = 32 has cond 54 to 154 and fails the
+        # a-priori bound everywhere on this grid. Its a-posteriori bound
+        # is checked against 40-digit mpmath where the tests of the Jacobi
+        # SVD compute that reference, not against jacobi_svd: at lam = -0.3,
+        # M = 16, jacobi_svd's sigma_min is 1.6e-15 off the 40-digit value
+        # and the bound is 5.8e-16, while sqrt(theta) is that value rounded.
+        problem = builtin_problem(3)
+        lams, Ms = [-0.45, -0.16, 0.44, 1.5], range(8, 49, 8)
+        reports, _ = conditioning_study(problem, SolverConfig(N=64, M=8, N0=66),
+                                        lams, Ms)
+        nyquist = [r for r in reports if r.n == 32]
+        assert len(nyquist) == len(lams) * len(Ms)
+        bounds = {}
+        for r in nyquist:
+            matrix = conditioning_stack(r.lam, r.M)[2]
+            route, sigma, bound = self._route(matrix, r.M)
+            assert route == "a posteriori"
+            assert r.sigma_min == sigma and bound < analysis._GESDD_RTOL
+            want = jacobi_svd(matrix)[[0, -1]]
+            assert_allclose([r.sigma_max, r.sigma_min], want, rtol=1e-13, atol=0.0)
+            bounds[r.lam, r.M] = r.sigma_min, bound
+        pytest.importorskip("mpmath")
+        for lam, M in [(-0.45, 8), (-0.45, 48), (1.5, 8), (1.5, 48)]:
+            sigma_min, bound = bounds[lam, M]
+            exact = conditioning_stack_reference(lam, M)[1][2, -1]
+            # both values are rounded to double
+            assert abs(sigma_min - exact) <= (bound + np.finfo(float).eps) * exact
 
     @pytest.mark.parametrize("M", [8, 48])
     @pytest.mark.parametrize("lam", [-0.45, 0.2, 1.5])

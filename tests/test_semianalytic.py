@@ -165,6 +165,20 @@ class TestSharedInterface:
         with pytest.raises(ValueError, match=r"1-D array; got shape \(2, 1\)"):
             read(sol, np.array([[0.05], [0.1]]))
 
+    @pytest.mark.parametrize("times,rows", [
+        (0.1, 1), (np.float64(0.1), 1), (np.array(0.1), 1), ([0.1], 1),
+        (np.array([0.0, 0.05, 0.1]), 3)],
+        ids=["float", "float64", "0-d", "list", "1-D"])
+    @pytest.mark.parametrize("kind", ["collocation", "closed_form"])
+    def test_coefficients_give_one_row_per_time(self, kind, times, rows):
+        # A scalar time gives one row, as a 1-D array of one time does.
+        problem = builtin_problem(1)
+        sol = (solve_modes(problem, SolverConfig(N=8, M=6))
+               if kind == "collocation" else sa_field(problem, 8))
+        got = sol.coefficients(times)
+        assert got.shape == (rows, 9)
+        assert np.array_equal(got, sol.coefficients(np.atleast_1d(times)))
+
 
 class TestSaEvaluation:
     def test_tp1_pointwise(self):

@@ -253,15 +253,15 @@ def singular_values(matrix) -> np.ndarray:
     return jacobi_svd(a)
 
 
-# Largest relative error bound on sigma_min, a priori or a posteriori, under
-# which a complex member of a conditioning stack keeps its numpy.linalg.svd
-# values.
+# Largest relative error bound on sigma_min under which a complex member of
+# a conditioning stack keeps its numpy.linalg.svd values.
 _GESDD_RTOL = 1e-13
-# The complex type in which the a-posteriori certificate forms A v, its
-# Rayleigh quotient and its residual. On x86-64 Linux it is the x87 extended
-# type, eps 1.1e-19. Where it is no wider than complex128, the bound's
-# rounding term, 4 m eps s_1 / sigma_min, is 4 times the a-priori bound, so
-# every member that failed that bound falls back to jacobi_svd.
+# The complex type in which the certificate forms A v, its Rayleigh quotient
+# and its residual. On x86-64 Linux it is the x87 extended type, eps 1.1e-19.
+# Where it is no wider than complex128, the bound's rounding term,
+# 4 m eps s_1 / sigma_min, is 4 times gesdd's a-priori error bound, so a
+# member falls back to jacobi_svd unless m eps s_1 / sigma_min is below
+# _GESDD_RTOL / 4.
 _CERTIFICATE_DTYPE = np.clongdouble
 
 
@@ -302,44 +302,26 @@ def _kato_temple(stack: np.ndarray, s: np.ndarray, vh: np.ndarray):
 
 def _study_values(stack: np.ndarray) -> np.ndarray:
     # Singular values of each square member of a finite stack, descending.
-    # A complex member with a nonzero imaginary part first takes
-    # numpy.linalg.svd (LAPACK gesdd). It is backward stable, so each value
-    # is off by at most about m eps sigma_max; the values are kept when that
-    # a-priori bound, relative to sigma_min, is below _GESDD_RTOL. A member
-    # whose a-priori bound is finite but too large takes gesdd again, with
-    # vectors, and keeps those values with sigma_min replaced by
-    # _kato_temple's when its a-posteriori bound is below _GESDD_RTOL; its
-    # middle values are gesdd's. Every other member, real ones and those
-    # whose bounds are NaN or too large included, goes through one
-    # jacobi_svd call.
-    m = stack.shape[-1]
+    # The members with a nonzero imaginary part take one numpy.linalg.svd
+    # (LAPACK gesdd) call with vectors. Each keeps those values, sigma_min
+    # replaced by _kato_temple's, when its bound is below _GESDD_RTOL; its
+    # other values are gesdd's. Every other member, real ones, those whose
+    # bounds are NaN or too large, and all of them when gesdd does not
+    # converge, goes through one jacobi_svd call.
     sing = np.empty(stack.shape[:-1])
     fallback = np.ones(len(stack), dtype=bool)
     if np.iscomplexobj(stack):
         tried = np.flatnonzero(stack.imag.any(axis=(-2, -1)))
         if tried.size:
             try:
-                s = np.linalg.svd(stack[tried], compute_uv=False)
-            except np.linalg.LinAlgError:  # no convergence: all fall back
-                s = np.full((tried.size, m), np.nan)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bound = m * np.finfo(float).eps * s[:, 0] / s[:, -1]
-            certified = bound < _GESDD_RTOL
-            kept = tried[certified]
-            sing[kept] = s[certified]
-            fallback[kept] = False
-            late = tried[~certified & np.isfinite(bound)]
-            if late.size:
-                try:
-                    _, s, vh = np.linalg.svd(stack[late])
-                except np.linalg.LinAlgError:
-                    pass
-                else:
-                    sigma, bound = _kato_temple(stack[late], s, vh)
-                    s[:, -1] = sigma
-                    certified = bound < _GESDD_RTOL
-                    sing[late[certified]] = s[certified]
-                    fallback[late[certified]] = False
+                _, s, vh = np.linalg.svd(stack[tried])
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                s[:, -1], bound = _kato_temple(stack[tried], s, vh)
+                certified = bound < _GESDD_RTOL
+                sing[tried[certified]] = s[certified]
+                fallback[tried[certified]] = False
     if fallback.any():
         sing[fallback] = jacobi_svd(stack[fallback])
     return sing
@@ -358,18 +340,18 @@ def conditioning_study(problem: ADProblem, config: SolverConfig,
     or below -1/2 + LAMBDA_MIN_GUARD, or an M that is not a whole number
     >= 1, is refused before any rule is built.
 
-    Each (lambda, M) cell stacks TQ and the A matrices. A whose rate alpha_n
-    is complex takes the values of numpy.linalg.svd (LAPACK gesdd) when they
-    are certified: the a-priori relative error bound on sigma_min,
-    (M + 1) eps sigma_max / sigma_min, is below 1e-13. Failing that, gesdd's
-    right singular vector v of sigma_min gives sigma_min as |A v| in
-    extended precision, kept when its Kato-Temple bound, relative to
-    sigma_min, is below 1e-13; sigma_max stays gesdd's. Every other member
-    keeps the relative accuracy of jacobi_svd, in one call per cell: TQ,
-    whose sigma_min falls to about 1e-6 as lambda nears -1/2, every A with a
-    real rate, and every A that fails both certificates. A cell with a
-    member that overflows (|alpha_n| T or max |Q| T too large) is refused
-    before its SVD, with the member named.
+    Each (lambda, M) cell stacks TQ and the A matrices. Every A whose rate
+    alpha_n is complex takes one numpy.linalg.svd (LAPACK gesdd) call with
+    vectors. The right singular vector v of sigma_min gives sigma_min as
+    |A v| in extended precision, and the member keeps it, with gesdd's other
+    values, when its Kato-Temple bound, relative to sigma_min, is below
+    1e-13. Every other member keeps the relative accuracy of jacobi_svd, in
+    one call per cell: TQ, whose sigma_min falls to about 1e-6 as lambda
+    nears -1/2, every A with a real rate, and every A the bound does not
+    certify. A cell with a member that overflows (|alpha_n| T or max |Q| T
+    too large), or with a TQ entry that underflows below the smallest
+    normal double where Q's is nonzero, is refused before its SVD, with the
+    member named.
     """
     if not len(lambda_list) or not len(M_list):
         raise ValueError("lambda_list and M_list must be nonempty")
@@ -390,8 +372,8 @@ def conditioning_study(problem: ADProblem, config: SolverConfig,
         for M in Ms:
             q = reference_rule(lam, M)[1]
             # One stack per cell: TQ, then A at each sampled mode. An entry
-            # that overflows (inf times a zero part gives NaN) is refused
-            # below, before any SVD.
+            # that overflows (inf times a zero part gives NaN), or a TQ entry
+            # that underflows, is refused below, before any SVD.
             with np.errstate(over="ignore", invalid="ignore"):
                 tq = shift_integration_matrix(q, problem.T).entries
                 stack = np.concatenate(
@@ -405,6 +387,13 @@ def conditioning_study(problem: ADProblem, config: SolverConfig,
                     f"conditioning_study: {'A' if i else 'TQ'} at n = "
                     f"{[0, *modes][i]}, lambda = {lam}, M = {M} is not finite: "
                     f"{scale}{problem.T:.6g} overflows")
+            nonzero = q.entries != 0
+            if np.abs(tq[nonzero]).min() < np.finfo(float).tiny:
+                raise ValueError(
+                    f"conditioning_study: TQ at n = 0, lambda = {lam}, M = {M} "
+                    f"is not normal: min |Q| T = "
+                    f"{np.abs(q.entries[nonzero]).min():.6g} * "
+                    f"{problem.T:.6g} underflows")
             sing = _study_values(stack)
             conds = {}
             for n, s in zip([0, *modes], sing):

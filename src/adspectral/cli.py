@@ -42,14 +42,6 @@ from .solver import ModeSolveError, evaluate_u, evaluate_ux, solve_modes
 INT, FLOAT = "%d", "%.17g"
 
 
-def _write_text(path: Path, header, template: str, values) -> None:
-    # The one file-writing path: a header line, then the body from one
-    # C-level % operation.
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        handle.write(template % tuple(values))
-
-
 def _write_table(path: Path, header, formats, rows) -> None:
     """Write a header line, then one line per row with formats[j] for column j.
 
@@ -61,7 +53,10 @@ def _write_table(path: Path, header, formats, rows) -> None:
         values = rows.ravel().tolist()
     else:
         values = [cell for row in rows for cell in row]
-    _write_text(path, header, (",".join(formats) + "\n") * len(rows), values)
+    body = (",".join(formats) + "\n") * len(rows) % tuple(values)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.write(body)
 
 
 # Every field of solution.csv and coefficients.csv is one cell: the "%.17g"

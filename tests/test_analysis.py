@@ -557,34 +557,48 @@ class TestCertifiedStudyValues:
         monkeypatch.setattr(analysis, "jacobi_svd", counted)
         return counts
 
+    @staticmethod
+    def _gapped(m):
+        # A complex member with distinct singular values 1.01 to about m,
+        # which the certificate passes.
+        return np.diag(np.arange(1.0, m + 1)) + 0.1j * np.ones((m, m))
+
+    @staticmethod
+    def _certified(stack):
+        # gesdd's values of each member with sigma_min replaced by
+        # _kato_temple's, and the bounds.
+        _, s, vh = np.linalg.svd(stack)
+        s[:, -1], bound = analysis._kato_temple(stack, s, vh)
+        return s, bound
+
     def test_ill_conditioned_complex_member_falls_back(self, monkeypatch):
-        # The a-priori bound on sigma_min is about 4 eps 1e10 = 9e-6.
+        # The rounding term of the bound on sigma_min is about
+        # 4 m eps_ext 1e10 = 1.7e-8.
         counts = self._count_jacobi_members(monkeypatch)
         a = (1 + 1j) * np.diag([1.0, 1e-10, 0.5, 0.25])
-        well = np.eye(4) + 0.1j * np.ones((4, 4))
+        well = self._gapped(4)
         got = analysis._study_values(np.stack([well, a]))
         assert counts == [1]
+        assert np.array_equal(got[0], self._certified(well[None])[0][0])
         assert np.array_equal(got[1], jacobi_svd(a))
 
     def test_members_of_a_study_stack(self, monkeypatch):
-        # Problem 3 at N = 64, lam = -0.45, M = 48: A at n = 1 is certified a
-        # priori (cond 1.1), A at n = 32 (cond about 80) a posteriori, TQ is
-        # real.
+        # Problem 3 at N = 64, lam = -0.45, M = 48: A at n = 1 (cond 1.1) and
+        # A at n = 32 (cond about 80) are certified, TQ is real.
         stack = conditioning_stack(-0.45, 48)
         counts = self._count_jacobi_members(monkeypatch)
         got = analysis._study_values(stack)
         assert counts == [1]
         assert np.array_equal(got[0], jacobi_svd(stack[0].real))
-        assert np.array_equal(got[1], np.linalg.svd(stack[1], compute_uv=False))
-        assert_allclose(got[2, [0, -1]], jacobi_svd(stack[2])[[0, -1]],
+        want, bound = self._certified(stack[1:])
+        assert np.all(bound < analysis._GESDD_RTOL)
+        assert np.array_equal(got[1:], want)
+        assert_allclose(got[1:, [0, -1]], jacobi_svd(stack[1:])[:, [0, -1]],
                         rtol=1e-13, atol=0.0)
-        # the other values are those of gesdd with vectors
-        assert np.array_equal(got[2, :-1], np.linalg.svd(stack[2])[1][:-1])
 
     def test_clustered_sigma_min_falls_back(self, monkeypatch):
         # The two smallest singular values are 1 and 1 + 1e-14, so the
-        # a-posteriori certificate finds no gap to bound sigma_min with; the
-        # a-priori bound is about 7 eps 1000 = 1.6e-12.
+        # certificate finds no gap to bound sigma_min with.
         rng = np.random.default_rng(21)
         u, _ = np.linalg.qr(rng.standard_normal((7, 7))
                             + 1j * rng.standard_normal((7, 7)))
@@ -593,22 +607,35 @@ class TestCertifiedStudyValues:
         a = (u * [1000.0, 300.0, 100.0, 30.0, 10.0, 1.0 + 1e-14, 1.0]) @ v
         _, s, vh = np.linalg.svd(a)
         assert analysis._kato_temple(a[None], s[None], vh[None])[1] == np.inf
-        well = np.eye(7) + 0.1j * np.ones((7, 7))
+        well = self._gapped(7)
         counts = self._count_jacobi_members(monkeypatch)
         got = analysis._study_values(np.stack([well, a]))
         assert counts == [1]
+        assert np.array_equal(got[0], self._certified(well[None])[0][0])
         assert np.array_equal(got[1], jacobi_svd(a))
+
+    def test_repeated_sigma_min_equals_jacobi(self, monkeypatch):
+        # I + 0.1i ones has sigma_min = 1 of multiplicity m - 1: no gap, so
+        # the member takes jacobi_svd's values bit for bit.
+        repeated = np.eye(4) + 0.1j * np.ones((4, 4))
+        assert self._certified(repeated[None])[1][0] == np.inf
+        counts = self._count_jacobi_members(monkeypatch)
+        got = analysis._study_values(repeated[None])
+        assert counts == [1]
+        assert np.array_equal(got[0], jacobi_svd(repeated))
 
     def test_double_precision_certificate_falls_back(self, monkeypatch):
         # In complex128 the rounding term of the bound, 4 m eps s_1 /
         # sigma_min, is about 3.5e-12 for A at n = 32 (cond about 80,
-        # m = 49).
+        # m = 49); A at n = 1 (cond 1.1) still passes, with 4.6e-14.
         monkeypatch.setattr(analysis, "_CERTIFICATE_DTYPE", np.complex128)
         stack = conditioning_stack(-0.45, 48)
         counts = self._count_jacobi_members(monkeypatch)
         got = analysis._study_values(stack)
         assert counts == [2]
-        assert np.array_equal(got[1], np.linalg.svd(stack[1], compute_uv=False))
+        want, bound = self._certified(stack[1:])
+        assert bound[0] < analysis._GESDD_RTOL <= bound[1]
+        assert np.array_equal(got[1], want[0])
         assert np.array_equal(got[2], jacobi_svd(stack[2]))
 
     def test_gesdd_failure_falls_back(self, monkeypatch):
@@ -617,10 +644,28 @@ class TestCertifiedStudyValues:
 
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
         counts = self._count_jacobi_members(monkeypatch)
-        stack = np.eye(6) + 0.1j * np.ones((2, 6, 6))
+        stack = np.stack([self._gapped(6), self._gapped(6).T])
         got = analysis._study_values(stack)
         assert counts == [2]
         assert np.array_equal(got, jacobi_svd(stack))
+
+    def test_one_gesdd_call_with_vectors_per_cell(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append((a.shape, args, kwargs))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        conditioning_study(builtin_problem(3), SolverConfig(N=64, M=8, N0=66),
+                           [-0.45, 1.5], [8, 48])
+        # A at n = 1 and n = 32 in each cell, vectors computed
+        assert calls == [((2, M + 1, M + 1), (), {}) for M in (8, 48)] * 2
+        calls.clear()
+        conditioning_study(builtin_problem(1), SolverConfig(N=4, M=4, N0=6),
+                           [-0.4], [4, 12])
+        assert calls == []  # mu = 0: every member is real
 
     def test_one_jacobi_call_per_cell(self, monkeypatch):
         counts = self._count_jacobi_members(monkeypatch)
@@ -634,11 +679,9 @@ class TestCertifiedStudyValues:
 
     @staticmethod
     def _route(matrix, M):
-        # The certificate a complex member passes: "a priori", "a posteriori"
-        # with its sigma_min and bound, or None.
-        s = np.linalg.svd(matrix, compute_uv=False)
-        if (M + 1) * np.finfo(float).eps * s[0] / s[-1] < analysis._GESDD_RTOL:
-            return "a priori", None, None
+        # The certificate an (M + 1)-square complex member passes: "a
+        # posteriori" with its sigma_min and bound, or None.
+        assert matrix.shape == (M + 1, M + 1)
         _, s, vh = np.linalg.svd(matrix)
         sigma, bound = analysis._kato_temple(matrix[None], s[None], vh[None])
         if bound[0] < analysis._GESDD_RTOL:
@@ -666,7 +709,8 @@ class TestCertifiedStudyValues:
                 assert_allclose(got, want, rtol=1e-13, atol=0.0)
             else:
                 assert np.array_equal(got, want)
-        assert routes_by_n == {0: {None}, 1: {"a priori"}, 32: {"a posteriori"}}
+        assert routes_by_n == {0: {None}, 1: {"a posteriori"},
+                               32: {"a posteriori"}}
 
     def test_nyquist_member_certified_over_a_grid(self):
         # Problem 3 at N = 64: A at n = 32 has cond 54 to 154 and fails the
@@ -731,6 +775,27 @@ class TestCertifiedStudyValues:
                 conditioning_study(problem, SolverConfig(N=64, M=8, N0=66),
                                    [lam], [M])
 
+
+    @pytest.mark.parametrize("horizon,shown", [(5e-324, "4.94066e-324"),
+                                               (1e-320, "9.99989e-321")])
+    def test_underflowing_tq_refused_before_any_svd(self, monkeypatch,
+                                                    horizon, shown):
+        # Below the smallest normal double TQ's entries lose digits: at
+        # T = 1e-320 its cond would read 256.67, not 236.88, and at
+        # T = 5e-324 every entry is 0.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an SVD ran")
+
+        monkeypatch.setattr(analysis, "_study_values", unreachable)
+        problem = builtin_problem(1).with_horizon(horizon)
+        message = (r"^conditioning_study: TQ at n = 0, lambda = -0.4, M = 4 is "
+                   rf"not normal: min \|Q\| T = 2.59519e-05 \* {shown} "
+                   r"underflows$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                conditioning_study(problem, SolverConfig(N=8, M=4, N0=10),
+                                   [-0.4], [4])
 
 class TestBench:
     def test_stage_breakdown_structure(self):

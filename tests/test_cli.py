@@ -604,6 +604,22 @@ class TestFailureModes:
         assert err.startswith(message) and err.count("\n") == 1
         assert list((tmp_path / "o").iterdir()) == []
 
+    @pytest.mark.parametrize("horizon", ["5e-324", "1e-320"])
+    def test_underflowing_tq_reported_without_traceback(
+            self, tmp_path, capsys, horizon):
+        cfg = _write(tmp_path, "problem_id = 1\nN = 8\nM = 4\nlambda_list = -0.4\n"
+                               f"M_list = 4\nT = {horizon}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["conditioning", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: conditioning_study: TQ at n = 0, "
+                              "lambda = -0.4, M = 4 is not normal")
+        assert err.endswith(" underflows\n") and err.count("\n") == 1
+        assert list((tmp_path / "o").iterdir()) == []
+
     @pytest.mark.parametrize("command,key", [("solve", "lambda"),
                                              ("conditioning", "lambda_list")])
     def test_overflowing_lambda_reported_without_traceback(

@@ -18,7 +18,7 @@ from .gegenbauer import (GegenbauerBasis, IntegrationMatrix, TimeGrid,
                          time_grid)
 from .problems import (ADProblem, ConfigError, SolverConfig, load_config,
                        parse_config_pairs, test_problem)
-from .semianalytic import (SAField, sa_coefficient, sa_coefficient_map,
+from .semianalytic import (SAField, sa_coefficient_map,
                            sa_evaluate_u, sa_evaluate_ux, sa_field)
 from .solver import (ModeSolveError, SpectralSolution, assemble_mode,
                      coefficients_at, evaluate_u, evaluate_ux, mode_rate,
@@ -35,7 +35,7 @@ __all__ = [
     "build_integration_matrix", "coefficients_at", "conditioning_study",
     "convergence_sweep", "dft_coefficients", "error_report", "evaluate_u",
     "evaluate_ux", "jacobi_svd", "load_config",
-    "mode_rate", "parse_config_pairs", "sa_coefficient", "sa_coefficient_map",
+    "mode_rate", "parse_config_pairs", "sa_coefficient_map",
     "sa_evaluate_u", "sa_evaluate_ux", "sa_field", "shift_integration_matrix",
     "singular_values", "solve_modes", "synthesize_derivative",
     "synthesize_field", "test_problem", "time_grid",

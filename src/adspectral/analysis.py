@@ -13,9 +13,8 @@ from .fourier import FourierGrid, complete_half_spectrum, synthesize_field
 from .gegenbauer import LAMBDA_MIN_GUARD, _lagrange_matrix, reference_rule, \
     shift_integration_matrix
 from .problems import ADProblem, SolverConfig
-from .solver import (_horizon_rule, _initial_spectrum, _prepare,
-                     _scaled_solution, _unit_solve, evaluate_u, mode_rate,
-                     solve_modes)
+from .solver import _initial_spectrum, _unit_solve, evaluate_u, mode_rate, \
+    solve_modes
 
 
 @dataclass(frozen=True)
@@ -171,8 +170,9 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
     ends = [[] for _ in Ns]  # per N: unit solutions at T, a row per M
     Ms = sorted(set(int(m) for m in M_range))
     for M in Ms:
-        basis, tq, _ = _horizon_rule(problem, lam, M)
-        units = _unit_solve(problem, basis, tq, Ns[-1] // 2)
+        basis, q = reference_rule(lam, M)
+        units = _unit_solve(problem, basis, shift_integration_matrix(q, T),
+                            Ns[-1] // 2)
         # T maps to s = 1 on the reference interval
         end_row = _lagrange_matrix(basis, 1.0)
         for N, ends_N in zip(Ns, ends):
@@ -427,27 +427,25 @@ def bench_solve(problem: ADProblem, config: SolverConfig,
                 repeats: int) -> BenchResult:
     """Median wall-clock time of the stages of solve_modes, then one synthesis.
 
-    "assembly" is the rule lookup, time grid and u0 spectrum, "solve" the
-    unit solves of the modes, and "synthesis" one evaluate_u call at every
-    time node, which scales and completes the coefficients it synthesizes.
+    Each repeat is one solve_modes call and one evaluate_u call at every
+    time node. "assembly" and "solve" are the solution's own ``stage_s``:
+    the rule lookup, TQ, time grid and u0 spectrum, then the unit solves of
+    the modes. "synthesis" is the evaluate_u call, which scales and
+    completes the coefficients it synthesizes.
     """
     if repeats < 3:
         raise ValueError(f"repeats must be >= 3; got {repeats}")
-    stage_names = ("assembly", "solve", "synthesis")
-    samples = {name: [] for name in stage_names}
+    samples = {name: [] for name in ("assembly", "solve", "synthesis")}
     totals = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        basis, tq, tgrid, spectrum = _prepare(problem, config)
+        sol = solve_modes(problem, config)
         t1 = time.perf_counter()
-        units = _unit_solve(problem, basis, tq, config.N // 2)
-        sol = _scaled_solution(problem, config, basis, tgrid, units, spectrum)
-        t2 = time.perf_counter()
         evaluate_u(sol, sol.grid, sol.time_grid.nodes)
-        t3 = time.perf_counter()
-        samples["assembly"].append(t1 - t0)
-        samples["solve"].append(t2 - t1)
-        samples["synthesis"].append(t3 - t2)
-        totals.append(t3 - t0)
+        t2 = time.perf_counter()
+        for name, seconds in sol.stage_s.items():
+            samples[name].append(seconds)
+        samples["synthesis"].append(t2 - t1)
+        totals.append(t2 - t0)
     stages = {name: float(np.median(vals)) for name, vals in samples.items()}
     return BenchResult(median_total=float(np.median(totals)), stages=stages)

@@ -182,18 +182,26 @@ def build_basis(lam: float, order: int) -> GegenbauerBasis:
                            christoffel=weights, bary_weights=bary)
 
 
-def bary_interpolate(basis: GegenbauerBasis, nodal_values, t: float):
+def bary_interpolate(basis: GegenbauerBasis, nodal_values, t):
     """Evaluate the Lagrange interpolant of the nodal values at t in [-1, 1].
 
-    Uses the second barycentric form; if t coincides with a node within
-    NODE_COINCIDENCE_TOL the nodal value is returned exactly.
+    ``nodal_values`` has the node axis first, shape (order + 1, ...). A
+    scalar t gives the value, shape ``nodal_values.shape[1:]``; a 1-D array
+    of points gives one row per point, shape (len(t), ...), from one
+    Lagrange matrix and one product. Uses the second barycentric form; a
+    point within NODE_COINCIDENCE_TOL of a node takes the nodal value
+    exactly.
     """
     values = np.asarray(nodal_values)
-    if values.shape != (basis.order + 1,):
+    if values.shape[:1] != (basis.order + 1,):
         raise ValueError(
             f"expected {basis.order + 1} nodal values, got shape {values.shape}"
         )
-    return _lagrange_matrix(basis, [t])[0] @ values
+    if np.ndim(t) > 1:
+        raise ValueError(
+            f"t must be a scalar or a 1-D array; got shape {np.shape(t)}")
+    rows = _lagrange_matrix(basis, t)
+    return rows[0] @ values if np.ndim(t) == 0 else rows @ values
 
 
 def _lagrange_matrix(basis: GegenbauerBasis, points) -> np.ndarray:

@@ -154,11 +154,15 @@ KNOWN_KEYS = {
 
 
 def parse_config_pairs(path) -> dict:
-    """Read a flat key=value file (one pair per line, # comments, UTF-8)."""
+    """Read a flat key=value file (one pair per line, # comments, UTF-8).
+
+    A leading byte-order mark is skipped. A file that cannot be read, or is
+    not UTF-8, raises ConfigError naming the file.
+    """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

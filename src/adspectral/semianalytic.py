@@ -61,15 +61,6 @@ def sa_field(problem: ADProblem, N: int, N0: int = 0) -> SAField:
     return SAField(spectrum=_initial_spectrum(problem, N0), problem=problem, N=N)
 
 
-def sa_coefficient(field: SAField, n: int, t: float) -> complex:
-    """Closed-form coefficient u0_hat_n exp(-alpha_n t) for 1 <= n <= N/2."""
-    if not 1 <= n <= field.N // 2:
-        raise ValueError(f"mode index must be in 1..{field.N // 2}; got {n}")
-    if not 0.0 <= t <= field.problem.T:
-        raise ValueError(f"t must lie in [0, {field.problem.T}]; got {t}")
-    return field.spectrum.mode(n) * np.exp(-mode_rate(field.problem, n) * t)
-
-
 def sa_coefficient_map(field: SAField, t: float) -> dict:
     """All modes |k| <= N/2 at time t, completed by conjugation and zero sum."""
     return coefficients_at(field, t)

@@ -25,6 +25,7 @@ of right-hand side ones and the u0_hat_n. Field evaluation takes it or a
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -34,7 +35,7 @@ import numpy as np
 from .fourier import FourierGrid, InitialSpectrum, complete_half_spectrum, \
     dft_coefficients, synthesize_derivative, synthesize_field
 from .gegenbauer import GegenbauerBasis, IntegrationMatrix, TimeGrid, \
-    _lagrange_matrix, reference_rule, shift_integration_matrix, time_grid
+    bary_interpolate, reference_rule, shift_integration_matrix, time_grid
 from .problems import ADProblem, SolverConfig
 
 # A mode whose smallest eigenvalue modulus min_j |1 + alpha_n (T/2) r_jj|
@@ -67,7 +68,9 @@ class SpectralSolution:
     on first use, are read-only; ``table`` has shape (M + 1, N + 1): row l
     holds time node t_l and column j holds mode k = j - N/2, for
     k = -N/2 .. N/2. ``psi`` maps each mode k to its column, a view of
-    ``table``.
+    ``table``. ``stage_s``, read-only, holds the wall-clock seconds of the
+    solve's two stages: "assembly", the rule lookup, TQ, time grid and u0
+    spectrum, and "solve", the unit solves of the modes.
     """
 
     config: SolverConfig
@@ -76,6 +79,7 @@ class SpectralSolution:
     time_grid: TimeGrid
     units: np.ndarray
     scale: np.ndarray
+    stage_s: MappingProxyType
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -98,13 +102,14 @@ class SpectralSolution:
 
         A scalar time gives one row, shape (1, N + 1).
 
-        Real Lagrange rows in s = 2 t / T - 1 times the unit solutions, scaled
-        by u0_hat_n and completed: conjugate symmetry and the zero sum are
-        exact, and at the nodes the rows equal ``table``.
+        The unit solutions interpolated at s = 2 t / T - 1 by
+        ``bary_interpolate``, scaled by u0_hat_n and completed: conjugate
+        symmetry and the zero sum are exact, and at the nodes the rows equal
+        ``table``.
         """
         T = self.problem.T
         times = _times_in_horizon(times, T)
-        rows = _lagrange_matrix(self.basis, 2.0 * times / T - 1.0) @ self.units
+        rows = bary_interpolate(self.basis, self.units, 2.0 * times / T - 1.0)
         return complete_half_spectrum(rows * self.scale)
 
 
@@ -188,15 +193,11 @@ def _initial_spectrum(problem: ADProblem, N0: int) -> InitialSpectrum:
 
 
 def _prepare(problem: ADProblem, config: SolverConfig):
-    return (*_horizon_rule(problem, config.lam, config.M),
-            _initial_spectrum(problem, config.N0))
-
-
-def _horizon_rule(problem: ADProblem, lam: float, M: int):
-    # The cached reference rule mapped to (0, T): basis, TQ and time grid.
-    basis, q = reference_rule(lam, M)
+    # The cached reference rule mapped to (0, T), as basis, TQ and time
+    # grid, and the u0 spectrum.
+    basis, q = reference_rule(config.lam, config.M)
     return (basis, shift_integration_matrix(q, problem.T),
-            time_grid(basis, problem.T))
+            time_grid(basis, problem.T), _initial_spectrum(problem, config.N0))
 
 
 def _unit_solutions(a: np.ndarray, r: np.ndarray, u: np.ndarray,
@@ -271,19 +272,6 @@ def _unit_solve(problem: ADProblem, basis: GegenbauerBasis,
     return _unit_solutions(tq.entries, 0.5 * problem.T * r, u, rates)
 
 
-def _scaled_solution(problem: ADProblem, config: SolverConfig,
-                     basis: GegenbauerBasis, tgrid: TimeGrid,
-                     units: np.ndarray,
-                     spectrum: InitialSpectrum) -> SpectralSolution:
-    # Read-only views of the leading N/2 unit solutions and u0_hat_n.
-    half = config.N // 2
-    units = units[:, :half]
-    units.setflags(write=False)
-    return SpectralSolution(config=config, problem=problem, basis=basis,
-                            time_grid=tgrid, units=units,
-                            scale=spectrum.values[1:half + 1])
-
-
 def solve_modes(problem: ADProblem, config: SolverConfig,
                 parallel: bool = False) -> SpectralSolution:
     """Solve all positive-mode systems; the coefficients complete when read.
@@ -291,11 +279,20 @@ def solve_modes(problem: ADProblem, config: SolverConfig,
     Negative modes are the exact conjugates of the positive ones and the zero
     mode is -2 sum_k Re(psi_k), enforcing the zero-sum constraint.
     ``parallel`` is accepted and ignored: all modes are solved together in
-    one back-substitution along the mode axis.
+    one back-substitution along the mode axis. The solution's ``stage_s``
+    records the seconds of the two stages, "assembly" and "solve".
     """
+    t0 = time.perf_counter()
     basis, tq, tgrid, spectrum = _prepare(problem, config)
-    units = _unit_solve(problem, basis, tq, config.N // 2)
-    return _scaled_solution(problem, config, basis, tgrid, units, spectrum)
+    t1 = time.perf_counter()
+    half = config.N // 2
+    units = _unit_solve(problem, basis, tq, half)
+    units.setflags(write=False)
+    t2 = time.perf_counter()
+    return SpectralSolution(
+        config=config, problem=problem, basis=basis, time_grid=tgrid,
+        units=units, scale=spectrum.values[1:half + 1],
+        stage_s=MappingProxyType({"assembly": t1 - t0, "solve": t2 - t1}))
 
 
 def _times_in_horizon(times, T: float) -> np.ndarray:

@@ -16,9 +16,9 @@ from adspectral import analysis, gegenbauer, solver
 from adspectral import test_problem as builtin_problem
 from adspectral.analysis import _field_errors, _report_from_field
 from adspectral.gegenbauer import RULE_CACHE_SIZE, build_basis, \
-    build_integration_matrix, reference_rule, shift_integration_matrix
-from adspectral.solver import _horizon_rule, _initial_spectrum, \
-    _scaled_solution, _unit_solve
+    build_integration_matrix, reference_rule, shift_integration_matrix, \
+    time_grid
+from adspectral.solver import SpectralSolution, _initial_spectrum, _unit_solve
 
 SWEEP_NS, SWEEP_MS = range(4, 65, 4), range(2, 41, 2)
 
@@ -66,19 +66,24 @@ def per_cell_sweep_rows(problem, N_range, M_range, lam, t_final):
     """Reference sweep that evaluates each (N, M) cell on its own.
 
     Each M shares one unit solve over modes 1 .. max(N)/2, as the sweep
-    does; each cell then runs _scaled_solution, evaluate_u at t_final and
-    _report_from_field.
+    does: per-cell solves would differ from it in the last bits. Each cell
+    then wraps its leading N/2 unit solutions and u0 spectrum in a
+    SpectralSolution and runs evaluate_u at t_final and _report_from_field.
     """
     run = problem.with_horizon(t_final)
     Ns = sorted(set(N_range))
     spectra = {N: _initial_spectrum(run, N + 2) for N in Ns}
     dnes = {}
     for M in sorted(set(M_range)):
-        basis, tq, tgrid = _horizon_rule(run, lam, M)
-        units = _unit_solve(run, basis, tq, Ns[-1] // 2)
+        basis, q = reference_rule(lam, M)
+        units = _unit_solve(run, basis, shift_integration_matrix(q, t_final),
+                            Ns[-1] // 2)
         for N in Ns:
             config = SolverConfig(N=N, M=M, N0=N + 2, lam=lam)
-            sol = _scaled_solution(run, config, basis, tgrid, units, spectra[N])
+            sol = SpectralSolution(
+                config=config, problem=run, basis=basis,
+                time_grid=time_grid(basis, t_final), units=units[:, :N // 2],
+                scale=spectra[N].values[1:N // 2 + 1], stage_s={})
             dnes[N, M] = _report_from_field(
                 problem, config, evaluate_u(sol, sol.grid, t_final), t_final).dne
     return [(N, M, dne, float(np.log10(dne)) if dne > 0 else -np.inf)
@@ -804,6 +809,25 @@ class TestBench:
         assert set(result.stages) == {"assembly", "solve", "synthesis"}
         assert result.median_total > 0.0
         assert all(v >= 0.0 for v in result.stages.values())
+
+    def test_reads_the_stage_times_of_solve_modes(self, monkeypatch):
+        # Each repeat is one solve_modes call; bench_solve builds no stage of
+        # it from the solver's private helpers.
+        counts = dict.fromkeys(["solve_modes", "_unit_solve", "_prepare"], 0)
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(analysis, name, counted(
+                name, getattr(solver, name)), raising=False)
+        result = bench_solve(builtin_problem(3), SolverConfig(N=8, M=6),
+                             repeats=4)
+        assert counts == {"solve_modes": 4, "_unit_solve": 0, "_prepare": 0}
+        assert set(result.stages) == {"assembly", "solve", "synthesis"}
 
     def test_repeats_floor(self):
         with pytest.raises(ValueError, match="repeats"):

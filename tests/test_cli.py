@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from adspectral import (FourierGrid, build_basis, conditioning_study,
-                        sa_coefficient, sa_field, solve_modes,
+                        sa_field, solve_modes,
                         synthesize_derivative, synthesize_field, time_grid)
 from adspectral import gegenbauer
 from adspectral import test_problem as builtin_problem
@@ -355,7 +355,8 @@ class TestSaCommand:
     def _per_time_map(field, t):
         # One dict per time, as sa_coefficient_map built it mode by mode.
         half = field.N // 2
-        pos = {n: sa_coefficient(field, n, t) for n in range(1, half + 1)}
+        row = field.coefficients(t)[0]
+        pos = {n: complex(row[half + n]) for n in range(1, half + 1)}
         out = {0: -2.0 * sum(c.real for c in pos.values()) + 0j}
         for n, c in pos.items():
             out[n] = c
@@ -497,6 +498,26 @@ class TestFailureModes:
                      "--out", str(out)])
         assert code == 1
         assert "nope.cfg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("encoding,text", [
+        ("utf-8-sig", "problem_id = 1\nN = 5\nM = 8\n"),
+        ("latin-1", "problem_id = 1\nN = 4\nM = 8\n# caf\u00e9\n")],
+        ids=["byte_order_mark", "latin_1"])
+    def test_config_encoding_reported_by_file(self, tmp_path, capsys,
+                                              encoding, text):
+        # A byte-order mark is skipped, so the odd N is the error; a file
+        # that is not UTF-8 is refused with its name.
+        cfg = tmp_path / "enc.cfg"
+        cfg.write_text(text, encoding=encoding)
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err and "\ufeff" not in err
+        if encoding == "latin-1":
+            assert f"cannot read config file {cfg}: " in err
+        else:
+            assert "N" in err and "unknown key" not in err
 
     def test_invalid_config_value_reported(self, tmp_path, capsys):
         cfg = _write(tmp_path, "problem_id = 1\nN = 5\nM = 8\n")

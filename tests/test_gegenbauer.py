@@ -148,6 +148,42 @@ class TestBaryInterpolate:
         with pytest.raises(ValueError, match="nodal values"):
             bary_interpolate(basis, np.ones(4), 0.1)
 
+    @pytest.mark.parametrize("tail", [(), (3,)])
+    def test_points_give_one_scalar_call_per_row(self, tail):
+        # At the nodes each row is the nodal values, exactly. Between them it
+        # is the scalar call's sum of order + 1 products, which BLAS may add
+        # in another order for one row than for many: the two differ by at
+        # most the rounding of both sums.
+        rng = np.random.default_rng(5)
+        basis = build_basis(-0.4, 12)
+        values = (rng.standard_normal((13, *tail))
+                  + 1j * rng.standard_normal((13, *tail)))
+        points = np.concatenate([basis.nodes, rng.uniform(-1, 1, 9),
+                                 [-1.0, 1.0]])
+        got = bary_interpolate(basis, values, points)
+        assert got.shape == (len(points), *tail)
+        for t, row in zip(points, got):
+            want = bary_interpolate(basis, values, t)
+            assert row.shape == want.shape == tail
+            scale = np.abs(_lagrange_matrix(basis, t)[0]) @ np.abs(values)
+            assert np.all(np.abs(row - want) <= 4 * 13 * np.finfo(float).eps * scale)
+        assert np.array_equal(got[:13], values)
+        for l in range(13):
+            assert np.array_equal(bary_interpolate(basis, values, basis.nodes[l]),
+                                  values[l])
+
+    @pytest.mark.parametrize("t", [0.1, np.array([0.1, -0.5])])
+    def test_rejects_wrong_leading_axis(self, t):
+        basis = build_basis(0.0, 4)
+        with pytest.raises(ValueError, match=r"expected 5 nodal values, "
+                                             r"got shape \(3, 5\)"):
+            bary_interpolate(basis, np.ones((3, 5)), t)
+
+    def test_rejects_points_of_two_axes(self):
+        basis = build_basis(0.0, 4)
+        with pytest.raises(ValueError, match="scalar or a 1-D array"):
+            bary_interpolate(basis, np.ones(5), np.zeros((2, 2)))
+
 
 class TestIntegrationMatrix:
     def test_two_by_two_closed_form(self):

@@ -1,6 +1,7 @@
 """Built-in problems, their exact solutions, and config ingestion."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -289,6 +290,21 @@ M = 4
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.cfg")
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_text("problem_id = 2\nN = 4\nM = 8\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_config_pairs(path) == {"problem_id": "2", "N": "4", "M": "8"}
+
+    def test_non_utf8_file_refused_by_name(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_text("problem_id = 1\nN = 4\nM = 8\n# d\u00e9j\u00e0 vu\n",
+                        encoding="latin-1")
+        with pytest.raises(ConfigError, match=rf"^cannot read config file "
+                                              rf"{re.escape(str(path))}: "
+                                              r"'utf-8' codec can't decode"):
+            parse_config_pairs(path)
 
     def test_malformed_line(self, tmp_path):
         path = self._write(tmp_path, "problem_id 1\n")

@@ -1,5 +1,6 @@
 """Mode assembly, the Schur-form solve, symmetry completion, and field evaluation."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -190,6 +191,16 @@ class TestSolveModes:
             assert not sol.psi[k].flags.writeable
         with pytest.raises(TypeError):
             sol.psi[1] = sol.psi[2]
+
+    def test_stage_times_read_only(self):
+        sol = solve_modes(builtin_problem(3), SolverConfig(N=8, M=6))
+        assert set(sol.stage_s) == {"assembly", "solve"}
+        for seconds in sol.stage_s.values():
+            assert type(seconds) is float and seconds >= 0.0
+        with pytest.raises(TypeError):
+            sol.stage_s["solve"] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.stage_s = {}
 
     def test_singular_system_reported_with_mode(self, rates_with):
         problem, config, _ = rates_with({3: 0.0})

@@ -145,19 +145,20 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
     """One error report per (N, M) cell, N0 = N + 2 in each cell.
 
     Every cell gives the dne of error_report, from one batched pass over the
-    solver's own stages. The unit systems (I + alpha_n TQ) x_n = ones depend
-    on M and not on N, so each M in turn takes one rule lookup, one unit
-    solve for modes 1 .. max(N)/2 and one Lagrange row at the horizon T,
-    where the error is taken; only one M's unit solutions are alive at a
+    solver's own stages. The unit systems (I + Re(alpha_n) TQ) x_n = ones
+    depend on M and not on N, so each M in turn takes one rule lookup, one
+    unit solve for modes 1 .. max(N)/2 and one Lagrange row at the horizon
+    T, where the error is taken; only one M's unit solutions are alive at a
     time.
     Each cell keeps only that row times its leading N/2 unit solutions.
     Then each N scales the rows of all M by its u0 spectrum, sampled once at
-    N0 = N + 2 points, and takes one completion of the half spectrum, one
-    synthesis and one sample of problem.exact. Rows are ordered N outer, M
-    inner, and the log-error slope of each N is fitted over its M. A problem
-    without an exact solution, an N that is not even and >= 2 or an M that
-    is not a whole number >= 1 is refused before any solve; sweep another
-    horizon with problem.with_horizon(t).
+    N0 = N + 2 points, and by the phase exp(-i Im(alpha_n) T), as
+    SpectralSolution.coefficients does, and takes one completion of the half
+    spectrum, one synthesis and one sample of problem.exact. Rows are ordered
+    N outer, M inner, and the log-error slope of each N is fitted over its
+    M. A problem without an exact solution, an N that is not even and >= 2
+    or an M that is not a whole number >= 1 is refused before any solve;
+    sweep another horizon with problem.with_horizon(t).
     """
     if not len(N_range) or not len(M_range):
         raise ValueError("N_range and M_range must be nonempty")
@@ -168,6 +169,7 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
     Ns = sorted(set(int(n) for n in N_range))
     spectra = [_initial_spectrum(problem, N + 2) for N in Ns]
     ends = [[] for _ in Ns]  # per N: unit solutions at T, a row per M
+    shift = mode_rate(problem, np.arange(1, Ns[-1] // 2 + 1)).imag
     Ms = sorted(set(int(m) for m in M_range))
     for M in Ms:
         basis, q = reference_rule(lam, M)
@@ -182,7 +184,8 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
     rows, slopes = [], {}
     for N, spectrum, ends_N in zip(Ns, spectra, ends):
         coeffs = complete_half_spectrum(
-            np.concatenate(ends_N) * spectrum.values[1:N // 2 + 1])
+            np.concatenate(ends_N) * spectrum.values[1:N // 2 + 1]
+            * np.exp(-1j * (T * shift[:N // 2])))
         field = synthesize_field(coeffs, FourierGrid(L=problem.L, N=N), g_final)
         _, dnes = _field_errors(problem, field, T)
         logs = np.array([np.log10(dne) if dne > 0 else -np.inf for dne in dnes])

@@ -28,12 +28,11 @@ LAMBDA_MIN_GUARD = 1e-6
 NODE_COINCIDENCE_TOL = 1e-14
 
 # Reference rules (basis and Q) kept by reference_rule, least recently used
-# evicted first. Q and its Schur factors are O(M^3) to build and depend only
-# on (lam, M); an entry at M = 64 holds about 35 kB for Q and, once solves
-# have used them, about 140 kB more for the complex factors U and R and 70 kB
-# for the real factors Z and S. An entry holds both sets when real and
-# complex rates have used it. The Gauss-Legendre rules that build Q share
-# this bound; one holds about 2 kB at M = 256.
+# evicted first. Q and its real Schur factors are O(M^3) to build and depend
+# only on (lam, M); an entry at M = 64 holds about 35 kB for Q and, once a
+# solve has used them, about 70 kB more for the factors Z and S. The
+# Gauss-Legendre rules that build Q share this bound; one holds about 2 kB
+# at M = 256.
 RULE_CACHE_SIZE = 32
 
 # Doubles in one row block's Lagrange values while Q is built (256 kB): M <= 38
@@ -76,31 +75,14 @@ class IntegrationMatrix:
     entries: np.ndarray
 
     @functools.cached_property
-    def schur(self) -> tuple[np.ndarray, np.ndarray]:
-        """Complex Schur factors (R, U) with entries = U R U^H, read-only.
-
-        R is upper triangular with the eigenvalues on its diagonal, stored
-        with exact zeros below it, and U is unitary. Computed on first use
-        and kept with the matrix, so the cached reference rule factors each
-        Q once.
-        """
-        r, u = _schur(self.entries, output="complex")
-        # Exact zeros, set in place: the layout, and so the rounding of the
-        # solver's row products, stays LAPACK's.
-        r[np.tril_indices_from(r, -1)] = 0.0
-        for arr in (r, u):
-            arr.setflags(write=False)
-        return r, u
-
-    @functools.cached_property
     def real_schur(self) -> tuple[np.ndarray, np.ndarray]:
         """Real Schur factors (S, Z) with entries = Z S Z^T, read-only.
 
         S is quasi-upper triangular in LAPACK's standard form: a 1x1
         diagonal block holds a real eigenvalue, and a 2x2 block
         [[a, b], [c, a]] with b c < 0 the pair a +- i sqrt(-b c). Z is
-        orthogonal. Computed on first use and kept with the matrix, like
-        ``schur``; a run with real rates needs only this one.
+        orthogonal. Computed on first use and kept with the matrix, so the
+        cached reference rule factors each Q once.
         """
         s, z = _schur(self.entries, output="real")
         for arr in (s, z):

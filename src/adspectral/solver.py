@@ -1,26 +1,31 @@
-"""Mode systems, one Schur-form solve over all modes, and field evaluation.
+"""Mode systems, one real Schur-form solve over all modes, and field evaluation.
 
 Each nonzero Fourier mode n of the spatial-derivative antiderivative obeys a
 Volterra integral equation whose collocated form is the dense system
 
     (I + alpha_n TQ) psi_n = u0_hat_n * ones,    TQ = (T/2) Q,
 
-solved for n = 1 .. N/2 only; negative modes follow by conjugation and the
-zero mode from the zero-sum constraint of the coefficient vector. The
-reference integration matrix Q is the same for every mode, so a Schur form
-of Q, cached with the rule, turns all N/2 systems into one back-substitution
-along the mode axis (the many-shifts method of Laub, IEEE TAC 26, 1981).
-With Q = U S U^H it solves (I + alpha_n (T/2) S) y_n = U^H ones, one
-diagonal block of S at a time from the bottom. When every rate is real
-(mu = 0), the real form, with S quasi-upper triangular and U orthogonal
-(Golub and Van Loan, Matrix Computations, sec. 7.4), keeps the solve in
-real arithmetic with 1x1 and 2x2 blocks; complex rates take the complex
-form, with S upper triangular, and the same kernel. One step of iterative
+with alpha_n = nu w_n^2 + i mu w_n. With periodic data and constant mu the
+field is u(x, t) = v(x - mu t, t), where v diffuses without advection
+(Lawson's integrating factor, SIAM J. Numer. Anal. 4, 1967, applied to the
+advection term). So psi_n(t) = u0_hat_n exp(-i Im(alpha_n) t) x_n(t), where
+the unit solution x_n solves the real system
+
+    (I + Re(alpha_n) TQ) x_n = ones.
+
+Only n = 1 .. N/2 are solved; negative modes follow by conjugation and the
+zero mode from the zero-sum constraint of the coefficient vector. Q is the
+same for every mode, so its real Schur form Q = Z S Z^T, cached with the
+rule (S quasi-upper triangular, Z orthogonal; Golub and Van Loan, Matrix
+Computations, sec. 7.4), turns all N/2 systems into one back-substitution
+along the mode axis, one 1x1 or 2x2 diagonal block of S at a time (the
+many-shifts method of Laub, IEEE TAC 26, 1981). One step of iterative
 refinement against TQ follows, and each mode is refused when its
 eigenvalues or its refined residual show it numerically singular. The
-solution stores psi_n = u0_hat_n x_n as its factors, the unit solutions x_n
-of right-hand side ones and the u0_hat_n. Field evaluation takes it or a
-``semianalytic.SAField``: both have a ``grid`` and ``coefficients(times)``.
+solution stores the x_n at the time nodes and the u0_hat_n; the phase is
+applied after interpolation in time, so the oscillation of the lab frame is
+never interpolated. Field evaluation takes it or a ``semianalytic.SAField``:
+both have a ``grid`` and ``coefficients(times)``.
 """
 
 from __future__ import annotations
@@ -44,10 +49,10 @@ from .problems import ADProblem, SolverConfig
 # numerically singular; reported, never regularized.
 PIVOT_RTOL = 1e-14
 
-# Real rates take the real Schur form while max |alpha_n| times a bound of
-# every entry of its factor stays below this, so that the squares in its 2x2
-# determinants cannot overflow. Rates beyond it, far past any the time grid
-# resolves, take the complex form, as complex rates do.
+# A mode is solved while |Re(alpha_n)| times a bound of every entry of the
+# real factor of TQ stays below this, so that the squares in its 2x2
+# determinants cannot overflow. A mode past it, far past any the time grid
+# resolves, is refused.
 REAL_SOLVE_LIMIT = 1e150
 
 
@@ -61,16 +66,18 @@ class ModeSolveError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SpectralSolution:
-    """Nodal Fourier coefficients psi_n(t_l) = u0_hat_n x_n(t_l), in factors.
+    """Nodal coefficients psi_n(t_l) = u0_hat_n exp(-i Im(alpha_n) t_l) x_n(t_l).
 
-    ``units`` (M + 1, N/2) holds the unit solutions x_n at the time nodes
-    and ``scale`` the u0_hat_n, for n = 1 .. N/2. They and ``table``, built
-    on first use, are read-only; ``table`` has shape (M + 1, N + 1): row l
-    holds time node t_l and column j holds mode k = j - N/2, for
-    k = -N/2 .. N/2. ``psi`` maps each mode k to its column, a view of
-    ``table``. ``stage_s``, read-only, holds the wall-clock seconds of the
-    solve's two stages: "assembly", the rule lookup, TQ, time grid and u0
-    spectrum, and "solve", the unit solves of the modes.
+    ``units`` (M + 1, N/2) holds the real unit solutions x_n at the time
+    nodes and ``scale`` the u0_hat_n, for n = 1 .. N/2; the phase, from
+    ``mode_rate``, is applied when coefficients are read. They and
+    ``table``, the ``coefficients`` at the nodes built on first use, are
+    read-only; ``table`` has shape (M + 1, N + 1): row l holds time node t_l
+    and column j holds mode k = j - N/2, for k = -N/2 .. N/2. ``psi`` maps
+    each mode k to its column, a view of ``table``. ``stage_s``, read-only,
+    holds the wall-clock seconds of the solve's two stages: "assembly", the
+    rule lookup, TQ, time grid and u0 spectrum, and "solve", the unit solves
+    of the modes.
     """
 
     config: SolverConfig
@@ -83,7 +90,7 @@ class SpectralSolution:
 
     @cached_property
     def table(self) -> np.ndarray:
-        table = complete_half_spectrum(self.units * self.scale)
+        table = self.coefficients(self.time_grid.nodes)
         table.setflags(write=False)
         return table
 
@@ -102,15 +109,17 @@ class SpectralSolution:
 
         A scalar time gives one row, shape (1, N + 1).
 
-        The unit solutions interpolated at s = 2 t / T - 1 by
-        ``bary_interpolate``, scaled by u0_hat_n and completed: conjugate
-        symmetry and the zero sum are exact, and at the nodes the rows equal
-        ``table``.
+        The real unit solutions interpolated at s = 2 t / T - 1 by
+        ``bary_interpolate``, exactly at the nodes, scaled by u0_hat_n, then
+        turned by the exact phase exp(-i Im(alpha_n) t) and completed:
+        conjugate symmetry and the zero sum are exact.
         """
         T = self.problem.T
         times = _times_in_horizon(times, T)
         rows = bary_interpolate(self.basis, self.units, 2.0 * times / T - 1.0)
-        return complete_half_spectrum(rows * self.scale)
+        shift = mode_rate(self.problem, np.arange(1, len(self.scale) + 1)).imag
+        return complete_half_spectrum(
+            rows * self.scale * np.exp(-1j * np.multiply.outer(times, shift)))
 
 
 def mode_rate(problem: ADProblem, n):
@@ -126,7 +135,9 @@ def assemble_mode(n: int, problem: ADProblem, config: SolverConfig,
                   tq: IntegrationMatrix, spectrum: InitialSpectrum) -> np.ndarray:
     """The matrix I + alpha_n TQ of mode n; its right-hand side is u0_hat_n * ones.
 
-    The solve does not form these matrices; this spells one out for checks.
+    This is the paper's complex system. The solve neither forms nor inverts
+    it: it solves I + Re(alpha_n) TQ and applies the phase of Im(alpha_n)
+    exactly. This spells the paper's matrix out for checks.
     """
     if not 1 <= n <= config.N // 2:
         raise ValueError(f"mode index must be in 1..{config.N // 2}; got {n}")
@@ -138,8 +149,7 @@ def _back_substitute(s: np.ndarray, alpha: np.ndarray, p: np.ndarray,
     # Solve (I + alpha_i s) y_i = b_i in place for every column i, where y
     # holds b_i on entry, one diagonal block of the quasi-upper triangular s
     # at a time from the bottom. p and det come from _pivots: a 1x1 block
-    # divides by its p, a 2x2 block takes Cramer's rule with its det. An
-    # upper triangular s has only 1x1 blocks.
+    # divides by its p, a 2x2 block takes Cramer's rule with its det.
     j, k = len(s), len(det)
     while j:
         if j > 1 and s[j - 1, j - 2]:
@@ -160,20 +170,17 @@ def _back_substitute(s: np.ndarray, alpha: np.ndarray, p: np.ndarray,
 def _pivots(s: np.ndarray, alpha: np.ndarray):
     # The smallest eigenvalue modulus of each mode matrix I + alpha_i s, and
     # p = 1 + alpha s_jj and det, formed once for both back-substitutions.
-    # Each 2x2 diagonal block [[a, b], [c, a]] of the real factor, in
-    # LAPACK's standard form with b c < 0, holds the pair a +- i sqrt(-b c),
-    # so the determinant (1 + alpha a)^2 - alpha^2 b c of its block of
-    # I + alpha s is the squared modulus of both eigenvalues. The complex
-    # factor has no blocks, so det is empty; an overflow reads inf, which
-    # the pivot test refuses.
+    # Each 2x2 diagonal block [[a, b], [c, a]] of s, in LAPACK's standard
+    # form with b c < 0, holds the pair a +- i sqrt(-b c), so the
+    # determinant (1 + alpha a)^2 - alpha^2 b c of its block of I + alpha s
+    # is the squared modulus of both eigenvalues.
     starts = np.flatnonzero(s.diagonal(-1))
-    with np.errstate(over="ignore"):
-        p = alpha * s.diagonal()[:, None]
-        p += 1.0
-        det = p[starts] * p[starts + 1] - np.multiply.outer(
-            s[starts, starts + 1] * s[starts + 1, starts], alpha * alpha)
+    p = alpha * s.diagonal()[:, None]
+    p += 1.0
+    det = p[starts] * p[starts + 1] - np.multiply.outer(
+        s[starts, starts + 1] * s[starts + 1, starts], alpha * alpha)
     modulus = np.abs(p)
-    modulus[starts] = modulus[starts + 1] = np.sqrt(det.real)
+    modulus[starts] = modulus[starts + 1] = np.sqrt(det)
     return modulus.min(axis=0), p, det
 
 
@@ -200,24 +207,21 @@ def _prepare(problem: ADProblem, config: SolverConfig):
             time_grid(basis, problem.T), _initial_spectrum(problem, config.N0))
 
 
-def _unit_solutions(a: np.ndarray, r: np.ndarray, u: np.ndarray,
+def _unit_solutions(a: np.ndarray, s: np.ndarray, z: np.ndarray,
                     alpha: np.ndarray) -> np.ndarray:
-    # Column i solves (I + alpha_i a) x = ones, the system of mode i + 1,
-    # given a Schur form a = u r u^H (up to rounding; the refinement step
-    # works with a itself): the complex form, or, with real rates, the real
-    # form with r quasi-upper triangular. At most three (M + 1, len(alpha))
-    # arrays of the result's type are alive at once besides p and det, at
-    # most one and a half more of that type, and only the result outlives
-    # the call.
+    # Column i solves (I + alpha_i a) x = ones for the real rate alpha_i,
+    # the system of mode i + 1, given a real Schur form a = z s z^T with s
+    # quasi-upper triangular (up to rounding; the refinement step works with
+    # a itself). At most three (M + 1, len(alpha)) arrays are alive at once
+    # besides p and det, at most one and a half more, and only the result
+    # outlives the call.
     #
     # norm = 1 + |alpha_i| ||a||_inf >= ||I + alpha_i a||_inf stands in for
     # the norm in both tests, so that neither needs an (M + 1, len(alpha))
     # temporary: it makes the pivot test stricter, and the residual test,
-    # which divides by it, a little looser. A norm that overflows reads inf,
-    # and the pivot test then refuses its mode.
-    with np.errstate(over="ignore"):
-        norm = 1.0 + np.abs(alpha) * np.abs(a).sum(axis=1).max()
-    pivot, p, det = _pivots(r, alpha)
+    # which divides by it, a little looser.
+    norm = 1.0 + np.abs(alpha) * np.abs(a).sum(axis=1).max()
+    pivot, p, det = _pivots(s, alpha)
     bad = np.flatnonzero(~(pivot >= PIVOT_RTOL * norm))
     if bad.size:
         i = int(bad[0])
@@ -227,15 +231,14 @@ def _unit_solutions(a: np.ndarray, r: np.ndarray, u: np.ndarray,
             f"{pivot[i]:.3e} below {PIVOT_RTOL:.0e} * (1 + |alpha| ||TQ||) "
             f"= {PIVOT_RTOL * norm[i]:.3e})")
 
-    uh = u.conj().T
-    y = np.empty((len(u), len(alpha)), dtype=np.result_type(u, alpha))
-    y[:] = uh.sum(axis=1)[:, None]  # U^H ones
-    _back_substitute(r, alpha, p, det, y)
-    x = u @ y
+    y = np.empty((len(z), len(alpha)))
+    y[:] = z.T.sum(axis=1)[:, None]  # Z^T ones
+    _back_substitute(s, alpha, p, det, y)
+    x = z @ y
     # One step of iterative refinement; y is free once x is formed.
-    step = uh @ _residual(a, alpha, x, out=y)
-    _back_substitute(r, alpha, p, det, step)
-    x += np.matmul(u, step, out=y)
+    step = z.T @ _residual(a, alpha, x, out=y)
+    _back_substitute(s, alpha, p, det, step)
+    x += np.matmul(z, step, out=y)
     # A zero rate leaves the identity, whose solution is exactly ones.
     x[:, alpha == 0] = 1.0
 
@@ -253,23 +256,25 @@ def _unit_solutions(a: np.ndarray, r: np.ndarray, u: np.ndarray,
 
 def _unit_solve(problem: ADProblem, basis: GegenbauerBasis,
                 tq: IntegrationMatrix, half: int) -> np.ndarray:
-    # Column n - 1 holds the unit solution x_n of (I + alpha_n TQ) x_n = ones
-    # for n = 1 .. half. It depends on the rule and the rates, not on N or
-    # u0, so one call serves every N with N/2 <= half. TQ = U (T/2 R) U^H,
-    # so the cached Schur form of the reference Q serves every horizon:
-    # the real one when every rate is real, so the solve and its result
-    # stay real, and the complex one otherwise.
-    q = reference_rule(basis.lam, basis.order)[1]
-    rates = mode_rate(problem, np.arange(1, half + 1))
+    # Column n - 1 holds the unit solution x_n of
+    # (I + Re(alpha_n) TQ) x_n = ones for n = 1 .. half. It depends on the
+    # rule and the real rates, not on N, u0 or mu, so one call serves every
+    # N with N/2 <= half. TQ = Z (T/2 S) Z^T, so the cached real Schur form
+    # of the reference Q serves every horizon.
+    rates = np.ascontiguousarray(mode_rate(problem, np.arange(1, half + 1)).real)
     with np.errstate(over="ignore"):
         # (M + 1) max |TQ| >= ||TQ||_F, which bounds every entry of the factor
-        reach = np.abs(rates).max() * len(tq.entries) * np.abs(tq.entries).max()
-    if rates.imag.any() or not reach < REAL_SOLVE_LIMIT:
-        r, u = q.schur
-    else:
-        rates = np.ascontiguousarray(rates.real)
-        r, u = q.real_schur
-    return _unit_solutions(tq.entries, 0.5 * problem.T * r, u, rates)
+        reach = np.abs(rates) * (len(tq.entries) * np.abs(tq.entries).max())
+        far = np.flatnonzero(reach >= REAL_SOLVE_LIMIT)
+        if far.size:
+            i = int(far[0])
+            raise ModeSolveError(
+                i + 1,
+                f"|Re(alpha_n)| T = {abs(rates[i]) * problem.T:.6g} is too "
+                f"large: the real Schur solve needs |Re(alpha_n)| (M + 1) "
+                f"max |TQ| below {REAL_SOLVE_LIMIT:.0e}")
+    s, z = reference_rule(basis.lam, basis.order)[1].real_schur
+    return _unit_solutions(tq.entries, 0.5 * problem.T * s, z, rates)
 
 
 def solve_modes(problem: ADProblem, config: SolverConfig,

@@ -39,23 +39,27 @@ def pde_residual():
 def rates_with(monkeypatch):
     """Put chosen modes of problem 3 at N = 8, M = 6 near the pivot threshold.
 
-    ``rates_with(ratios)`` patches solver.mode_rate so that mode n has an
-    eigenvalue of modulus ratios[n] * PIVOT_RTOL * (1 + |alpha| ||TQ||), the
-    threshold of the pivot test, and returns (problem, config, rates). Mode
-    n takes the n-th eigenvalue r of (T/2) R, since 1 + alpha r = 0 at
-    alpha = -1/r.
+    ``rates_with(ratios)`` patches solver.mode_rate so that mode n has the
+    real rate at which an eigenvalue of its real system I + Re(alpha) TQ has
+    modulus ratios[n] * PIVOT_RTOL * (1 + |alpha| ||TQ||), the threshold of
+    the pivot test, and returns (problem, config, rates). The 7 x 7 Q has
+    one real eigenvalue, a 1x1 diagonal block s_jj of its real Schur factor
+    (about 0.0051), and every chosen mode takes a rate near its root
+    alpha = -1 / r, r = (T/2) s_jj, at which 1 + alpha r = 0.
     """
 
     def patch(ratios):
         problem, config = builtin_problem(3), SolverConfig(N=8, M=6)
         _, tq, _, _ = _prepare(problem, config)
-        r = np.diag(0.5 * problem.T
-                    * reference_rule(config.lam, config.M)[1].schur[0])
+        s = reference_rule(config.lam, config.M)[1].real_schur[0]
+        sub = np.concatenate([[0.0], s.diagonal(-1), [0.0]])
+        j = int(np.flatnonzero((sub[:-1] == 0) & (sub[1:] == 0))[0])
+        r = 0.5 * problem.T * s[j, j]
+        root = -1.0 / r
+        norm = 1.0 + abs(root) * np.linalg.norm(tq.entries, np.inf)
         rates = mode_rate(problem, np.arange(1, config.N // 2 + 1))
         for n, ratio in ratios.items():
-            root = -1.0 / r[n]
-            norm = 1.0 + abs(root) * np.linalg.norm(tq.entries, np.inf)
-            rates[n - 1] = root + ratio * PIVOT_RTOL * norm / abs(r[n])
+            rates[n - 1] = root + ratio * PIVOT_RTOL * norm / abs(r)
         true_rate = solver.mode_rate
         monkeypatch.setattr(solver, "mode_rate", lambda problem, ns: (
             rates if np.ndim(ns) else true_rate(problem, ns)))

@@ -136,9 +136,14 @@ class TestErrorReport:
 
     @pytest.mark.parametrize("pid", [1, 3])
     def test_dne_of_errors_below_1e_154(self, pid):
-        # At this horizon every pointwise error is about 1e-298.
-        problem = builtin_problem(pid)
-        report = error_report(problem, SolverConfig(N=64, M=8), 1e300)
+        # The built-in scaled by 1e-285, at its own horizon: every pointwise
+        # error is below 1e-290, so every square underflows.
+        base = builtin_problem(pid)
+        problem = dataclasses.replace(
+            base, u0=lambda x: 1e-285 * base.u0(x),
+            g=lambda t: 1e-285 * base.g(t),
+            exact=lambda x, t: 1e-285 * base.exact(x, t))
+        report = error_report(problem, SolverConfig(N=64, M=8), problem.T)
         assert 0 < report.pointwise_max < 1e-290
         assert (report.pointwise_max * np.sqrt(problem.L / 64) <= report.dne
                 <= report.pointwise_max * np.sqrt(problem.L))

@@ -393,14 +393,20 @@ class TestSaCommand:
 
 
 class TestCustomProblem:
+    # Peclet numbers mu L / nu from 10 to 2000, either direction, and pure
+    # advection: the advection is carried by the exact phase, so the time
+    # grid resolves only the diffusion.
+    @pytest.mark.parametrize("mu,nu", [(0.5, 0.1), (10, 0.1), (100, 0.1),
+                                       (-100, 0.1), (5, 0)])
     @pytest.mark.parametrize("command", ["solve", "sa"])
     def test_advected_first_harmonic_matches_closed_form(self, tmp_path,
-                                                         command):
+                                                         command, mu, nu):
         # With mu != 0 the trace u(0, t) is not zero; the sampler supplies
         # it, so the field follows exp(-nu w^2 t) sin(w (x - mu t)).
-        mu, nu, L = 0.5, 0.1, 2.0
-        cfg = _write(tmp_path, f"mu = {mu}\nnu = {nu}\nL = {L}\nT = 1\n"
-                               "u0 = first_harmonic\nN = 8\nM = 16\n")
+        L = 2.0
+        pairs = {"mu": str(mu), "nu": str(nu), "L": str(L), "T": "1",
+                 "u0": "first_harmonic", "N": "8", "M": "16"}
+        cfg = _write(tmp_path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
         x, t, u, _ = np.loadtxt(out / "solution.csv", delimiter=",",
@@ -410,6 +416,9 @@ class TestCustomProblem:
         assert np.max(np.abs(u - exact)) <= 1e-12
         assert t.max() == 1.0
         assert not (out / "report.csv").exists()
+        if command == "solve" and nu == 0:
+            # Every rate is 0, so every unit system is the identity.
+            assert np.all(solve_modes(*config_from_pairs(pairs)).units == 1.0)
 
 
 class TestSweepCommands:
@@ -605,11 +614,15 @@ class TestFailureModes:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(_read_rows(out / "solution.csv")) - 1 == (10 + 2) * 4
 
-    # At this horizon |alpha_n| T overflows for the higher modes.
+    # At this horizon the solve's bound |Re(alpha_n)| (M + 1) max |TQ|
+    # passes its limit from mode 1 on, and |alpha_n| T overflows for the
+    # higher modes.
     OVERFLOW = "problem_id = 3\nN = 64\nM = 8\nt_final = 1e308\n"
 
     @pytest.mark.parametrize("command,message", [
-        ("solve", "error: mode 2: singular or ill-conditioned system"),
+        ("solve", "error: mode 1: |Re(alpha_n)| T = 9.8696e+307 is too large: "
+                  "the real Schur solve needs |Re(alpha_n)| (M + 1) max |TQ| "
+                  "below 1e+150"),
         ("conditioning", "error: conditioning_study: A at n = 32, "
                          "lambda = -0.4, M = 8 is not finite"),
     ])

@@ -7,7 +7,6 @@ import pytest
 from numpy.polynomial import Polynomial
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.linalg import schur
 from scipy.special import roots_jacobi
 
 from adspectral import (bary_interpolate, build_basis,
@@ -248,22 +247,6 @@ class TestIntegrationMatrix:
         for j in starts:
             assert s[j, j] == s[j + 1, j + 1]
             assert s[j, j + 1] * s[j + 1, j] < 0
-
-    def test_complex_schur_exactly_upper_triangular(self):
-        # LAPACK's complex Schur factor has exact zeros below the diagonal
-        # over this grid, so the zeros that schur stores change no bit, and
-        # the solver's block back-substitution never takes a 2x2 step on it.
-        for lam in (-0.4999, -0.49, -0.4, 0.0, 0.5, 1.0, 2.0, 5.0):
-            for order in (*range(1, 9), 10, 12, 16, 20, 24, 32, 40, 48, 56,
-                          64, 80, 96, 112, 128):
-                q = build_integration_matrix(build_basis(lam, order))
-                raw = schur(q.entries, output="complex")[0]
-                assert not np.tril(raw, -1).any(), (lam, order)
-                r, u = q.schur
-                assert np.array_equal(r, raw), (lam, order)
-                # and in LAPACK's layout, which sets the solve's rounding
-                assert r.flags.f_contiguous == raw.flags.f_contiguous
-                assert not r.flags.writeable and not u.flags.writeable
 
 
 class TestBlockedBuild:

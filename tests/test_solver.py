@@ -1,4 +1,4 @@
-"""Mode assembly, the Schur-form solve, symmetry completion, and field evaluation."""
+"""Mode assembly, the real Schur-form solve, symmetry completion, and field evaluation."""
 
 import dataclasses
 import warnings
@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, schur
 
 from adspectral import (ADProblem, FourierGrid, ModeSolveError, SolverConfig,
                         assemble_mode, bary_interpolate, coefficients_at,
@@ -17,7 +17,8 @@ from adspectral import solver
 from adspectral.gegenbauer import build_basis, build_integration_matrix, \
     reference_rule, shift_integration_matrix, time_grid
 from adspectral.problems import config_from_pairs
-from adspectral.solver import PIVOT_RTOL, _prepare, _unit_solutions
+from adspectral.solver import PIVOT_RTOL, _back_substitute, _prepare, \
+    _residual, _unit_solutions
 
 
 def _degenerate_problem(u0=None, g=None):
@@ -210,48 +211,24 @@ class TestSolveModes:
 
 
 class TestDirectLapack:
-    """The Schur-form solve against LAPACK LU and 40-digit solves."""
+    """The real Schur-form solve against LAPACK LU and a long-double oracle."""
 
     @pytest.mark.parametrize("pid", [1, 2, 3])
     @pytest.mark.parametrize("N,M", [(8, 40), (64, 10), (256, 32)])
     def test_matches_lu_factor_oracle(self, pid, N, M):
+        # psi_n is the solution of the real system I + Re(alpha_n) TQ turned
+        # by the exact phase exp(-i Im(alpha_n) t) at the time nodes.
         problem = builtin_problem(pid)
         config = SolverConfig(N=N, M=M)
         sol = solve_modes(problem, config)
         _, tq, _, spectrum = _prepare(problem, config)
         for n in range(1, N // 2 + 1):
-            matrix = assemble_mode(n, problem, config, tq, spectrum)
+            alpha = mode_rate(problem, n)
+            matrix = np.eye(M + 1) + alpha.real * tq.entries
+            phase = np.exp(-1j * alpha.imag * sol.time_grid.nodes)
             expected = lu_solve(lu_factor(matrix),
-                                np.full(M + 1, spectrum.mode(n), dtype=complex))
+                                np.full(M + 1, spectrum.mode(n))) * phase
             assert_allclose(sol.psi[n], expected, rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("lam,M", [(-0.49, 40), (-0.4, 10), (2.0, 40)])
-    def test_accuracy_against_mpmath_within_one_bound_unit(self, lam, M):
-        # Each error is measured in units of its first-order bound
-        # u || |A^-1| (|A| |x| + |b|) ||_inf for a componentwise backward
-        # stable solve (Higham, ch. 7), which one refinement step attains
-        # (ch. 12); raw errors would only rank the rounding of the
-        # worst-conditioned system. The Schur path must stay within one unit.
-        # It is not compared with lu_solve, whose rounding, and so its worst
-        # scaled error, changes with the BLAS thread count.
-        mpmath = pytest.importorskip("mpmath")
-        zs = [0.5, 5, 50, 500, 5e3, 5e5, 50j, 500j, 5 + 500j]
-        q = reference_rule(lam, M)[1]
-        r, u = q.schur
-        schur = _unit_solutions(q.entries, r, u, np.array(zs, dtype=complex))
-        worst = 0.0
-        with mpmath.workdps(40):
-            exact_q = mpmath.matrix(q.entries.tolist())
-            for i, z in enumerate(zs):
-                exact = mpmath.lu_solve(mpmath.eye(M + 1) + mpmath.mpc(z) * exact_q,
-                                        mpmath.matrix([1] * (M + 1)))
-                x_abs = np.array([float(abs(v)) for v in exact])
-                a = np.eye(M + 1) + z * q.entries
-                cond = (np.abs(np.linalg.inv(a)) @ (np.abs(a) @ x_abs + 1.0)).max()
-                unit = np.finfo(float).eps / 2 * cond
-                err = max(abs(mpmath.mpc(v) - e) for v, e in zip(schur[:, i], exact))
-                worst = max(worst, float(err) / unit)
-        assert worst <= 1.0
 
     def test_tiny_pivot_reported_with_mode(self, rates_with):
         # Nonzero, so the solve could proceed; the relative test refuses it.
@@ -281,13 +258,17 @@ class TestDirectLapack:
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
                         reason="the oracle needs an extended long double")
     def test_real_path_accuracy_over_grid(self):
-        # The real Schur path against the complex one on real rates, over a
-        # (lam, M) grid, each in first-order bound units as above. The oracle
-        # is LU in double plus four refinement steps whose residuals
-        # 1 - x - z (Q x) are formed in long double; it sits within 0.001
-        # units of 40-digit mpmath solves at (-0.49, 40) and (2, 40). Both
-        # paths round the residual of their one refinement step in double,
-        # so neither stays within one unit across the grid.
+        # The real Schur path against a solve on the complex Schur factor on
+        # real rates, over a (lam, M) grid. Each error is measured in units
+        # of its first-order bound u || |A^-1| (|A| |x| + |b|) ||_inf for a
+        # componentwise backward stable solve (Higham, ch. 7), which one
+        # refinement step attains (ch. 12); raw errors would only rank the
+        # rounding of the worst-conditioned system. The oracle is LU in
+        # double plus four refinement steps whose residuals 1 - x - z (Q x)
+        # are formed in long double; it sits within 0.001 units of 40-digit
+        # mpmath solves at (-0.49, 40) and (2, 40). Both paths round the
+        # residual of their one refinement step in double, so neither stays
+        # within one unit across the grid.
         zs = np.array([0.5, 5, 50, 500, 5e3, 5e5])
         eps = np.finfo(float).eps
         worst = {"real": 0.0, "complex": 0.0}
@@ -296,8 +277,7 @@ class TestDirectLapack:
                 q = reference_rule(lam, M)[1]
                 solved = {
                     "real": _unit_solutions(q.entries, *q.real_schur, zs),
-                    "complex": _unit_solutions(q.entries, *q.schur,
-                                               zs.astype(complex))}
+                    "complex": _complex_schur_solve(q.entries, zs)}
                 for i, z in enumerate(zs):
                     a = np.eye(M + 1) + z * q.entries
                     exact = _long_double_solve(q.entries, z)
@@ -308,8 +288,8 @@ class TestDirectLapack:
                         worst[path] = max(worst[path], err / (eps / 2 * cond))
         assert worst["real"] <= worst["complex"] <= 3.0
 
-    # Problem 1 has real rates and takes the real Schur factor, problem 3
-    # the complex one; both go through the one back-substitution.
+    # Problem 1 has real rates; problem 3 has complex ones, whose real parts
+    # take the same back-substitution.
     @pytest.mark.parametrize("pid", [1, 3])
     def test_refined_residual_check_names_the_mode(self, monkeypatch, pid):
         # A back-substitution that goes wrong in mode 2's column leaves a
@@ -327,6 +307,25 @@ class TestDirectLapack:
         assert info.value.mode == 2
 
 
+def _complex_schur_solve(q: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    # (I + z q) x = ones for each z on the complex Schur form q = U R U^H:
+    # the solver's back-substitution, with only 1x1 blocks, and one
+    # refinement step against q.
+    r, u = schur(q, output="complex")
+    r[np.tril_indices_from(r, -1)] = 0.0
+    zs = zs.astype(complex)
+    p = zs * r.diagonal()[:, None]
+    p += 1.0
+    det = np.empty((0, len(zs)), dtype=complex)
+    uh = u.conj().T
+    y = np.repeat(uh.sum(axis=1)[:, None], len(zs), axis=1)
+    _back_substitute(r, zs, p, det, y)
+    x = u @ y
+    step = uh @ _residual(q, zs, x, out=y)
+    _back_substitute(r, zs, p, det, step)
+    return x + u @ step
+
+
 def _long_double_solve(q: np.ndarray, z: float) -> np.ndarray:
     # (I + z q) x = ones by LU in double and four refinement steps with
     # long-double residuals, returned in long double.
@@ -340,34 +339,15 @@ def _long_double_solve(q: np.ndarray, z: float) -> np.ndarray:
 
 
 class TestRealSchurPath:
-    """Real rates (mu = 0) are solved through the real Schur form of Q."""
-
-    def test_singular_real_mode_reported_with_mode(self, monkeypatch):
-        # Problem 1 at N = 8, M = 6: the 7 x 7 Q has a real eigenvalue, a 1x1
-        # diagonal block s_jj of its real Schur factor, and mode 3 takes the
-        # rate -1 / ((T/2) s_jj), at which 1 + alpha (T/2) s_jj = 0.
-        problem, config = builtin_problem(1), SolverConfig(N=8, M=6)
-        reference_rule.cache_clear()
-        q = reference_rule(config.lam, config.M)[1]
-        s = q.real_schur[0]
-        sub = np.concatenate([[0.0], s.diagonal(-1), [0.0]])
-        j = int(np.flatnonzero((sub[:-1] == 0) & (sub[1:] == 0))[0])
-        rates = mode_rate(problem, np.arange(1, config.N // 2 + 1))
-        rates[2] = -1.0 / (0.5 * problem.T * s[j, j])
-        true_rate = solver.mode_rate
-        monkeypatch.setattr(solver, "mode_rate", lambda problem, ns: (
-            rates if np.ndim(ns) else true_rate(problem, ns)))
-        with pytest.raises(ModeSolveError, match="mode 3: singular") as info:
-            solve_modes(problem, config)
-        assert info.value.mode == 3
-        assert "schur" not in q.__dict__
+    """Every mode solves its real rate through the real Schur form of Q."""
 
     @pytest.mark.parametrize("pid,horizon,factors", [
         (1, None, {"real_schur"}),
         (2, None, {"real_schur"}),
-        (3, None, {"schur"}),
-        # max |alpha| (M + 1) max |TQ| passes REAL_SOLVE_LIMIT
-        (1, 1e200, {"schur"}),
+        (3, None, {"real_schur"}),
+        # max |Re alpha_n| (M + 1) max |TQ| passes REAL_SOLVE_LIMIT from
+        # mode 1 on: refused before the factor is formed.
+        (1, 1e200, set()),
     ])
     def test_rule_keeps_only_the_factors_used(self, pid, horizon, factors):
         problem = builtin_problem(pid)
@@ -375,10 +355,19 @@ class TestRealSchurPath:
             problem = problem.with_horizon(horizon)
         config = SolverConfig(N=16, M=8)
         reference_rule.cache_clear()
-        sol = solve_modes(problem, config)
-        assert np.all(np.isfinite(sol.table))
+        if factors:
+            sol = solve_modes(problem, config)
+            assert sol.units.dtype == np.float64
+            assert np.all(np.isfinite(sol.table))
+        else:
+            with pytest.raises(ModeSolveError, match=(
+                    r"^mode 1: \|Re\(alpha_n\)\| T = 9\.8696e\+200 is too "
+                    r"large: the real Schur solve needs \|Re\(alpha_n\)\| "
+                    r"\(M \+ 1\) max \|TQ\| below 1e\+150$")) as info:
+                solve_modes(problem, config)
+            assert info.value.mode == 1
         q = reference_rule(config.lam, config.M)[1]
-        assert {"schur", "real_schur"} & set(q.__dict__) == factors
+        assert set(q.__dict__) - {"order", "entries"} == factors
 
 
 class TestReferenceRuleCache:

@@ -10,9 +10,9 @@ import numpy as np
 from scipy.linalg.lapack import dgejsv
 
 from .fourier import FourierGrid, complete_half_spectrum, synthesize_field
-from .gegenbauer import LAMBDA_MIN_GUARD, _lagrange_matrix, reference_rule, \
+from .gegenbauer import _lagrange_matrix, reference_rule, \
     shift_integration_matrix
-from .problems import ADProblem, SolverConfig
+from .problems import ADProblem, SolverConfig, bad_entry
 from .solver import _initial_spectrum, _unit_solve, evaluate_u, mode_rate, \
     solve_modes
 
@@ -55,31 +55,9 @@ class BenchResult:
     stages: dict
 
 
-# Per kind of sweep or study entry: the tests each entry must pass, each with
-# its words. The sweeps check their list arguments with these before any rule
-# is built, and the CLI checks its list keys with them. The sweeps would
-# truncate an M of 2.5 to 2; is_integer() is False for NaN and inf.
-_ENTRY_RULES = {
-    "N": ((lambda n: n >= 2 and n % 2 == 0, "even and >= 2"),),
-    "M": ((lambda m: m >= 1, ">= 1"),
-          (lambda m: float(m).is_integer(), "a whole number")),
-    "lambda": ((lambda lam: lam > -0.5 + LAMBDA_MIN_GUARD,
-                f"> {-0.5 + LAMBDA_MIN_GUARD}"),),
-}
-
-
-def _bad_entry(kind: str, values):
-    # The first entry of values that fails a test of its kind, with that test
-    # in words; None when every entry passes.
-    for value in values:
-        for valid, words in _ENTRY_RULES[kind]:
-            if not valid(value):
-                return value, words
-    return None
-
-
 def _check_entries(caller: str, name: str, values, kind: str) -> None:
-    bad = _bad_entry(kind, values)
+    # The rules of each kind of entry are problems.bad_entry's.
+    bad = bad_entry(kind, values)
     if bad:
         raise ValueError(f"{caller}: {name} entry {bad[0]!r} is not {bad[1]}")
 
@@ -106,9 +84,15 @@ def _field_errors(problem: ADProblem, numeric: np.ndarray, t_final: float):
     return diff, dne
 
 
-def _report_from_field(problem: ADProblem, config: SolverConfig,
-                       numeric: np.ndarray, t_final: float) -> ErrorReport:
-    # numeric holds u at the N spatial grid nodes and time t_final.
+def field_report(problem: ADProblem, config: SolverConfig,
+                 numeric: np.ndarray, t_final: float) -> ErrorReport:
+    """The error report of a field already evaluated by either kind of solution.
+
+    ``numeric`` holds u at the N spatial grid nodes and time t_final; the
+    report compares it with ``problem.exact`` there, as ``error_report``
+    does for the field it solves for.
+    """
+    check_error_inputs(problem, t_final, "field_report")
     diff, dne = _field_errors(problem, numeric, t_final)
     return ErrorReport(
         pointwise_max=float(np.max(np.abs(diff))),
@@ -117,9 +101,12 @@ def _report_from_field(problem: ADProblem, config: SolverConfig,
     )
 
 
-def _check_error_inputs(problem: ADProblem, t_final: float, caller: str) -> None:
-    # Refused before any solve: an error needs an exact solution to compare
-    # with, at a positive terminal time.
+def check_error_inputs(problem: ADProblem, t_final: float, caller: str) -> None:
+    """Refuse, naming the caller, what no error can be taken of.
+
+    An error needs an exact solution to compare with, at a positive
+    terminal time; a sweep is refused before its ranges are read.
+    """
     if problem.exact is None:
         raise ValueError(f"{caller} requires a problem with an exact solution")
     if not t_final > 0:
@@ -134,9 +121,9 @@ def error_report(problem: ADProblem, config: SolverConfig,
     collocated on (0, t_final) and the coefficients interpolated to its
     endpoint, which is never a collocation node.
     """
-    _check_error_inputs(problem, t_final, "error_report")
+    check_error_inputs(problem, t_final, "error_report")
     sol = solve_modes(problem.with_horizon(t_final), config)
-    return _report_from_field(problem, config, evaluate_u(sol, sol.grid, t_final),
+    return field_report(problem, config, evaluate_u(sol, sol.grid, t_final),
                               t_final)
 
 
@@ -165,7 +152,7 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
     _check_entries("convergence_sweep", "N_range", N_range, "N")
     _check_entries("convergence_sweep", "M_range", M_range, "M")
     T = problem.T
-    _check_error_inputs(problem, T, "convergence_sweep")
+    check_error_inputs(problem, T, "convergence_sweep")
     Ns = sorted(set(int(n) for n in N_range))
     spectra = [_initial_spectrum(problem, N + 2) for N in Ns]
     ends = [[] for _ in Ns]  # per N: unit solutions at T, a row per M

@@ -63,6 +63,39 @@ class ADProblem:
         return replace(self, T=T)
 
 
+# Per kind of N, M or lambda value: the tests each must pass, each with its
+# words. SolverConfig checks its N, M and lam with these; the sweeps check
+# their list arguments with them before any rule is built, and the command
+# line its list keys. The sweeps would truncate an M of 2.5 to 2;
+# is_integer() is False for NaN and inf.
+_ENTRY_RULES = {
+    "N": ((lambda n: n >= 2 and n % 2 == 0, "even and >= 2"),),
+    "M": ((lambda m: m >= 1, ">= 1"),
+          (lambda m: float(m).is_integer(), "a whole number")),
+    "lambda": ((lambda lam: lam > -0.5 + LAMBDA_MIN_GUARD,
+                f"> {-0.5 + LAMBDA_MIN_GUARD}"),),
+}
+
+
+def bad_entry(kind: str, values):
+    """The first of values that breaks a rule of kind "N", "M" or "lambda".
+
+    Returns that value and the rule in words, or None when every value
+    passes.
+    """
+    for value in values:
+        for valid, words in _ENTRY_RULES[kind]:
+            if not valid(value):
+                return value, words
+    return None
+
+
+def _check_rule(kind: str, value) -> None:
+    bad = bad_entry(kind, [value])
+    if bad:
+        raise ValueError(f"{kind} must be {bad[1]}; got {value}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Discretization parameters: N spatial modes, M + 1 time nodes, index lam."""
@@ -79,22 +112,17 @@ class SolverConfig:
             if not (isinstance(value, numbers.Real) and float(value).is_integer()):
                 raise ValueError(f"{name} is not a whole number; got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.N < 2 or self.N % 2:
-            raise ValueError(f"N must be even and >= 2; got {self.N}")
+        _check_rule("N", self.N)
         if self.N0 == 0:
             object.__setattr__(self, "N0", self.N + 2)
         if self.N0 <= self.N or self.N0 % 2:
             raise ValueError(
                 f"N0 must be even and > N = {self.N}; got {self.N0}"
             )
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1; got {self.M}")
+        _check_rule("M", self.M)
         if not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite; got {self.lam}")
-        if not self.lam > -0.5 + LAMBDA_MIN_GUARD:
-            raise ValueError(
-                f"lambda must exceed {-0.5 + LAMBDA_MIN_GUARD}; got {self.lam}"
-            )
+        _check_rule("lambda", self.lam)
 
 
 def test_problem(pid: int) -> ADProblem:
@@ -198,6 +226,86 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
     return value
+
+
+def _whole(text: str):
+    # An int entry. A finite number that is not whole is returned as a
+    # float, for the entry rules to refuse by its value.
+    try:
+        return int(text)
+    except ValueError:
+        value = _finite(text)
+        if value.is_integer():
+            raise
+        return value
+
+
+def _parse_range(text: str, key: str) -> list:
+    # "a" | "a:b" | "a:step:b", inclusive ends, colon syntax.
+    parts = text.split(":")
+    try:
+        if len(parts) == 1:
+            return [_whole(text)]
+        nums = [int(p) for p in parts]
+    except ValueError as exc:
+        raise ConfigError(f"invalid value for key '{key}': {text!r}") from exc
+    if len(nums) == 2:
+        lo, hi, step = nums[0], nums[1], 1
+    elif len(nums) == 3:
+        lo, step, hi = nums
+    else:
+        raise ConfigError(f"invalid value for key '{key}': {text!r}")
+    if step <= 0 or hi < lo:
+        raise ConfigError(f"invalid value for key '{key}': {text!r}")
+    return list(range(lo, hi + 1, step))
+
+
+def _parse_float_list(text: str, key: str) -> list[float]:
+    try:
+        return [_finite(p) for p in text.split(",") if p.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"invalid value for key '{key}': {text!r}") from exc
+
+
+def _parse_int_list(text: str, key: str) -> list:
+    if ":" in text:
+        return _parse_range(text, key)
+    try:
+        return [_whole(p) for p in text.split(",") if p.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"invalid value for key '{key}': {text!r}") from exc
+
+
+# Per list key: its parser and the kind of its entries, whose rules
+# _ENTRY_RULES holds. The lists are checked before any rule is built, so a
+# bad entry is reported with its key rather than by the solver stage that
+# refuses it.
+_LIST_KEYS = {
+    "N_range": (_parse_range, "N"),
+    "M_range": (_parse_range, "M"),
+    "M_list": (_parse_int_list, "M"),
+    "lambda_list": (_parse_float_list, "lambda"),
+}
+
+
+def run_value(pairs: dict, key: str, default):
+    """The value of a run-level key, or of its default when the key is absent.
+
+    ``repeats`` is an int. The sweep and study lists, ``N_range``,
+    ``M_range``, ``M_list`` and ``lambda_list``, are parsed and each entry
+    checked against the rules of its kind, N, M or lambda, as SolverConfig
+    checks its own; a bad entry is refused with its key named.
+    """
+    if key == "repeats":
+        return _get(pairs, key, int, default=default)
+    parse, kind = _LIST_KEYS[key]
+    text = pairs.get(key, str(default))
+    values = parse(text, key)
+    bad = bad_entry(kind, values)
+    if bad:
+        raise ConfigError(f"invalid value for key '{key}': "
+                          f"{bad[0]!r} in {text!r} is not {bad[1]}")
+    return values
 
 
 def load_config(path) -> tuple[ADProblem, SolverConfig]:

@@ -132,7 +132,7 @@ def mode_rate(problem: ADProblem, n):
 
 
 def assemble_mode(n: int, problem: ADProblem, config: SolverConfig,
-                  tq: IntegrationMatrix, spectrum: InitialSpectrum) -> np.ndarray:
+                  tq: IntegrationMatrix) -> np.ndarray:
     """The matrix I + alpha_n TQ of mode n; its right-hand side is u0_hat_n * ones.
 
     This is the paper's complex system. The solve neither forms nor inverts

@@ -14,7 +14,7 @@ from adspectral import (ADProblem, ModeSolveError, SolverConfig, bench_solve,
                         solve_modes)
 from adspectral import analysis, gegenbauer, solver
 from adspectral import test_problem as builtin_problem
-from adspectral.analysis import _field_errors, _report_from_field
+from adspectral.analysis import _field_errors, field_report
 from adspectral.gegenbauer import RULE_CACHE_SIZE, build_basis, \
     build_integration_matrix, reference_rule, shift_integration_matrix, \
     time_grid
@@ -68,7 +68,7 @@ def per_cell_sweep_rows(problem, N_range, M_range, lam, t_final):
     Each M shares one unit solve over modes 1 .. max(N)/2, as the sweep
     does: per-cell solves would differ from it in the last bits. Each cell
     then wraps its leading N/2 unit solutions and u0 spectrum in a
-    SpectralSolution and runs evaluate_u at t_final and _report_from_field.
+    SpectralSolution and runs evaluate_u at t_final and field_report.
     """
     run = problem.with_horizon(t_final)
     Ns = sorted(set(N_range))
@@ -84,7 +84,7 @@ def per_cell_sweep_rows(problem, N_range, M_range, lam, t_final):
                 config=config, problem=run, basis=basis,
                 time_grid=time_grid(basis, t_final), units=units[:, :N // 2],
                 scale=spectra[N].values[1:N // 2 + 1], stage_s={})
-            dnes[N, M] = _report_from_field(
+            dnes[N, M] = field_report(
                 problem, config, evaluate_u(sol, sol.grid, t_final), t_final).dne
     return [(N, M, dne, float(np.log10(dne)) if dne > 0 else -np.inf)
             for (N, M), dne in sorted(dnes.items())]

@@ -14,10 +14,11 @@ from adspectral import (FourierGrid, build_basis, conditioning_study,
                         synthesize_derivative, synthesize_field, time_grid)
 from adspectral import gegenbauer
 from adspectral import test_problem as builtin_problem
-from adspectral import cli
-from adspectral.cli import (CELL_BYTES, FLOAT, INT, _g17_cells, _g17_tables,
-                            _percent_cells, _write_coefficients, _write_table,
-                            main)
+from adspectral import csvtext
+from adspectral.cli import main
+from adspectral.csvtext import (CELL_BYTES, FLOAT, INT, _g17_cells,
+                                _g17_tables, _packed, _percent_cells,
+                                write_coefficients, write_table)
 from adspectral.fourier import complete_half_spectrum
 from adspectral.gegenbauer import reference_rule
 from adspectral.problems import config_from_pairs
@@ -106,17 +107,17 @@ class TestTableWriter:
     def test_numbers_match_reference(self, tmp_path, as_array):
         rows = np.array(self.ROWS, dtype=float) if as_array else self.ROWS
         path = tmp_path / "t.csv"
-        _write_table(path, self.HEADER, [INT, FLOAT, FLOAT, FLOAT], rows)
+        write_table(path, self.HEADER, [INT, FLOAT, FLOAT, FLOAT], rows)
         assert path.read_text(encoding="utf-8") == \
             self._reference_text(self.HEADER, self.ROWS)
 
     def test_text_columns_and_empty_table(self, tmp_path):
         rows = [["TQ", 0, 1.5, ""], ["A", 12, -0.0, "x"]]
         path = tmp_path / "t.csv"
-        _write_table(path, self.HEADER, ["%s", INT, FLOAT, "%s"], rows)
+        write_table(path, self.HEADER, ["%s", INT, FLOAT, "%s"], rows)
         assert path.read_text(encoding="utf-8") == \
             self._reference_text(self.HEADER, rows)
-        _write_table(path, self.HEADER, [INT] * 4, np.empty((0, 4)))
+        write_table(path, self.HEADER, [INT] * 4, np.empty((0, 4)))
         assert path.read_text(encoding="utf-8") == "n,a,b,c\n"
 
 
@@ -193,7 +194,7 @@ class TestFieldWriters:
             p.name for p in out.iterdir() if p.name != "report.csv")
         for name, (header, formats, table) in tables.items():
             reference = tmp_path / f"generic-{name}"
-            _write_table(reference, header, formats, table)
+            write_table(reference, header, formats, table)
             assert (out / name).read_bytes() == reference.read_bytes(), name
 
     def test_coefficients_of_symmetric_table_written(self, tmp_path):
@@ -202,8 +203,8 @@ class TestFieldWriters:
         pos[1, 0] = 2.5  # imaginary part +0.0, so mode -1 holds -0.0
         table, nodes = complete_half_spectrum(pos), np.linspace(0.0, 1.0, 4)
         path, reference = tmp_path / "c.csv", tmp_path / "generic.csv"
-        _write_coefficients(path, table[:, 3:], nodes)  # modes 0 .. 3
-        _write_table(reference, *self._generic_coefficients(table, nodes))
+        write_coefficients(path, table[:, 3:], nodes)  # modes 0 .. 3
+        write_table(reference, *self._generic_coefficients(table, nodes))
         assert path.read_bytes() == reference.read_bytes()
         assert ",-0\n" in path.read_text(encoding="utf-8")
 
@@ -214,7 +215,7 @@ class TestFieldWriters:
                            12.0, 1e-5])
         for formatter in (_g17_cells, _percent_cells):
             cells = formatter(values)
-            packed = cli._packed(cells)
+            packed = _packed(cells)
             longest = max(len(FLOAT % v) for v in values)
             assert packed.shape == (values.size, longest + 1)
             assert np.all(packed[:, -1] == 0)
@@ -323,7 +324,7 @@ class TestG17Cells:
             fallback.append(np.size(values))
             return _percent_cells(values)
 
-        monkeypatch.setattr(cli, "_percent_cells", counting)
+        monkeypatch.setattr(csvtext, "_percent_cells", counting)
         values = np.random.default_rng(3).standard_normal(20_000)
         assert _cell_texts(_g17_cells(values)) == _percent_texts(values)
         assert sum(fallback) < 0.05 * values.size
@@ -332,7 +333,7 @@ class TestG17Cells:
                         reason="long double cannot certify a rounding here")
     def test_power_table_is_correctly_rounded(self):
         powers = _g17_tables()[0]
-        for k, power in zip(range(cli._POW_MIN, cli._POW_MAX + 1), powers):
+        for k, power in zip(range(csvtext._POW_MIN, csvtext._POW_MAX + 1), powers):
             exact = Fraction(10) ** k
             error = abs(Fraction(*power.as_integer_ratio()) - exact)
             for neighbour in (np.nextafter(power, np.longdouble(0)),

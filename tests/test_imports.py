@@ -11,11 +11,6 @@ CROSSINGS = {
     ("analysis", "gegenbauer", "_lagrange_matrix"),
     ("analysis", "solver", "_initial_spectrum"),
     ("analysis", "solver", "_unit_solve"),
-    ("cli", "analysis", "_bad_entry"),
-    ("cli", "analysis", "_check_error_inputs"),
-    ("cli", "analysis", "_report_from_field"),
-    ("cli", "problems", "_finite"),
-    ("cli", "problems", "_get"),
     ("semianalytic", "solver", "_initial_spectrum"),
     ("semianalytic", "solver", "_times_in_horizon"),
 }

@@ -61,9 +61,9 @@ class TestAssembleMode:
     def test_degenerate_transport_gives_identity(self):
         problem = _degenerate_problem()
         config = SolverConfig(N=4, M=6, N0=6)
-        tq, spectrum = self._tq_and_spectrum(problem, config)
+        tq, _ = self._tq_and_spectrum(problem, config)
         assert mode_rate(problem, 1) == 0
-        assert np.array_equal(assemble_mode(1, problem, config, tq, spectrum),
+        assert np.array_equal(assemble_mode(1, problem, config, tq),
                               np.eye(7))
 
     def test_matrix_and_rhs_shape(self):
@@ -71,7 +71,7 @@ class TestAssembleMode:
         problem = builtin_problem(1)
         config = SolverConfig(N=4, M=10, N0=6)
         tq, spectrum = self._tq_and_spectrum(problem, config)
-        matrix = assemble_mode(2, problem, config, tq, spectrum)
+        matrix = assemble_mode(2, problem, config, tq)
         assert matrix.shape == (11, 11)
         assert np.array_equal(matrix,
                               np.eye(11) + mode_rate(problem, 2) * tq.entries)
@@ -82,9 +82,9 @@ class TestAssembleMode:
     def test_mode_index_out_of_range(self):
         problem = builtin_problem(1)
         config = SolverConfig(N=4, M=6, N0=6)
-        tq, spectrum = self._tq_and_spectrum(problem, config)
+        tq, _ = self._tq_and_spectrum(problem, config)
         with pytest.raises(ValueError, match="mode index"):
-            assemble_mode(3, problem, config, tq, spectrum)
+            assemble_mode(3, problem, config, tq)
 
 
 class TestSolveModes:

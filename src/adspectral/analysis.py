@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg.lapack import dgejsv
 
 from .fourier import FourierGrid, complete_half_spectrum, synthesize_field
-from .gegenbauer import _lagrange_matrix, reference_rule, \
+from .gegenbauer import bary_interpolate, reference_rule, \
     shift_integration_matrix
 from .problems import ADProblem, SolverConfig, bad_entry
 from .solver import _initial_spectrum, _unit_solve, evaluate_u, mode_rate, \
@@ -162,10 +162,11 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
         basis, q = reference_rule(lam, M)
         units = _unit_solve(problem, basis, shift_integration_matrix(q, T),
                             Ns[-1] // 2)
-        # T maps to s = 1 on the reference interval
-        end_row = _lagrange_matrix(basis, 1.0)
+        # T maps to s = 1 on the reference interval. Each entry of the row
+        # is bary_interpolate's fixed sum, whatever the number of modes.
+        end_row = bary_interpolate(basis, units, [1.0])
         for N, ends_N in zip(Ns, ends):
-            ends_N.append(end_row @ units[:, :N // 2])
+            ends_N.append(end_row[:, :N // 2])
     g_final = float(problem.g(T))
     ms = np.array(Ms, dtype=float)
     rows, slopes = [], {}

@@ -170,9 +170,12 @@ def bary_interpolate(basis: GegenbauerBasis, nodal_values, t):
     ``nodal_values`` has the node axis first, shape (order + 1, ...). A
     scalar t gives the value, shape ``nodal_values.shape[1:]``; a 1-D array
     of points gives one row per point, shape (len(t), ...), from one
-    Lagrange matrix and one product. Uses the second barycentric form; a
-    point within NODE_COINCIDENCE_TOL of a node takes the nodal value
-    exactly.
+    Lagrange matrix. Each value is the sum over the nodes, in node order,
+    of Lagrange weight times nodal value, so a row does not depend on how
+    many points or trailing entries are asked at once (a BLAS product
+    would change its blocking, and the last bits, with the shape). Uses
+    the second barycentric form; a point within NODE_COINCIDENCE_TOL of a
+    node takes the nodal value exactly.
     """
     values = np.asarray(nodal_values)
     if values.shape[:1] != (basis.order + 1,):
@@ -183,7 +186,12 @@ def bary_interpolate(basis: GegenbauerBasis, nodal_values, t):
         raise ValueError(
             f"t must be a scalar or a 1-D array; got shape {np.shape(t)}")
     rows = _lagrange_matrix(basis, t)
-    return rows[0] @ values if np.ndim(t) == 0 else rows @ values
+    rows = rows.reshape(rows.shape + (1,) * (values.ndim - 1))
+    out = rows[:, 0] * values[0]
+    term = np.empty_like(out)
+    for j in range(1, len(values)):
+        out += np.multiply(rows[:, j], values[j], out=term)
+    return out[0] if np.ndim(t) == 0 else out
 
 
 def _lagrange_matrix(basis: GegenbauerBasis, points) -> np.ndarray:

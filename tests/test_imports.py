@@ -8,7 +8,6 @@ import adspectral
 # (importing module, imported module, name) for every relative import of a
 # name with a leading underscore. A new one is added here on purpose.
 CROSSINGS = {
-    ("analysis", "gegenbauer", "_lagrange_matrix"),
     ("analysis", "solver", "_initial_spectrum"),
     ("analysis", "solver", "_unit_solve"),
     ("semianalytic", "solver", "_initial_spectrum"),

@@ -86,12 +86,7 @@ def _field_errors(problem: ADProblem, numeric: np.ndarray, t_final: float):
 
 def field_report(problem: ADProblem, config: SolverConfig,
                  numeric: np.ndarray, t_final: float) -> ErrorReport:
-    """The error report of a field already evaluated by either kind of solution.
-
-    ``numeric`` holds u at the N spatial grid nodes and time t_final; the
-    report compares it with ``problem.exact`` there, as ``error_report``
-    does for the field it solves for.
-    """
+    """The error report of u at the N grid nodes and t_final, already evaluated."""
     check_error_inputs(problem, t_final, "field_report")
     diff, dne = _field_errors(problem, numeric, t_final)
     return ErrorReport(
@@ -102,11 +97,7 @@ def field_report(problem: ADProblem, config: SolverConfig,
 
 
 def check_error_inputs(problem: ADProblem, t_final: float, caller: str) -> None:
-    """Refuse, naming the caller, what no error can be taken of.
-
-    An error needs an exact solution to compare with, at a positive
-    terminal time; a sweep is refused before its ranges are read.
-    """
+    """Refuse, naming caller, a problem with no exact solution or t_final <= 0."""
     if problem.exact is None:
         raise ValueError(f"{caller} requires a problem with an exact solution")
     if not t_final > 0:
@@ -124,7 +115,7 @@ def error_report(problem: ADProblem, config: SolverConfig,
     check_error_inputs(problem, t_final, "error_report")
     sol = solve_modes(problem.with_horizon(t_final), config)
     return field_report(problem, config, evaluate_u(sol, sol.grid, t_final),
-                              t_final)
+                        t_final)
 
 
 def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
@@ -162,8 +153,7 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
         basis, q = reference_rule(lam, M)
         units = _unit_solve(problem, basis, shift_integration_matrix(q, T),
                             Ns[-1] // 2)
-        # T maps to s = 1 on the reference interval. Each entry of the row
-        # is bary_interpolate's fixed sum, whatever the number of modes.
+        # T maps to s = 1 on the reference interval
         end_row = bary_interpolate(basis, units, [1.0])
         for N, ends_N in zip(Ns, ends):
             ends_N.append(end_row[:, :N // 2])

@@ -1,21 +1,12 @@
 """CSV text of the command line outputs, byte for byte as "%.17g" writes it.
 
-Every float field carries 17 significant digits ("%.17g"), so reruns
-round-trip doubles exactly, and every integer field is "%d".
-
-The small tables (``report.csv``, ``sweep.csv``, ``conditioning.csv``,
-``bench.csv``) are a header line plus one ``template % values`` operation.
-``solution.csv`` and ``coefficients.csv`` are written in row blocks of at
-most ``BLOCK_CELLS`` fields. A block is a byte array with one fixed cell per
-field; ``_g17_cells`` fills the cells of many float64 values at once with
-their exact "%.17g" bytes, and the NUL bytes left between them are dropped
-when the block is written. The repeated x, t, t_node, k and l values are
-formatted once, each left-packed into a cell as wide as its column's
-longest text plus the separator, and copied into every row that holds
-them. ``coefficients.csv`` takes modes 0 .. N/2; the row of mode -n, their
-conjugate, takes mode n's cells with the sign of the imaginary part
-toggled. The module reads no solution: its callers pass the values.
-"""
+Floats carry 17 significant digits, so reruns round-trip doubles exactly;
+integers are "%d". Small tables take one ``template % values`` operation.
+``solution.csv`` and ``coefficients.csv`` go in row blocks of at most
+``BLOCK_CELLS`` fields, one fixed cell per field, which ``_g17_cells``
+fills with exact "%.17g" bytes; NULs between texts are dropped on write.
+Repeated x, t, t_node, k and l values are formatted and packed once. It
+reads no solution: the callers pass the values."""
 
 from __future__ import annotations
 
@@ -254,11 +245,8 @@ def _write_rows(handle, rows: np.ndarray, widths) -> None:
 
 
 def write_grid(path: Path, header, x, t, columns) -> None:
-    """Write ``solution.csv``: one row per (t, x) pair, x fastest in each t.
-
-    ``x`` and ``t`` are 1-D arrays and each of ``columns`` holds its values
-    with shape (len(t), len(x)); ``header`` names x, t and the columns. The
-    x cells and the t cell of each time are formatted and packed once.
+    """Write ``solution.csv``, x fastest within each t, from 1-D ``x``, ``t``
+    and ``columns`` of shape (len(t), len(x)), named after x and t in ``header``.
     """
     x_cells = _packed(_g17_cells(x))
     t_cells = _packed(_g17_cells(t))
@@ -280,12 +268,9 @@ def write_grid(path: Path, header, x, t, columns) -> None:
 
 
 def write_coefficients(path: Path, table, nodes) -> None:
-    """Write ``coefficients.csv`` from the (M + 1, N/2 + 1) table of modes 0 .. N/2.
-
-    Rows run k = -N/2 .. N/2, then l = 0 .. M, with ``nodes`` the times
-    t_l. Mode -n, the conjugate of mode n, takes mode n's cells with the
-    sign of the imaginary part toggled.
-    """
+    """Write ``coefficients.csv`` from the (M + 1, N/2 + 1) table of modes
+    0 .. N/2 at ``nodes``: rows k = -N/2 .. N/2, then l = 0 .. M. Mode -n
+    takes mode n's cells with the sign of the imaginary part toggled."""
     half = table.shape[1] - 1
     psi_cells = _g17_cells(np.stack([table.real.T, table.imag.T], axis=-1)
                            ).reshape(half + 1, len(nodes), 2 * CELL_BYTES)

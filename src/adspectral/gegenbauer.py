@@ -170,12 +170,10 @@ def bary_interpolate(basis: GegenbauerBasis, nodal_values, t):
     ``nodal_values`` has the node axis first, shape (order + 1, ...). A
     scalar t gives the value, shape ``nodal_values.shape[1:]``; a 1-D array
     of points gives one row per point, shape (len(t), ...), from one
-    Lagrange matrix. Each value is the sum over the nodes, in node order,
-    of Lagrange weight times nodal value, so a row does not depend on how
-    many points or trailing entries are asked at once (a BLAS product
-    would change its blocking, and the last bits, with the shape). Uses
-    the second barycentric form; a point within NODE_COINCIDENCE_TOL of a
-    node takes the nodal value exactly.
+    Lagrange matrix; each value sums weight times nodal value in node
+    order, so it does not depend on the shape asked for, as a BLAS
+    product's last bits do. Uses the second barycentric form; a point
+    within NODE_COINCIDENCE_TOL of a node takes the nodal value itself.
     """
     values = np.asarray(nodal_values)
     if values.shape[:1] != (basis.order + 1,):
@@ -186,11 +184,14 @@ def bary_interpolate(basis: GegenbauerBasis, nodal_values, t):
         raise ValueError(
             f"t must be a scalar or a 1-D array; got shape {np.shape(t)}")
     rows = _lagrange_matrix(basis, t)
-    rows = rows.reshape(rows.shape + (1,) * (values.ndim - 1))
-    out = rows[:, 0] * values[0]
-    term = np.empty_like(out)
-    for j in range(1, len(values)):
-        out += np.multiply(rows[:, j], values[j], out=term)
+    out = values[rows.argmax(axis=1)].astype(np.result_type(rows, values))
+    far = np.count_nonzero(rows, axis=1) > 1  # the other rows take the sum
+    if far.any():
+        lagrange = rows[far].reshape(-1, len(values), *(1,) * (values.ndim - 1))
+        sums = lagrange[:, 0] * values[0]
+        for j in range(1, len(values)):
+            sums += lagrange[:, j] * values[j]
+        out[far] = sums
     return out[0] if np.ndim(t) == 0 else out
 
 

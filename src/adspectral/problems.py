@@ -63,11 +63,8 @@ class ADProblem:
         return replace(self, T=T)
 
 
-# Per kind of N, M or lambda value: the tests each must pass, each with its
-# words. SolverConfig checks its N, M and lam with these; the sweeps check
-# their list arguments with them before any rule is built, and the command
-# line its list keys. The sweeps would truncate an M of 2.5 to 2;
-# is_integer() is False for NaN and inf.
+# Per kind of N, M or lambda value: its tests, each with its words, for all
+# readers alike. An M of 2.5 would be truncated; is_integer() is False for NaN.
 _ENTRY_RULES = {
     "N": ((lambda n: n >= 2 and n % 2 == 0, "even and >= 2"),),
     "M": ((lambda m: m >= 1, ">= 1"),
@@ -78,11 +75,7 @@ _ENTRY_RULES = {
 
 
 def bad_entry(kind: str, values):
-    """The first of values that breaks a rule of kind "N", "M" or "lambda".
-
-    Returns that value and the rule in words, or None when every value
-    passes.
-    """
+    """(value, rule in words) for the first value breaking a rule of kind, or None."""
     for value in values:
         for valid, words in _ENTRY_RULES[kind]:
             if not valid(value):
@@ -229,57 +222,41 @@ def _finite(text: str) -> float:
 
 
 def _whole(text: str):
-    # An int entry. A finite number that is not whole is returned as a
-    # float, for the entry rules to refuse by its value.
-    try:
-        return int(text)
-    except ValueError:
-        value = _finite(text)
-        if value.is_integer():
-            raise
-        return value
+    # An int, or a finite float that is not whole, for the rules to refuse.
+    value = _finite(text)
+    return int(text) if value.is_integer() else value
 
 
-def _parse_range(text: str, key: str) -> list:
+def _parse_range(text: str) -> list:
     # "a" | "a:b" | "a:step:b", inclusive ends, colon syntax.
     parts = text.split(":")
-    try:
-        if len(parts) == 1:
-            return [_whole(text)]
-        nums = [int(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for key '{key}': {text!r}") from exc
+    if len(parts) == 1:
+        return [_whole(text)]
+    nums = [int(p) for p in parts]
     if len(nums) == 2:
         lo, hi, step = nums[0], nums[1], 1
     elif len(nums) == 3:
         lo, step, hi = nums
     else:
-        raise ConfigError(f"invalid value for key '{key}': {text!r}")
+        raise ValueError(text)
     if step <= 0 or hi < lo:
-        raise ConfigError(f"invalid value for key '{key}': {text!r}")
+        raise ValueError(text)
     return list(range(lo, hi + 1, step))
 
 
-def _parse_float_list(text: str, key: str) -> list[float]:
-    try:
-        return [_finite(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for key '{key}': {text!r}") from exc
+def _parse_float_list(text: str) -> list[float]:
+    return [_finite(p) for p in text.split(",") if p.strip()]
 
 
-def _parse_int_list(text: str, key: str) -> list:
+def _parse_int_list(text: str) -> list:
     if ":" in text:
-        return _parse_range(text, key)
-    try:
-        return [_whole(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for key '{key}': {text!r}") from exc
+        return _parse_range(text)
+    return [_whole(p) for p in text.split(",") if p.strip()]
 
 
-# Per list key: its parser and the kind of its entries, whose rules
-# _ENTRY_RULES holds. The lists are checked before any rule is built, so a
-# bad entry is reported with its key rather than by the solver stage that
-# refuses it.
+# Per list key: its parser and the kind of its entries. The lists are
+# checked before any rule is built, so a bad entry is reported with its key
+# rather than by the solver stage that refuses it.
 _LIST_KEYS = {
     "N_range": (_parse_range, "N"),
     "M_range": (_parse_range, "M"),
@@ -289,18 +266,16 @@ _LIST_KEYS = {
 
 
 def run_value(pairs: dict, key: str, default):
-    """The value of a run-level key, or of its default when the key is absent.
-
-    ``repeats`` is an int. The sweep and study lists, ``N_range``,
-    ``M_range``, ``M_list`` and ``lambda_list``, are parsed and each entry
-    checked against the rules of its kind, N, M or lambda, as SolverConfig
-    checks its own; a bad entry is refused with its key named.
-    """
+    """A run-level key's value or default: ``repeats``, an int, or a list
+    whose every entry passes the rules of its kind, N, M or lambda."""
     if key == "repeats":
         return _get(pairs, key, int, default=default)
     parse, kind = _LIST_KEYS[key]
     text = pairs.get(key, str(default))
-    values = parse(text, key)
+    try:
+        values = parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"invalid value for key '{key}': {text!r}") from exc
     bad = bad_entry(kind, values)
     if bad:
         raise ConfigError(f"invalid value for key '{key}': "

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from adspectral import (FourierGrid, build_basis, conditioning_study,
-                        sa_field, solve_modes,
+                        error_report, sa_field, solve_modes,
                         synthesize_derivative, synthesize_field, time_grid)
 from adspectral import gegenbauer
 from adspectral import test_problem as builtin_problem
@@ -65,6 +65,21 @@ class TestSolveCommand:
         coeffs = _read_rows(out / "coefficients.csv")
         assert coeffs[0] == ["k", "l", "t_node", "re_psi", "im_psi"]
         assert len(coeffs) - 1 == 5 * 11
+
+    @pytest.mark.parametrize("N,M", [(8, 4), (64, 12), (1024, 32)])
+    @pytest.mark.parametrize("pid", [1, 2, 3])
+    def test_report_equals_error_report(self, tmp_path, pid, N, M):
+        # The field at T comes from the same coefficient row, bit for bit,
+        # whether it is evaluated alone or with the time nodes.
+        pairs = {"problem_id": str(pid), "N": str(N), "M": str(M)}
+        cfg = _write(tmp_path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        problem, config = config_from_pairs(pairs)
+        report = error_report(problem, config, problem.T)
+        row = _read_rows(out / "report.csv")[1]
+        assert [float(row[5]), float(row[6])] == [report.pointwise_max,
+                                                  report.dne]
 
     def test_reruns_byte_identical(self, tmp_path):
         cfg = _write(tmp_path, TABLE_ROW)

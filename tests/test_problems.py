@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from adspectral import ADProblem, ConfigError, SolverConfig, load_config, \
-    solve_modes
-from adspectral.problems import config_from_pairs, parse_config_pairs
+from adspectral import ADProblem, ConfigError, SolverConfig, \
+    conditioning_study, convergence_sweep, load_config, solve_modes
+from adspectral.cli import main
+from adspectral.problems import bad_entry, config_from_pairs, \
+    parse_config_pairs
 from adspectral import test_problem as builtin_problem
 
 
@@ -134,6 +136,58 @@ class TestSolverConfig:
         assert config == SolverConfig(**sizes)
         sol = solve_modes(builtin_problem(1), config)
         assert sol.table.shape == (3, 9)
+
+
+# Per kind of entry: the SolverConfig field, the sweeps that take a list of
+# such entries, and the command and list key that read one.
+READERS = {
+    "N": ("N", [("convergence_sweep", lambda p, c, v:
+                 convergence_sweep(p, [v], [4], c.lam), "N_range")],
+          [("convergence", "N_range")]),
+    "M": ("M", [("convergence_sweep", lambda p, c, v:
+                 convergence_sweep(p, [4], [v], c.lam), "M_range"),
+                ("conditioning_study", lambda p, c, v:
+                 conditioning_study(p, c, [c.lam], [v]), "M_list")],
+          [("convergence", "M_range"), ("conditioning", "M_list")]),
+    "lambda": ("lam", [("conditioning_study", lambda p, c, v:
+                        conditioning_study(p, c, [v], [c.M]), "lambda_list")],
+               [("conditioning", "lambda_list")]),
+}
+
+
+@pytest.mark.parametrize("kind,value", [
+    ("N", 3), ("N", 0), ("M", 0), ("M", 2.5), ("lambda", -0.5),
+    ("lambda", float("nan"))])
+def test_every_reader_refuses_a_bad_entry_in_the_rule_words(
+        tmp_path, capsys, kind, value):
+    # problems' one rule table decides, and names, what SolverConfig, the
+    # sweeps and the command line list keys refuse.
+    words = bad_entry(kind, [value])[1]
+    field, sweeps, keys = READERS[kind]
+    problem, config = builtin_problem(1), SolverConfig(N=4, M=4)
+    with pytest.raises(ValueError) as info:
+        SolverConfig(**{"N": 4, "M": 4, field: value})
+    if value == value:
+        assert words in str(info.value)
+    else:  # NaN is refused as not finite before any rule
+        assert str(info.value) == "lam must be finite; got nan"
+    for caller, sweep, name in sweeps:
+        with pytest.raises(ValueError, match=re.escape(
+                f"{caller}: {name} entry {value!r} is not {words}")):
+            sweep(problem, config, value)
+    for command, key in keys:
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"problem_id = 1\nN = 4\nM = 4\n{key} = {value}\n",
+                       encoding="utf-8")
+        out = tmp_path / f"out-{key}"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        if value == value:
+            assert err == (f"error: invalid value for key '{key}': {value!r} "
+                           f"in '{value}' is not {words}\n")
+        else:  # the list text takes only finite numbers
+            assert err == f"error: invalid value for key '{key}': 'nan'\n"
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("field,value", [

@@ -549,6 +549,16 @@ class TestBatchedEvaluation:
         assert np.array_equal(rows[:, half],
                               -2.0 * rows[:, half + 1:].real.sum(axis=1))
 
+    @pytest.mark.parametrize("pid", [1, 2, 3])
+    def test_rows_do_not_depend_on_the_batch(self, pid):
+        # Each entry is the same fixed sum over the nodes whether its time
+        # is asked alone or among many, so the rows are equal, not close.
+        problem = builtin_problem(pid)
+        sol = solve_modes(problem, SolverConfig(N=64, M=12))
+        times = np.random.default_rng(pid).uniform(0.0, problem.T, 24)
+        for t, row in zip(times, sol.coefficients(times)):
+            assert np.array_equal(row, sol.coefficients(t)[0])
+
     def test_evaluation_builds_no_table(self):
         sol = solve_modes(builtin_problem(3), SolverConfig(N=16, M=10))
         evaluate_u(sol, sol.grid, sol.problem.T)

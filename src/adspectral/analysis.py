@@ -56,10 +56,11 @@ class BenchResult:
 
 
 def _check_entries(caller: str, name: str, values, kind: str) -> None:
-    # The rules of each kind of entry are problems.bad_entry's.
+    # The rules of each kind of entry are problems.bad_entry's; name says
+    # where caller took the values from.
     bad = bad_entry(kind, values)
     if bad:
-        raise ValueError(f"{caller}: {name} entry {bad[0]!r} is not {bad[1]}")
+        raise ValueError(f"{caller}: {name} {bad[0]!r} is not {bad[1]}")
 
 
 def _field_errors(problem: ADProblem, numeric: np.ndarray, t_final: float):
@@ -134,14 +135,16 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
     SpectralSolution.coefficients does, and takes one completion of the half
     spectrum, one synthesis and one sample of problem.exact. Rows are ordered
     N outer, M inner, and the log-error slope of each N is fitted over its
-    M. A problem without an exact solution, an N that is not even and >= 2
-    or an M that is not a whole number >= 1 is refused before any solve;
-    sweep another horizon with problem.with_horizon(t).
+    M. A problem without an exact solution, an N that is not even and >= 2,
+    an M that is not a whole number >= 1 or a lam outside the rule table's
+    range is refused before any solve or rule build; sweep another horizon
+    with problem.with_horizon(t).
     """
     if not len(N_range) or not len(M_range):
         raise ValueError("N_range and M_range must be nonempty")
-    _check_entries("convergence_sweep", "N_range", N_range, "N")
-    _check_entries("convergence_sweep", "M_range", M_range, "M")
+    _check_entries("convergence_sweep", "N_range entry", N_range, "N")
+    _check_entries("convergence_sweep", "M_range entry", M_range, "M")
+    _check_entries("convergence_sweep", "lam", [lam], "lambda")
     T = problem.T
     check_error_inputs(problem, T, "convergence_sweep")
     Ns = sorted(set(int(n) for n in N_range))
@@ -336,8 +339,9 @@ def conditioning_study(problem: ADProblem, config: SolverConfig,
     """
     if not len(lambda_list) or not len(M_list):
         raise ValueError("lambda_list and M_list must be nonempty")
-    _check_entries("conditioning_study", "lambda_list", lambda_list, "lambda")
-    _check_entries("conditioning_study", "M_list", M_list, "M")
+    _check_entries("conditioning_study", "lambda_list entry", lambda_list,
+                   "lambda")
+    _check_entries("conditioning_study", "M_list entry", M_list, "M")
     lams = sorted(set(float(l) for l in lambda_list))
     Ms = sorted(set(int(m) for m in M_list))
     half = config.N // 2

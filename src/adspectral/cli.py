@@ -4,8 +4,9 @@ Every command reads a key=value config file, writes CSV files into the output
 directory, and exits 0 only when all requested outputs were written. The
 config rules are ``problems``'s and the CSV text is ``csvtext``'s; this
 module evaluates what each command writes and dispatches. ``solve`` and
-``sa`` share the field writer, which calls ``solver.evaluate_u``/``ux`` on
-either kind of solution.
+``sa`` share the field writer, which calls ``solver.evaluate_fields`` on
+either kind of solution: one coefficient table per run gives u, ux and
+``solve``'s coefficients.csv.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .gegenbauer import reference_rule, time_grid
 from .problems import ConfigError, config_from_pairs, parse_config_pairs, \
     run_value
 from .semianalytic import sa_field
-from .solver import ModeSolveError, evaluate_u, evaluate_ux, solve_modes
+from .solver import ModeSolveError, evaluate_fields, solve_modes
 
 
 def _ensure_outdir(path: Path) -> None:
@@ -33,13 +34,14 @@ def _ensure_outdir(path: Path) -> None:
     path.mkdir(parents=True, exist_ok=True)
 
 
-def _write_fields(out: Path, problem, config, sol) -> None:
+def _write_fields(out: Path, problem, config, sol) -> np.ndarray:
     # solution.csv on the (lambda, M) time nodes plus T, from either kind of
-    # solution sol, and report.csv at T when the problem has an exact solution.
+    # solution sol, and report.csv at T when the problem has an exact
+    # solution. Returns the coefficient table at the time nodes.
     grid = sol.grid
     times = np.append(time_grid(reference_rule(config.lam, config.M)[0],
                                 problem.T).nodes, problem.T)
-    u, ux = evaluate_u(sol, grid, times), evaluate_ux(sol, grid, times)
+    table, u, ux = evaluate_fields(sol, times)
     columns, header = [u, ux], ["x", "t", "u", "ux"]
     if problem.exact is not None:
         exact = np.array([problem.exact(grid.nodes, t) for t in times],
@@ -54,13 +56,15 @@ def _write_fields(out: Path, problem, config, sol) -> None:
                     ["N", "M", "lambda", "N0", "t_final", "pointwise_max", "dne"],
                     [INT, INT, FLOAT, INT, FLOAT, FLOAT, FLOAT],
                     [[*report.grid_desc, report.pointwise_max, report.dne]])
+    return table[:-1]
 
 
 def cmd_solve(pairs: dict, out: Path) -> None:
     problem, config = config_from_pairs(pairs)
     sol = solve_modes(problem, config)
-    _write_fields(out, problem, config, sol)
-    write_coefficients(out / "coefficients.csv", sol.table[:, config.N // 2:],
+    # The table's rows at the nodes equal sol.table's, bit for bit.
+    table = _write_fields(out, problem, config, sol)
+    write_coefficients(out / "coefficients.csv", table[:, config.N // 2:],
                        sol.time_grid.nodes)
 
 

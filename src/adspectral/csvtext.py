@@ -2,11 +2,15 @@
 
 Floats carry 17 significant digits, so reruns round-trip doubles exactly;
 integers are "%d". Small tables take one ``template % values`` operation.
-``solution.csv`` and ``coefficients.csv`` go in row blocks of at most
-``BLOCK_CELLS`` fields, one fixed cell per field, which ``_g17_cells``
-fills with exact "%.17g" bytes; NULs between texts are dropped on write.
-Repeated x, t, t_node, k and l values are formatted and packed once. It
-reads no solution: the callers pass the values."""
+``solution.csv`` and ``coefficients.csv`` are written from fixed cells, one
+per field, which ``_g17_cells`` fills with exact "%.17g" bytes and a comma;
+NULs between texts are dropped on write. ``solution.csv`` goes in whole
+time slabs, as many per formatter call as fit in ``BLOCK_CELLS`` values,
+into one reused block whose x cells are copied once and whose t cell is
+broadcast per slab. Repeated x, t, t_node, k and l values are formatted
+and packed once, with their comma set once; a writer then sets only the
+newline that ends each row. It reads no solution: the callers pass the
+values."""
 
 from __future__ import annotations
 
@@ -43,17 +47,18 @@ def write_table(path: Path, header, formats, rows) -> None:
 # sign; slots 1-5 the "0." and up to three zeros that lead a fixed-notation
 # value below 1; slot 7 + j digit j of the 17 significant digits, with the
 # point and every digit after it one slot later; slots 25-29 the exponent;
-# slot 31 the separator.
-# Slots 6 and 30 stay NUL. A cell is four little-endian 64-bit words, so the
-# point goes in by one shift of those words.
+# slot 31 the separator, a comma from the formatter. Slots 6 and 30 stay
+# NUL. A cell is four little-endian 64-bit words, so the point goes in by
+# one shift of those words.
 CELL_BYTES = 32
-# Fields per block. A block of cells (256 kB) and the formatter's temporaries
-# for it are all the text a writer holds at a time, besides the cells of the
-# values it reuses: x, t, t_node, k, l and modes 0 .. N/2 of the table.
+# Values per formatter call. A block of cells (256 kB) and the formatter's
+# temporaries for it are all the text a writer holds at a time, besides the
+# cells of the values it reuses: x, t, t_node, k, l and modes 0 .. N/2 of
+# the table.
 BLOCK_CELLS = 8192
 _POW_MIN, _POW_MAX = -300, 350  # range of k in the 10^k table
 _EXP_MIN = -330                 # lowest exponent in the exponent table
-_ZERO, _MINUS, _POINT = ord("0"), ord("-"), ord(".")
+_ZERO, _MINUS, _POINT, _COMMA = ord("0"), ord("-"), ord("."), ord(",")
 
 
 @cache
@@ -102,7 +107,8 @@ def _g17_tables():
         lead[zeros, 1:zeros + 2] = list(b"0." + b"0" * (zeros - 1))
     lead[5:] = lead[:5]
     lead[5:, 0] = _MINUS
-    # Word 3 per exponent from _EXP_MIN up, after a row for no exponent.
+    # Word 3 per exponent from _EXP_MIN up, after a row for no exponent,
+    # each ending in the separator.
     exps = np.arange(_EXP_MIN, -_EXP_MIN + 1)
     mag = np.abs(exps)
     expo = np.zeros((exps.size + 1, 8), np.uint8)
@@ -111,6 +117,7 @@ def _g17_tables():
     expo[1:, 3] = (mag // 100 + _ZERO) * (mag >= 100)
     expo[1:, 4] = mag // 10 % 10 + _ZERO
     expo[1:, 5] = mag % 10 + _ZERO
+    expo[:, 7] = _COMMA
     return (powers, bound, four.view(np.uint32).ravel(),
             last_digit.astype(np.int8), int_mask, frac_mask, point,
             lead.view(np.uint64).ravel(), expo.view(np.uint64).ravel())
@@ -120,12 +127,13 @@ def _percent_cells(values) -> np.ndarray:
     """Cells of the values' "%.17g" texts, each from Python's % operator.
 
     The sign, if any, goes to slot 0 and the rest of the text after it, so
-    a cell's sign can be toggled as in ``_g17_cells``.
+    a cell's sign can be toggled as in ``_g17_cells``; slot 31 holds ','.
     """
     values = np.ravel(values).tolist()
     texts = ((FLOAT + "\n") * len(values) % tuple(values)).split()
-    cells = "".join((text if text[0] == "-" else "\0" + text).ljust(CELL_BYTES, "\0")
-                    for text in texts)
+    cells = "".join(
+        (text if text[0] == "-" else "\0" + text).ljust(CELL_BYTES - 1, "\0") + ","
+        for text in texts)
     return np.frombuffer(cells.encode("ascii"),
                          np.uint8).reshape(-1, CELL_BYTES).copy()
 
@@ -209,10 +217,11 @@ def _g17_cells(values) -> np.ndarray:
     """The exact "%.17g" bytes of float64 values, one cell per value.
 
     Returns an array of shape ``values.shape + (CELL_BYTES,)``; the non-NUL
-    bytes of a cell, in order, are ``"%.17g" % value``. Each finite value
-    v != 0 gets its 17 digits D and exponent E from y = |v| 10^(16 - E) in
-    long double, with 10^k from a correctly rounded table; D is y rounded to
-    an integer. That rounding is used only where it is certified; near-ties,
+    bytes of a cell, in order, are ``"%.17g" % value`` and then the
+    separator ',' in slot 31, the cell's last. Each finite value v != 0
+    gets its 17 digits D and exponent E from y = |v| 10^(16 - E) in long
+    double, with 10^k from a correctly rounded table; D is y rounded to an
+    integer. That rounding is used only where it is certified; near-ties,
     values out of range and non-finite values take the % operator.
     """
     values = np.asarray(values, dtype=float)
@@ -227,20 +236,25 @@ def _g17_cells(values) -> np.ndarray:
 def _packed(cells: np.ndarray) -> np.ndarray:
     # The (n, CELL_BYTES) cells of a repeated column with each text moved to
     # the left of a cell as wide as the longest text plus the separator slot;
-    # NULs fill the rest.
-    text = cells != 0
+    # NULs fill the rest, the separator slot included.
+    text = cells[:, :-1] != 0
     width = int(text.sum(axis=1).max()) + 1
     order = np.argsort(~text, axis=1, kind="stable")[:, :width]
     return np.take_along_axis(cells, order, axis=1)
 
 
-def _write_rows(handle, rows: np.ndarray, widths) -> None:
-    # Write a (rows, sum(widths)) block of cells, one field per width, as CSV
-    # lines: a comma in the last slot of each field but the last of a row, a
-    # newline there, NULs dropped.
-    ends = np.cumsum(widths) - 1
-    rows[:, ends[:-1]] = ord(",")
-    rows[:, ends[-1]] = ord("\n")
+def _separated(cells: np.ndarray) -> np.ndarray:
+    # Packed cells of a repeated column, each ending in the separator.
+    cells = _packed(cells)
+    cells[:, -1] = _COMMA
+    return cells
+
+
+def _write_rows(handle, rows: np.ndarray) -> None:
+    # Write a 2-D block of cells as CSV lines: every field already ends in
+    # its separator, which a newline replaces at the end of each row; NULs
+    # are dropped.
+    rows[:, -1] = ord("\n")
     handle.write(rows.tobytes().translate(None, b"\0"))
 
 
@@ -248,23 +262,25 @@ def write_grid(path: Path, header, x, t, columns) -> None:
     """Write ``solution.csv``, x fastest within each t, from 1-D ``x``, ``t``
     and ``columns`` of shape (len(t), len(x)), named after x and t in ``header``.
     """
-    x_cells = _packed(_g17_cells(x))
-    t_cells = _packed(_g17_cells(t))
-    widths = [x_cells.shape[1], t_cells.shape[1]] + [CELL_BYTES] * len(columns)
-    x_end, lead = np.cumsum(widths[:2])
-    rows_per_block = max(1, BLOCK_CELLS // len(widths))
-    size = len(x) * len(t)
+    x_cells = _separated(_g17_cells(x))
+    t_cells = _separated(_g17_cells(t))
+    x_end = x_cells.shape[1]
+    lead = x_end + t_cells.shape[1]
+    # One slab is the rows of one time; a block is as many as the formatter
+    # takes in one call, and its x cells never change.
+    slabs = max(1, BLOCK_CELLS // (len(x) * len(columns)))
+    block = np.empty((slabs, len(x), lead + CELL_BYTES * len(columns)), np.uint8)
+    block[:, :, :x_end] = x_cells
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\n").encode())
-        for start in range(0, size, rows_per_block):
-            block = np.arange(start, min(start + rows_per_block, size))
-            rows = np.empty((block.size, sum(widths)), np.uint8)
-            rows[:, :x_end] = x_cells.take(block % len(x), axis=0)
-            rows[:, x_end:lead] = t_cells.take(block // len(x), axis=0)
-            rows[:, lead:] = _g17_cells(np.stack(
-                [column.reshape(-1)[block] for column in columns], axis=-1)
-            ).reshape(block.size, -1)
-            _write_rows(handle, rows, widths)
+        for start in range(0, len(t), slabs):
+            stop = min(start + slabs, len(t))
+            rows = block[:stop - start]
+            rows[:, :, x_end:lead] = t_cells[start:stop, None]
+            rows[:, :, lead:] = _g17_cells(np.stack(
+                [column[start:stop] for column in columns], axis=-1)
+            ).reshape(stop - start, len(x), -1)
+            _write_rows(handle, rows.reshape(-1, rows.shape[-1]))
 
 
 def write_coefficients(path: Path, table, nodes) -> None:
@@ -275,21 +291,23 @@ def write_coefficients(path: Path, table, nodes) -> None:
     psi_cells = _g17_cells(np.stack([table.real.T, table.imag.T], axis=-1)
                            ).reshape(half + 1, len(nodes), 2 * CELL_BYTES)
     # k and l as floats: their "%.17g" text is their "%d" text.
-    k_cells = _packed(_g17_cells(np.arange(-half, half + 1, dtype=float)))
-    l_cells = _packed(_g17_cells(np.arange(len(nodes), dtype=float)))
-    t_cells = _packed(_g17_cells(nodes))
-    widths = [k_cells.shape[1], l_cells.shape[1], t_cells.shape[1],
-              CELL_BYTES, CELL_BYTES]
-    k_end, l_end, lead = np.cumsum(widths[:3])
-    modes_per_block = max(1, BLOCK_CELLS // (5 * len(nodes)))
+    k_cells = _separated(_g17_cells(np.arange(-half, half + 1, dtype=float)))
+    l_cells = _separated(_g17_cells(np.arange(len(nodes), dtype=float)))
+    t_cells = _separated(_g17_cells(nodes))
+    k_end = k_cells.shape[1]
+    l_end = k_end + l_cells.shape[1]
+    lead = l_end + t_cells.shape[1]
+    modes = max(1, BLOCK_CELLS // (5 * len(nodes)))
+    # The l and t_node cells of a block never change.
+    block = np.empty((modes, len(nodes), lead + 2 * CELL_BYTES), np.uint8)
+    block[:, :, k_end:l_end] = l_cells
+    block[:, :, l_end:lead] = t_cells
     with open(path, "wb") as handle:
         handle.write(b"k,l,t_node,re_psi,im_psi\n")
-        for start in range(-half, half + 1, modes_per_block):
-            ks = np.arange(start, min(start + modes_per_block, half + 1))
-            rows = np.empty((ks.size, len(nodes), sum(widths)), np.uint8)
+        for start in range(-half, half + 1, modes):
+            ks = np.arange(start, min(start + modes, half + 1))
+            rows = block[:ks.size]
             rows[:, :, :k_end] = k_cells[ks + half, None]
-            rows[:, :, k_end:l_end] = l_cells
-            rows[:, :, l_end:lead] = t_cells
             rows[:, :, lead:] = psi_cells[np.abs(ks)]
             rows[ks < 0, :, lead + CELL_BYTES] ^= _MINUS
-            _write_rows(handle, rows.reshape(-1, sum(widths)), widths)
+            _write_rows(handle, rows.reshape(-1, rows.shape[-1]))

@@ -325,6 +325,14 @@ def _check_grid(sol, x_grid: FourierGrid) -> None:
         raise ValueError(f"{x_grid} does not match the solution's {sol.grid}")
 
 
+def _table_and_trace(sol, t):
+    # The coefficient table at times t, a scalar or 1-D in [0, T], and the
+    # trace g at those times.
+    times = _times_in_horizon(t, sol.problem.T)
+    return (sol.coefficients(times),
+            [float(sol.problem.g(float(tk))) for tk in times])
+
+
 def evaluate_u(sol, x_grid: FourierGrid, t) -> np.ndarray:
     """Solution values at the grid nodes and time t, for either kind of sol.
 
@@ -334,9 +342,8 @@ def evaluate_u(sol, x_grid: FourierGrid, t) -> np.ndarray:
     ValueError.
     """
     _check_grid(sol, x_grid)
-    times = _times_in_horizon(t, sol.problem.T)
-    g = [float(sol.problem.g(float(tk))) for tk in times]
-    u = synthesize_field(sol.coefficients(times), x_grid, g)
+    table, g = _table_and_trace(sol, t)
+    u = synthesize_field(table, x_grid, g)
     return u[0] if np.ndim(t) == 0 else u
 
 
@@ -345,3 +352,16 @@ def evaluate_ux(sol, x_grid: FourierGrid, t) -> np.ndarray:
     _check_grid(sol, x_grid)
     ux = synthesize_derivative(sol.coefficients(t), x_grid)
     return ux[0] if np.ndim(t) == 0 else ux
+
+
+def evaluate_fields(sol, t):
+    """The coefficient table at 1-D times t in [0, T], and u and ux from it.
+
+    Returns the table, shape (len(t), N + 1), and the values of u and ux at
+    the nodes of ``sol.grid``, each shape (len(t), N), as ``evaluate_u`` and
+    ``evaluate_ux`` give them, from one coefficient table.
+    """
+    grid = sol.grid
+    table, g = _table_and_trace(sol, t)
+    return (table, synthesize_field(table, grid, g),
+            synthesize_derivative(table, grid))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import re
 import warnings
 
 import numpy as np
@@ -206,16 +207,21 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError, match="nonempty"):
             convergence_sweep(builtin_problem(1), [], [4], -0.4)
 
-    @pytest.mark.parametrize("N_range,M_range,message", [
-        ([4, 5], [4], "N_range entry 5 is not even and >= 2"),
-        ([4], [4, 0], "M_range entry 0 is not >= 1"),
-        ([4], [4, 2.5], "M_range entry 2.5 is not a whole number"),
-        ([4], [3.7], "M_range entry 3.7 is not a whole number"),
-    ], ids=["N_range", "M_range", "M_range-2.5", "M_range-3.7"])
+    @pytest.mark.parametrize("N_range,M_range,lam,message", [
+        ([4, 5], [4], -0.4, "N_range entry 5 is not even and >= 2"),
+        ([4], [4, 0], -0.4, "M_range entry 0 is not >= 1"),
+        ([4], [4, 2.5], -0.4, "M_range entry 2.5 is not a whole number"),
+        ([4], [3.7], -0.4, "M_range entry 3.7 is not a whole number"),
+        # the rule table's words, not build_basis's
+        ([4], [4], -0.5, "lam -0.5 is not > -0.499999"),
+        ([4], [4], float("nan"), "lam nan is not > -0.499999"),
+    ], ids=["N_range", "M_range", "M_range-2.5", "M_range-3.7", "lam",
+            "lam-nan"])
     def test_bad_entry_names_the_argument(self, no_rule_builds, N_range,
-                                          M_range, message):
-        with pytest.raises(ValueError, match=f"^convergence_sweep: {message}$"):
-            convergence_sweep(builtin_problem(1), N_range, M_range, -0.4)
+                                          M_range, lam, message):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"convergence_sweep: {message}") + "$"):
+            convergence_sweep(builtin_problem(1), N_range, M_range, lam)
 
     def test_requires_exact_solution(self):
         problem = ADProblem(mu=0.0, nu=1.0, L=2.0, T=1.0,

@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from adspectral import (FourierGrid, build_basis, conditioning_study,
-                        error_report, sa_field, solve_modes,
+from adspectral import (FourierGrid, SAField, SpectralSolution, build_basis,
+                        conditioning_study, error_report, sa_field, solve_modes,
                         synthesize_derivative, synthesize_field, time_grid)
 from adspectral import gegenbauer
 from adspectral import test_problem as builtin_problem
@@ -195,15 +195,13 @@ class TestFieldWriters:
                                                                    nodes)
         return tables
 
-    @pytest.mark.parametrize(
-        "pairs", CASES, ids=lambda p: "-".join(f"{k}{v}" for k, v in p.items()))
-    @pytest.mark.parametrize("command", ["solve", "sa"])
-    def test_csv_bytes_match_generic_writer(self, tmp_path, command, pairs):
+    @classmethod
+    def _check_against_generic(cls, tmp_path, command, pairs):
         cfg = _write(tmp_path,
                      "".join(f"{k} = {v}\n" for k, v in pairs.items()))
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
-        tables = self._generic_tables(
+        tables = cls._generic_tables(
             command, {k: str(v) for k, v in pairs.items()})
         assert sorted(tables) == sorted(
             p.name for p in out.iterdir() if p.name != "report.csv")
@@ -211,6 +209,40 @@ class TestFieldWriters:
             reference = tmp_path / f"generic-{name}"
             write_table(reference, header, formats, table)
             assert (out / name).read_bytes() == reference.read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "pairs", CASES, ids=lambda p: "-".join(f"{k}{v}" for k, v in p.items()))
+    @pytest.mark.parametrize("command", ["solve", "sa"])
+    def test_csv_bytes_match_generic_writer(self, tmp_path, command, pairs):
+        self._check_against_generic(tmp_path, command, pairs)
+
+    @pytest.mark.parametrize("block_cells", [1, 128, csvtext.BLOCK_CELLS],
+                             ids=["one-slab", "partial-block", "default"])
+    @pytest.mark.parametrize("command", ["solve", "sa"])
+    def test_bytes_independent_of_block_size(self, tmp_path, monkeypatch,
+                                             command, block_cells):
+        # Problem 3 at N = 8, M = 4 has 6 times of 8 rows of 4 value columns:
+        # 128 values make blocks of 4 slabs, the last one of 2, and blocks
+        # of 5 modes of coefficients.csv, the last one of 4.
+        monkeypatch.setattr(csvtext, "BLOCK_CELLS", block_cells)
+        self._check_against_generic(tmp_path, command,
+                                    {"problem_id": 3, "N": 8, "M": 4})
+
+    @pytest.mark.parametrize("command", ["solve", "sa"])
+    def test_one_coefficient_table_per_run(self, tmp_path, monkeypatch,
+                                           command):
+        # u, ux and coefficients.csv all come from one table at the nodes
+        # and T.
+        sizes = []
+        for cls in (SpectralSolution, SAField):
+            def counting(sol, times, original=cls.coefficients):
+                sizes.append(np.size(times))
+                return original(sol, times)
+            monkeypatch.setattr(cls, "coefficients", counting)
+        cfg = _write(tmp_path, "problem_id = 3\nN = 8\nM = 4\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert sizes == [4 + 2]
 
     def test_coefficients_of_symmetric_table_written(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -321,6 +353,14 @@ class TestG17Cells:
             warnings.simplefilter("error")
             got = _cell_texts(formatter(values))
         assert got == _percent_texts(values), _first_mismatch(values, got)
+
+    @pytest.mark.parametrize("formatter", [_g17_cells, _percent_cells],
+                             ids=["g17", "percent"])
+    def test_every_cell_ends_in_the_separator(self, formatter):
+        # Slot 31 holds ',' for certified, fallback and non-finite values.
+        cells = formatter(self._edge_values())
+        assert np.all(cells[:, -1] == ord(","))
+        assert not np.any(cells[:, :-1] == ord(","))
 
     def test_cells_keep_the_input_shape(self):
         values = np.arange(12.0).reshape(3, 2, 2) - 5.5

@@ -138,19 +138,23 @@ class TestSolverConfig:
         assert sol.table.shape == (3, 9)
 
 
-# Per kind of entry: the SolverConfig field, the sweeps that take a list of
-# such entries, and the command and list key that read one.
+# Per kind of entry: the SolverConfig field, the sweeps that take such an
+# entry with the words that name it, and the command and list key that read
+# one.
 READERS = {
     "N": ("N", [("convergence_sweep", lambda p, c, v:
-                 convergence_sweep(p, [v], [4], c.lam), "N_range")],
+                 convergence_sweep(p, [v], [4], c.lam), "N_range entry")],
           [("convergence", "N_range")]),
     "M": ("M", [("convergence_sweep", lambda p, c, v:
-                 convergence_sweep(p, [4], [v], c.lam), "M_range"),
+                 convergence_sweep(p, [4], [v], c.lam), "M_range entry"),
                 ("conditioning_study", lambda p, c, v:
-                 conditioning_study(p, c, [c.lam], [v]), "M_list")],
+                 conditioning_study(p, c, [c.lam], [v]), "M_list entry")],
           [("convergence", "M_range"), ("conditioning", "M_list")]),
-    "lambda": ("lam", [("conditioning_study", lambda p, c, v:
-                        conditioning_study(p, c, [v], [c.M]), "lambda_list")],
+    "lambda": ("lam", [("convergence_sweep", lambda p, c, v:
+                        convergence_sweep(p, [4], [4], v), "lam"),
+                       ("conditioning_study", lambda p, c, v:
+                        conditioning_study(p, c, [v], [c.M]),
+                        "lambda_list entry")],
                [("conditioning", "lambda_list")]),
 }
 
@@ -173,7 +177,7 @@ def test_every_reader_refuses_a_bad_entry_in_the_rule_words(
         assert str(info.value) == "lam must be finite; got nan"
     for caller, sweep, name in sweeps:
         with pytest.raises(ValueError, match=re.escape(
-                f"{caller}: {name} entry {value!r} is not {words}")):
+                f"{caller}: {name} {value!r} is not {words}")):
             sweep(problem, config, value)
     for command, key in keys:
         cfg = tmp_path / f"{key}.cfg"

@@ -10,11 +10,9 @@ import numpy as np
 from scipy.linalg.lapack import dgejsv
 
 from .fourier import FourierGrid, complete_half_spectrum, synthesize_field
-from .gegenbauer import bary_interpolate, reference_rule, \
-    shift_integration_matrix
+from .gegenbauer import reference_rule, shift_integration_matrix
 from .problems import ADProblem, SolverConfig, bad_entry
-from .solver import _initial_spectrum, _unit_solve, evaluate_u, mode_rate, \
-    solve_modes
+from .solver import evaluate_u, mode_rate, solve_modes
 
 
 @dataclass(frozen=True)
@@ -123,20 +121,19 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
                       M_range: Sequence[int], lam: float) -> SweepResult:
     """One error report per (N, M) cell, N0 = N + 2 in each cell.
 
-    Every cell gives the dne of error_report, from one batched pass over the
-    solver's own stages. The unit systems (I + Re(alpha_n) TQ) x_n = ones
-    depend on M and not on N, so each M in turn takes one rule lookup, one
-    unit solve for modes 1 .. max(N)/2 and one Lagrange row at the horizon
-    T, where the error is taken; only one M's unit solutions are alive at a
-    time.
-    Each cell keeps only that row times its leading N/2 unit solutions.
-    Then each N scales the rows of all M by its u0 spectrum, sampled once at
-    N0 = N + 2 points, and by the phase exp(-i Im(alpha_n) T), as
+    Every cell gives the dne of error_report, from one batched pass over
+    solve_modes. The unit solutions x_n depend on M and not on N, so each M
+    takes one solve_modes call at the largest N, whose ``units_at`` the
+    horizon T, where the error is taken, gives one row of x_n for
+    n = 1 .. max(N)/2. Each N takes the leading N/2 entries of the rows of
+    all M, scales them by its u0 spectrum, sampled once at N0 = N + 2
+    points, and by the phase exp(-i Im(alpha_n) T), as
     SpectralSolution.coefficients does, and takes one completion of the half
-    spectrum, one synthesis and one sample of problem.exact. Rows are ordered
-    N outer, M inner, and the log-error slope of each N is fitted over its
-    M. A problem without an exact solution, an N that is not even and >= 2,
-    an M that is not a whole number >= 1 or a lam outside the rule table's
+    spectrum, one synthesis and one sample of problem.exact. Rows are
+    ordered N outer, M inner, and the least-squares slope of each N's
+    log10 dne against M is fitted over its finite logs (NaN below two). A
+    problem without an exact solution, an N that is not even and >= 2, an
+    M that is not a whole number >= 1 or a lam outside the rule table's
     range is refused before any solve or rule build; sweep another horizon
     with problem.with_horizon(t).
     """
@@ -148,25 +145,19 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
     T = problem.T
     check_error_inputs(problem, T, "convergence_sweep")
     Ns = sorted(set(int(n) for n in N_range))
-    spectra = [_initial_spectrum(problem, N + 2) for N in Ns]
-    ends = [[] for _ in Ns]  # per N: unit solutions at T, a row per M
-    shift = mode_rate(problem, np.arange(1, Ns[-1] // 2 + 1)).imag
     Ms = sorted(set(int(m) for m in M_range))
-    for M in Ms:
-        basis, q = reference_rule(lam, M)
-        units = _unit_solve(problem, basis, shift_integration_matrix(q, T),
-                            Ns[-1] // 2)
-        # T maps to s = 1 on the reference interval
-        end_row = bary_interpolate(basis, units, [1.0])
-        for N, ends_N in zip(Ns, ends):
-            ends_N.append(end_row[:, :N // 2])
+    ends = np.concatenate([
+        solve_modes(problem, SolverConfig(N=Ns[-1], M=M, lam=lam)).units_at(T)
+        for M in Ms])
+    shift = mode_rate(problem, np.arange(1, Ns[-1] // 2 + 1)).imag
     g_final = float(problem.g(T))
     ms = np.array(Ms, dtype=float)
     rows, slopes = [], {}
-    for N, spectrum, ends_N in zip(Ns, spectra, ends):
+    for N in Ns:
+        half = N // 2
         coeffs = complete_half_spectrum(
-            np.concatenate(ends_N) * spectrum.values[1:N // 2 + 1]
-            * np.exp(-1j * (T * shift[:N // 2])))
+            ends[:, :half] * problem.spectrum(N + 2).values[1:half + 1]
+            * np.exp(-1j * (T * shift[:half])))
         field = synthesize_field(coeffs, FourierGrid(L=problem.L, N=N), g_final)
         _, dnes = _field_errors(problem, field, T)
         logs = np.array([np.log10(dne) if dne > 0 else -np.inf for dne in dnes])
@@ -174,7 +165,8 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
                     for M, dne, log in zip(Ms, dnes, logs))
         finite = np.isfinite(logs)
         if finite.sum() >= 2:
-            slopes[N] = float(np.polyfit(ms[finite], logs[finite], 1)[0])
+            centred = ms[finite] - ms[finite].mean()
+            slopes[N] = float(centred @ logs[finite] / (centred @ centred))
         else:
             slopes[N] = float("nan")
     return SweepResult(rows=rows, slopes=slopes)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
+from .fourier import InitialSpectrum, dft_coefficients
 from .gegenbauer import LAMBDA_MIN_GUARD
 
 COMPAT_TOL = 1e-12
@@ -61,6 +62,23 @@ class ADProblem:
 
     def with_horizon(self, T: float) -> "ADProblem":
         return replace(self, T=T)
+
+    def spectrum(self, N0: int) -> InitialSpectrum:
+        """The DFT of u0 sampled at the N0 equispaced points L j / N0 of [0, L)."""
+        x0 = self.L * np.arange(N0) / N0
+        return dft_coefficients(self.u0(x0), N0)
+
+    def times(self, t) -> np.ndarray:
+        """t as a 1-D float array, a scalar as an array of one; ValueError
+        for any other shape or for a time outside [0, T]."""
+        times = np.atleast_1d(np.asarray(t, dtype=float))
+        if times.ndim > 1:
+            raise ValueError(
+                f"t must be a scalar or a 1-D array; got shape {times.shape}")
+        outside = times[~((times >= 0.0) & (times <= self.T))]
+        if outside.size:
+            raise ValueError(f"t must lie in [0, {self.T}]; got {outside[0]}")
+        return times
 
 
 # Per kind of N, M or lambda value: its tests, each with its words, for all

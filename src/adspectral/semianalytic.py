@@ -15,8 +15,7 @@ import numpy as np
 
 from .fourier import FourierGrid, InitialSpectrum, complete_half_spectrum
 from .problems import ADProblem
-from .solver import _initial_spectrum, _times_in_horizon, coefficients_at, \
-    mode_rate
+from .solver import coefficient_row, coefficients_at, mode_rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +46,7 @@ class SAField:
         completed by conjugation and the zero-sum constraint, in the layout
         of ``SpectralSolution.table``.
         """
-        times = _times_in_horizon(times, self.problem.T)
+        times = self.problem.times(times)
         half = self.N // 2
         rates = mode_rate(self.problem, np.arange(1, half + 1))
         c0 = self.spectrum.values[1:half + 1]
@@ -58,7 +57,7 @@ def sa_field(problem: ADProblem, N: int, N0: int = 0) -> SAField:
     """Sample u0 at N0 equispaced points and wrap the spectrum for evaluation."""
     if N0 == 0:
         N0 = N + 2
-    return SAField(spectrum=_initial_spectrum(problem, N0), problem=problem, N=N)
+    return SAField(spectrum=problem.spectrum(N0), problem=problem, N=N)
 
 
 def sa_coefficient_map(field: SAField, t: float) -> dict:
@@ -72,7 +71,7 @@ def _dense_terms(field: SAField, x, t):
     # a BLAS product accumulates one running total, 1.4e-15 off at N = 1024.
     half = field.N // 2
     om = field.grid.wavenumbers(np.arange(-half, half + 1))
-    c = field.coefficients([t])[0]
+    c = coefficient_row(field, t)
     return om, c * np.exp(1j * np.multiply.outer(np.asarray(x), om))
 
 

@@ -37,8 +37,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fourier import FourierGrid, InitialSpectrum, complete_half_spectrum, \
-    dft_coefficients, synthesize_derivative, synthesize_field
+from .fourier import FourierGrid, complete_half_spectrum, \
+    synthesize_derivative, synthesize_field
 from .gegenbauer import GegenbauerBasis, IntegrationMatrix, TimeGrid, \
     bary_interpolate, reference_rule, shift_integration_matrix, time_grid
 from .problems import ADProblem, SolverConfig
@@ -104,22 +104,30 @@ class SpectralSolution:
     def grid(self) -> FourierGrid:
         return FourierGrid(L=self.problem.L, N=self.config.N)
 
+    def units_at(self, times) -> np.ndarray:
+        """The unit solutions x_n at times in [0, T], shape (len(times), N/2).
+
+        ``bary_interpolate`` at s = 2 t / T - 1, exact at the nodes; a
+        scalar time gives one row.
+        """
+        times = self.problem.times(times)
+        return bary_interpolate(self.basis, self.units,
+                                2.0 * times / self.problem.T - 1.0)
+
     def coefficients(self, times) -> np.ndarray:
         """Modes -N/2 .. N/2 at times in [0, T], shape (len(times), N + 1).
 
         A scalar time gives one row, shape (1, N + 1).
 
-        The real unit solutions interpolated at s = 2 t / T - 1 by
-        ``bary_interpolate``, exactly at the nodes, scaled by u0_hat_n, then
-        turned by the exact phase exp(-i Im(alpha_n) t) and completed:
-        conjugate symmetry and the zero sum are exact.
+        The ``units_at`` the times, scaled by u0_hat_n, then turned by the
+        exact phase exp(-i Im(alpha_n) t) and completed: conjugate symmetry
+        and the zero sum are exact.
         """
-        T = self.problem.T
-        times = _times_in_horizon(times, T)
-        rows = bary_interpolate(self.basis, self.units, 2.0 * times / T - 1.0)
+        times = self.problem.times(times)
         shift = mode_rate(self.problem, np.arange(1, len(self.scale) + 1)).imag
         return complete_half_spectrum(
-            rows * self.scale * np.exp(-1j * np.multiply.outer(times, shift)))
+            self.units_at(times) * self.scale
+            * np.exp(-1j * np.multiply.outer(times, shift)))
 
 
 def mode_rate(problem: ADProblem, n):
@@ -193,18 +201,12 @@ def _residual(a: np.ndarray, alpha: np.ndarray, x: np.ndarray,
     return np.subtract(1.0, out, out=out)
 
 
-def _initial_spectrum(problem: ADProblem, N0: int) -> InitialSpectrum:
-    # u0 sampled at N0 equispaced points of [0, L), then its DFT.
-    x0 = problem.L * np.arange(N0) / N0
-    return dft_coefficients(np.asarray(problem.u0(x0), dtype=float), N0)
-
-
 def _prepare(problem: ADProblem, config: SolverConfig):
     # The cached reference rule mapped to (0, T), as basis, TQ and time
     # grid, and the u0 spectrum.
     basis, q = reference_rule(config.lam, config.M)
     return (basis, shift_integration_matrix(q, problem.T),
-            time_grid(basis, problem.T), _initial_spectrum(problem, config.N0))
+            time_grid(basis, problem.T), problem.spectrum(config.N0))
 
 
 def _unit_solutions(a: np.ndarray, s: np.ndarray, z: np.ndarray,
@@ -254,29 +256,6 @@ def _unit_solutions(a: np.ndarray, s: np.ndarray, z: np.ndarray,
     return x
 
 
-def _unit_solve(problem: ADProblem, basis: GegenbauerBasis,
-                tq: IntegrationMatrix, half: int) -> np.ndarray:
-    # Column n - 1 holds the unit solution x_n of
-    # (I + Re(alpha_n) TQ) x_n = ones for n = 1 .. half. It depends on the
-    # rule and the real rates, not on N, u0 or mu, so one call serves every
-    # N with N/2 <= half. TQ = Z (T/2 S) Z^T, so the cached real Schur form
-    # of the reference Q serves every horizon.
-    rates = np.ascontiguousarray(mode_rate(problem, np.arange(1, half + 1)).real)
-    with np.errstate(over="ignore"):
-        # (M + 1) max |TQ| >= ||TQ||_F, which bounds every entry of the factor
-        reach = np.abs(rates) * (len(tq.entries) * np.abs(tq.entries).max())
-        far = np.flatnonzero(reach >= REAL_SOLVE_LIMIT)
-        if far.size:
-            i = int(far[0])
-            raise ModeSolveError(
-                i + 1,
-                f"|Re(alpha_n)| T = {abs(rates[i]) * problem.T:.6g} is too "
-                f"large: the real Schur solve needs |Re(alpha_n)| (M + 1) "
-                f"max |TQ| below {REAL_SOLVE_LIMIT:.0e}")
-    s, z = reference_rule(basis.lam, basis.order)[1].real_schur
-    return _unit_solutions(tq.entries, 0.5 * problem.T * s, z, rates)
-
-
 def solve_modes(problem: ADProblem, config: SolverConfig,
                 parallel: bool = False) -> SpectralSolution:
     """Solve all positive-mode systems; the coefficients complete when read.
@@ -290,8 +269,25 @@ def solve_modes(problem: ADProblem, config: SolverConfig,
     t0 = time.perf_counter()
     basis, tq, tgrid, spectrum = _prepare(problem, config)
     t1 = time.perf_counter()
+    # Column n - 1 holds the unit solution x_n of
+    # (I + Re(alpha_n) TQ) x_n = ones. It depends on the rule and the real
+    # rates, not on u0 or mu. TQ = Z (T/2 S) Z^T, so the cached real Schur
+    # form of the reference Q serves every horizon.
     half = config.N // 2
-    units = _unit_solve(problem, basis, tq, half)
+    rates = np.ascontiguousarray(mode_rate(problem, np.arange(1, half + 1)).real)
+    with np.errstate(over="ignore"):
+        # (M + 1) max |TQ| >= ||TQ||_F, which bounds every entry of the factor
+        reach = np.abs(rates) * (len(tq.entries) * np.abs(tq.entries).max())
+        far = np.flatnonzero(reach >= REAL_SOLVE_LIMIT)
+        if far.size:
+            i = int(far[0])
+            raise ModeSolveError(
+                i + 1,
+                f"|Re(alpha_n)| T = {abs(rates[i]) * problem.T:.6g} is too "
+                f"large: the real Schur solve needs |Re(alpha_n)| (M + 1) "
+                f"max |TQ| below {REAL_SOLVE_LIMIT:.0e}")
+    s, z = reference_rule(config.lam, config.M)[1].real_schur
+    units = _unit_solutions(tq.entries, 0.5 * problem.T * s, z, rates)
     units.setflags(write=False)
     t2 = time.perf_counter()
     return SpectralSolution(
@@ -300,23 +296,17 @@ def solve_modes(problem: ADProblem, config: SolverConfig,
         stage_s=MappingProxyType({"assembly": t1 - t0, "solve": t2 - t1}))
 
 
-def _times_in_horizon(times, T: float) -> np.ndarray:
-    # A scalar time becomes a 1-D array of one, so either kind of solution
-    # gives one coefficient row per time.
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.ndim > 1:
-        raise ValueError(
-            f"t must be a scalar or a 1-D array; got shape {times.shape}")
-    outside = times[~((times >= 0.0) & (times <= T))]
-    if outside.size:
-        raise ValueError(f"t must lie in [0, {T}]; got {outside[0]}")
-    return times
+def coefficient_row(sol, t: float) -> np.ndarray:
+    """Modes -N/2 .. N/2 of either kind of sol at one time t, shape (N + 1,)."""
+    if np.ndim(t):
+        raise ValueError(f"t must be a scalar; got shape {np.shape(t)}")
+    return sol.coefficients(t)[0]
 
 
 def coefficients_at(sol, t: float) -> dict:
     """Map each mode k = -N/2 .. N/2 to its coefficient at time t in [0, T]."""
     half = sol.grid.N // 2
-    row = sol.coefficients([t])[0]
+    row = coefficient_row(sol, t)
     return {k: complex(c) for k, c in zip(range(-half, half + 1), row)}
 
 
@@ -328,7 +318,7 @@ def _check_grid(sol, x_grid: FourierGrid) -> None:
 def _table_and_trace(sol, t):
     # The coefficient table at times t, a scalar or 1-D in [0, T], and the
     # trace g at those times.
-    times = _times_in_horizon(t, sol.problem.T)
+    times = sol.problem.times(t)
     return (sol.coefficients(times),
             [float(sol.problem.g(float(tk))) for tk in times])
 

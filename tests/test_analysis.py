@@ -17,9 +17,7 @@ from adspectral import analysis, gegenbauer, solver
 from adspectral import test_problem as builtin_problem
 from adspectral.analysis import _field_errors, field_report
 from adspectral.gegenbauer import RULE_CACHE_SIZE, build_basis, \
-    build_integration_matrix, reference_rule, shift_integration_matrix, \
-    time_grid
-from adspectral.solver import SpectralSolution, _initial_spectrum, _unit_solve
+    build_integration_matrix, reference_rule, shift_integration_matrix
 
 SWEEP_NS, SWEEP_MS = range(4, 65, 4), range(2, 41, 2)
 
@@ -66,25 +64,23 @@ def conditioning_stack_reference(lam, M):
 def per_cell_sweep_rows(problem, N_range, M_range, lam, t_final):
     """Reference sweep that evaluates each (N, M) cell on its own.
 
-    Each M shares one unit solve over modes 1 .. max(N)/2, as the sweep
-    does: per-cell solves would differ from it in the last bits. Each cell
-    then wraps its leading N/2 unit solutions and u0 spectrum in a
-    SpectralSolution and runs evaluate_u at t_final and field_report.
+    Each M shares one solve_modes call at the largest N, as the sweep does:
+    the bits of a unit solve depend on its mode count, so per-cell solves
+    would differ from it in the last bits. Each cell then replaces that
+    solution's unit solutions by their leading N/2 columns and its scale by
+    the u0 spectrum at N0 = N + 2, and runs evaluate_u at t_final and
+    field_report.
     """
     run = problem.with_horizon(t_final)
     Ns = sorted(set(N_range))
-    spectra = {N: _initial_spectrum(run, N + 2) for N in Ns}
     dnes = {}
     for M in sorted(set(M_range)):
-        basis, q = reference_rule(lam, M)
-        units = _unit_solve(run, basis, shift_integration_matrix(q, t_final),
-                            Ns[-1] // 2)
+        wide = solve_modes(run, SolverConfig(N=Ns[-1], M=M, lam=lam))
         for N in Ns:
             config = SolverConfig(N=N, M=M, N0=N + 2, lam=lam)
-            sol = SpectralSolution(
-                config=config, problem=run, basis=basis,
-                time_grid=time_grid(basis, t_final), units=units[:, :N // 2],
-                scale=spectra[N].values[1:N // 2 + 1], stage_s={})
+            sol = dataclasses.replace(
+                wide, config=config, units=wide.units[:, :N // 2],
+                scale=run.spectrum(N + 2).values[1:N // 2 + 1])
             dnes[N, M] = field_report(
                 problem, config, evaluate_u(sol, sol.grid, t_final), t_final).dne
     return [(N, M, dne, float(np.log10(dne)) if dne > 0 else -np.inf)
@@ -276,7 +272,7 @@ class TestConvergenceSweep:
 
     def test_one_synthesis_and_exact_sample_per_N(self, monkeypatch):
         counts = dict.fromkeys(["synthesize_field", "complete_half_spectrum",
-                                "evaluate_u", "_unit_solve", "exact"], 0)
+                                "evaluate_u", "solve_modes", "exact"], 0)
 
         def counted(name, function):
             def call(*args, **kwargs):
@@ -290,7 +286,7 @@ class TestConvergenceSweep:
             for module in (analysis, solver):
                 monkeypatch.setattr(module, name, counted(
                     name, getattr(solver, name)), raising=False)
-        for name in ("evaluate_u", "_unit_solve"):
+        for name in ("evaluate_u", "solve_modes"):
             monkeypatch.setattr(analysis, name,
                                 counted(name, getattr(analysis, name)))
         problem = builtin_problem(3)
@@ -300,7 +296,7 @@ class TestConvergenceSweep:
         assert len(result.rows) == len(SWEEP_NS) * len(SWEEP_MS)
         assert counts == {"synthesize_field": len(SWEEP_NS),
                           "complete_half_spectrum": len(SWEEP_NS),
-                          "evaluate_u": 0, "_unit_solve": len(SWEEP_MS),
+                          "evaluate_u": 0, "solve_modes": len(SWEEP_MS),
                           "exact": len(SWEEP_NS)}
 
     def test_names_the_lowest_singular_mode(self, rates_with):
@@ -824,7 +820,7 @@ class TestBench:
     def test_reads_the_stage_times_of_solve_modes(self, monkeypatch):
         # Each repeat is one solve_modes call; bench_solve builds no stage of
         # it from the solver's private helpers.
-        counts = dict.fromkeys(["solve_modes", "_unit_solve", "_prepare"], 0)
+        counts = dict.fromkeys(["solve_modes", "_prepare"], 0)
 
         def counted(name, function):
             def call(*args, **kwargs):
@@ -837,7 +833,7 @@ class TestBench:
                 name, getattr(solver, name)), raising=False)
         result = bench_solve(builtin_problem(3), SolverConfig(N=8, M=6),
                              repeats=4)
-        assert counts == {"solve_modes": 4, "_unit_solve": 0, "_prepare": 0}
+        assert counts == {"solve_modes": 4, "_prepare": 0}
         assert set(result.stages) == {"assembly", "solve", "synthesis"}
 
     def test_repeats_floor(self):

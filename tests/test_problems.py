@@ -9,7 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from adspectral import ADProblem, ConfigError, SolverConfig, \
-    conditioning_study, convergence_sweep, load_config, solve_modes
+    conditioning_study, convergence_sweep, dft_coefficients, load_config, \
+    solve_modes
 from adspectral.cli import main
 from adspectral.problems import bad_entry, config_from_pairs, \
     parse_config_pairs
@@ -93,6 +94,33 @@ class TestBuiltinProblems:
     def test_with_horizon_rejects_nonpositive(self, T):
         with pytest.raises(ValueError, match="T must be positive"):
             builtin_problem(1).with_horizon(T)
+
+    @pytest.mark.parametrize("pid", [1, 2, 3])
+    def test_spectrum_is_the_dft_of_equispaced_samples(self, pid):
+        problem = builtin_problem(pid)
+        x0 = problem.L * np.arange(10) / 10
+        assert np.array_equal(problem.spectrum(10).values,
+                              dft_coefficients(problem.u0(x0), 10).values)
+
+    def test_spectrum_refuses_an_odd_count(self):
+        with pytest.raises(ValueError,
+                           match="^N0 must be even and >= 4; got 5$"):
+            builtin_problem(1).spectrum(5)
+
+    def test_times_of_a_scalar_and_of_an_array(self):
+        problem = builtin_problem(1)
+        assert np.array_equal(problem.times(0.1), [0.1])
+        assert np.array_equal(problem.times([0.0, 0.2]), [0.0, 0.2])
+
+    @pytest.mark.parametrize("t, message", [
+        ([[0.01, 0.02]], "t must be a scalar or a 1-D array; got shape (1, 2)"),
+        ([0.1, 0.3], "t must lie in [0, 0.2]; got 0.3"),
+        (-1e-300, "t must lie in [0, 0.2]; got -1e-300"),
+        (float("nan"), "t must lie in [0, 0.2]; got nan"),
+    ], ids=["2-D", "past-T", "negative", "nan"])
+    def test_times_refuses(self, t, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            builtin_problem(1).times(t)
 
 
 class TestSolverConfig:

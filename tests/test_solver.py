@@ -1,6 +1,7 @@
 """Mode assembly, the real Schur-form solve, symmetry completion, and field evaluation."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.linalg import lu_factor, lu_solve, schur
 from adspectral import (ADProblem, FourierGrid, ModeSolveError, SolverConfig,
                         assemble_mode, bary_interpolate, coefficients_at,
                         dft_coefficients, evaluate_u, evaluate_ux, mode_rate,
+                        sa_coefficient_map, sa_evaluate_u, sa_evaluate_ux,
                         sa_field, solve_modes)
 from adspectral import test_problem as builtin_problem
 from adspectral import solver
@@ -612,6 +614,54 @@ def test_left_moving_advection_matches_exact(kind):
                          - decay * np.sin(phase))) <= 1e-13
     assert np.max(np.abs(evaluate_ux(sol, grid, times)
                          - np.pi * decay * np.cos(phase))) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["collocation", "closed_form"])
+class TestEvaluateFields:
+    @staticmethod
+    def _solution(kind):
+        problem, config = builtin_problem(3), SolverConfig(N=16, M=10)
+        return (solve_modes(problem, config) if kind == "collocation"
+                else sa_field(problem, config.N, config.N0))
+
+    def test_equals_the_separate_evaluations(self, kind):
+        # At the time nodes plus T, as the command line asks.
+        sol = self._solution(kind)
+        grid, T = sol.grid, sol.problem.T
+        times = np.append(time_grid(build_basis(-0.4, 10), T).nodes, T)
+        table, u, ux = solver.evaluate_fields(sol, times)
+        assert np.array_equal(table, sol.coefficients(times))
+        assert np.array_equal(u, evaluate_u(sol, grid, times))
+        assert np.array_equal(ux, evaluate_ux(sol, grid, times))
+
+    def test_refuses_a_time_outside_the_horizon(self, kind):
+        with pytest.raises(ValueError, match=re.escape(
+                "t must lie in [0, 0.1]; got 0.2")):
+            solver.evaluate_fields(self._solution(kind), [0.05, 0.2])
+
+    def test_refuses_a_2d_time(self, kind):
+        with pytest.raises(ValueError, match=re.escape(
+                "t must be a scalar or a 1-D array; got shape (1, 2)")):
+            solver.evaluate_fields(self._solution(kind), [[0.01, 0.02]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda problem, config, t: coefficients_at(solve_modes(problem, config), t),
+    lambda problem, config, t: sa_coefficient_map(
+        sa_field(problem, config.N), t),
+    lambda problem, config, t: sa_evaluate_u(sa_field(problem, config.N), 0.5, t),
+    lambda problem, config, t: sa_evaluate_ux(
+        sa_field(problem, config.N), 0.5, t),
+], ids=["coefficients_at", "sa_coefficient_map", "sa_evaluate_u",
+        "sa_evaluate_ux"])
+@pytest.mark.parametrize("t, shape", [([0.01, 0.02], (2,)),
+                                      ([[0.01]], (1, 1))], ids=["1-D", "2-D"])
+def test_scalar_time_entry_points_refuse_an_array(call, t, shape):
+    # Each takes one time, and names the shape its caller passed.
+    problem, config = builtin_problem(3), SolverConfig(N=8, M=4)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"t must be a scalar; got shape {shape}") + "$"):
+        call(problem, config, t)
 
 
 class TestValueObjects:

@@ -86,7 +86,7 @@ def _field_errors(problem: ADProblem, numeric: np.ndarray, t_final: float):
 def field_report(problem: ADProblem, config: SolverConfig,
                  numeric: np.ndarray, t_final: float) -> ErrorReport:
     """The error report of u at the N grid nodes and t_final, already evaluated."""
-    check_error_inputs(problem, t_final, "field_report")
+    _check_error_inputs(problem, t_final, "field_report")
     diff, dne = _field_errors(problem, numeric, t_final)
     return ErrorReport(
         pointwise_max=float(np.max(np.abs(diff))),
@@ -95,7 +95,7 @@ def field_report(problem: ADProblem, config: SolverConfig,
     )
 
 
-def check_error_inputs(problem: ADProblem, t_final: float, caller: str) -> None:
+def _check_error_inputs(problem: ADProblem, t_final: float, caller: str) -> None:
     """Refuse, naming caller, a problem with no exact solution or t_final <= 0."""
     if problem.exact is None:
         raise ValueError(f"{caller} requires a problem with an exact solution")
@@ -111,7 +111,7 @@ def error_report(problem: ADProblem, config: SolverConfig,
     collocated on (0, t_final) and the coefficients interpolated to its
     endpoint, which is never a collocation node.
     """
-    check_error_inputs(problem, t_final, "error_report")
+    _check_error_inputs(problem, t_final, "error_report")
     sol = solve_modes(problem.with_horizon(t_final), config)
     return field_report(problem, config, evaluate_u(sol, sol.grid, t_final),
                         t_final)
@@ -143,7 +143,7 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
     _check_entries("convergence_sweep", "M_range entry", M_range, "M")
     _check_entries("convergence_sweep", "lam", [lam], "lambda")
     T = problem.T
-    check_error_inputs(problem, T, "convergence_sweep")
+    _check_error_inputs(problem, T, "convergence_sweep")
     Ns = sorted(set(int(n) for n in N_range))
     Ms = sorted(set(int(m) for m in M_range))
     ends = np.concatenate([

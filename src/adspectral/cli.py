@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import bench_solve, check_error_inputs, conditioning_study, \
-    convergence_sweep, field_report
+from .analysis import bench_solve, conditioning_study, convergence_sweep, \
+    field_report
 from .csvtext import FLOAT, INT, write_coefficients, write_grid, write_table
 from .gegenbauer import reference_rule, time_grid
 from .problems import ConfigError, config_from_pairs, parse_config_pairs, \
@@ -36,26 +36,21 @@ def _ensure_outdir(path: Path) -> None:
 
 def _write_fields(out: Path, problem, config, sol) -> np.ndarray:
     # solution.csv on the (lambda, M) time nodes plus T, from either kind of
-    # solution sol, and report.csv at T when the problem has an exact
-    # solution. Returns the coefficient table at the time nodes.
+    # solution sol, and report.csv at T. Returns the coefficient table at the
+    # time nodes.
     grid = sol.grid
     times = np.append(time_grid(reference_rule(config.lam, config.M)[0],
                                 problem.T).nodes, problem.T)
     table, u, ux = evaluate_fields(sol, times)
-    columns, header = [u, ux], ["x", "t", "u", "ux"]
-    if problem.exact is not None:
-        exact = np.array([problem.exact(grid.nodes, t) for t in times],
-                         dtype=float)
-        columns += [exact, np.abs(u - exact)]
-        header += ["u_exact", "abs_err"]
-    write_grid(out / "solution.csv", header, grid.nodes, times, columns)
+    exact = np.array([problem.exact(grid.nodes, t) for t in times], dtype=float)
+    write_grid(out / "solution.csv", ["x", "t", "u", "ux", "u_exact", "abs_err"],
+               grid.nodes, times, [u, ux, exact, np.abs(u - exact)])
 
-    if problem.exact is not None:
-        report = field_report(problem, config, u[-1], problem.T)
-        write_table(out / "report.csv",
-                    ["N", "M", "lambda", "N0", "t_final", "pointwise_max", "dne"],
-                    [INT, INT, FLOAT, INT, FLOAT, FLOAT, FLOAT],
-                    [[*report.grid_desc, report.pointwise_max, report.dne]])
+    report = field_report(problem, config, u[-1], problem.T)
+    write_table(out / "report.csv",
+                ["N", "M", "lambda", "N0", "t_final", "pointwise_max", "dne"],
+                [INT, INT, FLOAT, INT, FLOAT, FLOAT, FLOAT],
+                [[*report.grid_desc, report.pointwise_max, report.dne]])
     return table[:-1]
 
 
@@ -75,8 +70,6 @@ def cmd_sa(pairs: dict, out: Path) -> None:
 
 def cmd_convergence(pairs: dict, out: Path) -> None:
     problem, config = config_from_pairs(pairs)
-    # A problem the sweep cannot score is refused before its ranges are read.
-    check_error_inputs(problem, problem.T, "convergence_sweep")
     n_range = run_value(pairs, "N_range", config.N)
     m_range = run_value(pairs, "M_range", config.M)
     result = convergence_sweep(problem, n_range, m_range, config.lam)

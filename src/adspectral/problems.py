@@ -17,10 +17,6 @@ COMPAT_TOL = 1e-12
 
 DEFAULT_LAMBDA = -0.4
 
-# Terminal times used by the built-in problems.
-_DEFAULT_T = {1: 0.2, 2: 1.0, 3: 0.1}
-
-
 class ConfigError(ValueError):
     """Raised for unreadable, malformed, or invalid configuration files."""
 
@@ -118,9 +114,11 @@ class SolverConfig:
 
     def __post_init__(self):
         # A whole float is stored as its int; numpy takes no other as a size.
+        # A bool is a numbers.Real, but no size or index.
         for name in ("N", "M", "N0"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+            whole = isinstance(value, numbers.Real) and float(value).is_integer()
+            if isinstance(value, bool) or not whole:
                 raise ValueError(f"{name} is not a whole number; got {value!r}")
             object.__setattr__(self, name, int(value))
         _check_rule("N", self.N)
@@ -131,57 +129,49 @@ class SolverConfig:
                 f"N0 must be even and > N = {self.N}; got {self.N0}"
             )
         _check_rule("M", self.M)
+        if isinstance(self.lam, (bool, np.bool_)):
+            raise ValueError(f"lam is not a real number; got {self.lam!r}")
         if not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite; got {self.lam}")
         _check_rule("lambda", self.lam)
 
 
-def test_problem(pid: int) -> ADProblem:
-    """Return one of the three built-in problems with known exact solutions."""
-    if pid == 1:
-        return ADProblem(
-            mu=0.0, nu=1.0, L=2.0, T=_DEFAULT_T[1],
-            u0=lambda x: np.sin(np.pi * x),
-            g=lambda t: 0.0 * np.asarray(t),
-            exact=lambda x, t: np.exp(-np.pi ** 2 * t) * np.sin(np.pi * x),
-            exact_dx=lambda x, t: np.pi * np.exp(-np.pi ** 2 * t) * np.cos(np.pi * x),
-        )
-    if pid == 2:
-        return ADProblem(
-            mu=0.0, nu=1.0 / np.pi ** 2, L=2.0, T=_DEFAULT_T[2],
-            u0=lambda x: np.sin(np.pi * x),
-            g=lambda t: 0.0 * np.asarray(t),
-            exact=lambda x, t: np.exp(-t) * np.sin(np.pi * x),
-            exact_dx=lambda x, t: np.pi * np.exp(-t) * np.cos(np.pi * x),
-        )
-    if pid == 3:
-        mu, nu = 0.01, 0.1
-        return ADProblem(
-            mu=mu, nu=nu, L=2.0, T=_DEFAULT_T[3],
-            u0=lambda x: np.sin(np.pi * x),
-            g=lambda t: -np.exp(-np.pi ** 2 * nu * t) * np.sin(np.pi * mu * t),
-            exact=lambda x, t: -np.exp(-np.pi ** 2 * nu * t) * np.sin(np.pi * (mu * t - x)),
-            exact_dx=lambda x, t: np.pi * np.exp(-np.pi ** 2 * nu * t) * np.cos(np.pi * (mu * t - x)),
-        )
-    raise ValueError(f"unknown problem id {pid}; expected 1, 2 or 3")
-
-
-def _first_harmonic(mu: float, nu: float, L: float):
+def _first_harmonic(mu: float, nu: float, L: float, T: float) -> ADProblem:
     # u0 = sin(w x), w = 2 pi / L, keeps its shape: u = exp(-nu w^2 t)
     # sin(w (x - mu t)), so its trace is g(t) = -exp(-nu w^2 t) sin(w mu t).
-    # Both divide by L only when called, after ADProblem has checked L.
-    def u0(x):
-        return np.sin(2.0 * np.pi * x / L)
+    # Each closure divides by L only when called, after ADProblem has checked L.
+    def exact(x, t):
+        w = 2.0 * np.pi / L
+        return np.exp(-nu * w ** 2 * t) * np.sin(w * (x - mu * t))
+
+    def exact_dx(x, t):
+        w = 2.0 * np.pi / L
+        return w * np.exp(-nu * w ** 2 * t) * np.cos(w * (x - mu * t))
 
     def g(t):
         w = 2.0 * np.pi / L
         return -np.exp(-nu * w ** 2 * t) * np.sin(w * mu * t)
 
-    return u0, g
+    return ADProblem(mu=mu, nu=nu, L=L, T=T, u0=lambda x: exact(x, 0.0), g=g,
+                     exact=exact, exact_dx=exact_dx)
 
 
-# Named u0 samplers for custom problems; each maps (mu, nu, L) to u0 and the
-# trace g(t) = u(0, t) that periodicity fixes for it.
+# (mu, nu, T) of the built-in problems, each the first harmonic on L = 2.
+_PRESETS = {1: (0.0, 1.0, 0.2), 2: (0.0, 1.0 / np.pi ** 2, 1.0),
+            3: (0.01, 0.1, 0.1)}
+
+
+def test_problem(pid: int) -> ADProblem:
+    """Return one of the three built-in problems, first_harmonic presets."""
+    if pid not in _PRESETS:
+        raise ValueError(f"unknown problem id {pid}; expected 1, 2 or 3")
+    mu, nu, T = _PRESETS[pid]
+    return _first_harmonic(mu, nu, 2.0, T)
+
+
+# Named u0 samplers for custom problems; each maps (mu, nu, L, T) to the
+# problem with that u0, the trace g(t) = u(0, t) that periodicity fixes for
+# it, and its exact solution.
 _U0_SAMPLERS = {"first_harmonic": _first_harmonic}
 
 # Core keys per the config file contract, plus run-level extras consumed by
@@ -317,12 +307,13 @@ def config_from_pairs(pairs: dict) -> tuple[ADProblem, SolverConfig]:
     """Validate parsed key=value pairs into (problem, config).
 
     Built-in problems are selected with problem_id (T may be overridden);
-    custom problems give mu, nu, L, T and a named u0 sampler, which also
-    supplies the trace g. t_final, when given, is the terminal time of the
-    run and becomes the problem's horizon T. Every real-valued key must be
-    finite; mu, nu, L, T, lambda and t_final are rejected here, with their
-    key named, rather than deep inside a linear solve. Run-level extras
-    (sweep ranges, repeats) stay in the pairs for the command to read.
+    custom problems give mu, nu, L, T and a named u0 sampler, which builds
+    the problem with its trace g and its exact solution. t_final, when
+    given, is the terminal time of the run and becomes the problem's
+    horizon T. Every real-valued key must be finite; mu, nu, L, T, lambda
+    and t_final are rejected here, with their key named, rather than deep
+    inside a linear solve. Run-level extras (sweep ranges, repeats) stay
+    in the pairs for the command to read.
     """
     if "problem_id" in pairs:
         forbidden = {"mu", "nu", "L", "u0"} & pairs.keys()
@@ -345,9 +336,8 @@ def config_from_pairs(pairs: dict) -> tuple[ADProblem, SolverConfig]:
                 f"invalid value for key 'u0': {u0_name!r} "
                 f"(known: {sorted(_U0_SAMPLERS)})"
             )
-        u0, g = _U0_SAMPLERS[u0_name](mu, nu, L)
         try:
-            problem = ADProblem(mu=mu, nu=nu, L=L, T=T, u0=u0, g=g)
+            problem = _U0_SAMPLERS[u0_name](mu, nu, L, T)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

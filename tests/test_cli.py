@@ -465,13 +465,14 @@ class TestCustomProblem:
         cfg = _write(tmp_path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
-        x, t, u, _ = np.loadtxt(out / "solution.csv", delimiter=",",
-                                skiprows=1, unpack=True)
+        x, t, u = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1,
+                             usecols=(0, 1, 2), unpack=True)
         w = 2.0 * np.pi / L
         exact = np.exp(-nu * w ** 2 * t) * np.sin(w * (x - mu * t))
         assert np.max(np.abs(u - exact)) <= 1e-12
         assert t.max() == 1.0
-        assert not (out / "report.csv").exists()
+        # The sampler's exact solution scores the run too.
+        assert float(_read_rows(out / "report.csv")[1][5]) <= 1e-12
         if command == "solve" and nu == 0:
             # Every rate is 0, so every unit system is the identity.
             assert np.all(solve_modes(*config_from_pairs(pairs)).units == 1.0)
@@ -496,16 +497,18 @@ class TestSweepCommands:
         keys = [(int(r[0]), int(r[1])) for r in rows]
         assert keys == sorted(keys)
 
-    def test_convergence_refuses_problem_without_exact_solution(
-            self, tmp_path, capsys):
+    def test_convergence_scores_a_custom_problem(self, tmp_path):
+        # A sampler builds the problem with its exact solution, so the sweep
+        # scores custom problems as it does the built-ins.
         cfg = _write(tmp_path, "mu = 0\nnu = 1\nL = 2\nT = 0.5\n"
                                "u0 = first_harmonic\nN = 4\n"
-                               "M = 4\nN_range = 4:8\nM_range = 2:4\n")
+                               "M = 4\nN_range = 4:2:8\nM_range = 2:4\n")
         out = tmp_path / "out"
-        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 1
-        assert ("convergence_sweep requires a problem with an exact solution"
-                in capsys.readouterr().err)
-        assert not (out / "sweep.csv").exists()
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = _read_rows(out / "sweep.csv")[1:]
+        assert [(int(r[0]), int(r[1])) for r in rows] == [
+            (n, m) for n in (4, 6, 8) for m in (2, 3, 4)]
+        assert all(np.isfinite(float(r[2])) for r in rows)
 
     def test_conditioning_cardinality(self, tmp_path):
         cfg = _write(tmp_path, "problem_id = 1\nN = 4\nM = 4\n"

@@ -41,6 +41,41 @@ class TestBuiltinProblems:
         assert p2.nu == pytest.approx(1.0 / np.pi ** 2)
         assert (p3.mu, p3.nu, p3.L, p3.T) == (0.01, 0.1, 2.0, 0.1)
 
+    # Each built-in problem's (u0, g, exact, exact_dx), written out literally
+    # in its own product order, so that the shared closed form keeps its bits.
+    PARENT_FORMULAS = {
+        1: (lambda x: np.sin(np.pi * x),
+            lambda t: 0.0 * np.asarray(t),
+            lambda x, t: np.exp(-np.pi ** 2 * t) * np.sin(np.pi * x),
+            lambda x, t: np.pi * np.exp(-np.pi ** 2 * t) * np.cos(np.pi * x)),
+        2: (lambda x: np.sin(np.pi * x),
+            lambda t: 0.0 * np.asarray(t),
+            lambda x, t: np.exp(-t) * np.sin(np.pi * x),
+            lambda x, t: np.pi * np.exp(-t) * np.cos(np.pi * x)),
+        3: (lambda x: np.sin(np.pi * x),
+            lambda t: -np.exp(-np.pi ** 2 * 0.1 * t) * np.sin(np.pi * 0.01 * t),
+            lambda x, t: -np.exp(-np.pi ** 2 * 0.1 * t)
+            * np.sin(np.pi * (0.01 * t - x)),
+            lambda x, t: np.pi * np.exp(-np.pi ** 2 * 0.1 * t)
+            * np.cos(np.pi * (0.01 * t - x))),
+    }
+
+    @pytest.mark.parametrize("pid", [1, 2, 3])
+    def test_presets_keep_the_formulas_bit_for_bit(self, pid):
+        # np.array_equal ignores only the sign of zero: the preset's g of
+        # problems 1 and 2 is -0.0 where the formula's is +0.0.
+        problem = builtin_problem(pid)
+        u0, g, exact, exact_dx = self.PARENT_FORMULAS[pid]
+        x = problem.L * np.arange(1024) / 1024
+        t = np.linspace(0.0, problem.T, 34)[1:]
+        assert np.array_equal(problem.u0(x), u0(x))
+        assert np.array_equal(problem.g(t), g(t))
+        for new, old in ((problem.exact, exact), (problem.exact_dx, exact_dx)):
+            assert np.array_equal(new(x[None, :], t[:, None]),
+                                  old(x[None, :], t[:, None]))
+            for tk in t:
+                assert np.array_equal(new(x, tk), old(x, tk))
+
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="problem id"):
             builtin_problem(4)
@@ -155,6 +190,17 @@ class TestSolverConfig:
         with pytest.raises(ValueError,
                            match=f"^{field} is not a whole number; got {value}$"):
             SolverConfig(**sizes)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    @pytest.mark.parametrize("field, words", [
+        ("N", "is not a whole number"), ("M", "is not a whole number"),
+        ("N0", "is not a whole number"), ("lam", "is not a real number")])
+    def test_rejects_bool(self, field, words, value):
+        # A bool is a numbers.Real and float(True) is whole, but no size or
+        # index: M = True would build M = 1.
+        with pytest.raises(ValueError,
+                           match=f"^{field} {words}; got {value!r}$"):
+            SolverConfig(**{"N": 8, "M": 2, "N0": 10, field: value})
 
     @pytest.mark.parametrize("field", ["N", "M", "N0"])
     def test_whole_float_size_stored_as_int(self, field):
@@ -303,7 +349,14 @@ N = 50
 M = 4
 """)
         problem, config = load_config(path)
-        assert problem.exact is None
+        # The sampler's exact solution, the advected harmonic.
+        x = np.linspace(0.0, 2.0, 17)[:, None]
+        t = np.linspace(0.0, 0.2, 9)
+        w = 2.0 * np.pi / 2.0
+        assert np.array_equal(problem.exact(x, t), np.exp(-1.0 * w ** 2 * t)
+                              * np.sin(w * (x - 1.0 * t)))
+        assert np.array_equal(problem.exact_dx(x, t), w * np.exp(-1.0 * w ** 2 * t)
+                              * np.cos(w * (x - 1.0 * t)))
         assert problem.mu == 1.0
         assert float(problem.u0(0.5)) == pytest.approx(1.0)
         # The sampler's own trace u(0, t) of the advected harmonic.

@@ -9,8 +9,10 @@ time slabs, as many per formatter call as fit in ``BLOCK_CELLS`` values,
 into one reused block whose x cells are copied once and whose t cell is
 broadcast per slab. Repeated x, t, t_node, k and l values are formatted
 and packed once, with their comma set once; a writer then sets only the
-newline that ends each row. It reads no solution: the callers pass the
-values."""
+newline that ends each row. The digits come from float64 arithmetic alone:
+an error-free product with a power of ten held as two doubles (Dekker,
+Numer. Math. 18, 1971), so every little-endian IEEE-754 platform takes
+the same path. It reads no solution: the callers pass the values."""
 
 from __future__ import annotations
 
@@ -56,30 +58,58 @@ CELL_BYTES = 32
 # cells of the values it reuses: x, t, t_node, k, l and modes 0 .. N/2 of
 # the table.
 BLOCK_CELLS = 8192
-_POW_MIN, _POW_MAX = -300, 350  # range of k in the 10^k table
+# Values v with _MAG_MIN <= |v| <= _MAG_MAX take the vectorized digits; the
+# bounds keep 10^k, |v| 10^k and every partial product in _scaled far from
+# overflow and underflow, and k in -265 .. 298, inside the 10^k table.
+_MAG_MIN, _MAG_MAX = 1e-280, 1e280
+_POW_MIN, _POW_MAX = -270, 300  # range of k in the 10^k table
 _EXP_MIN = -330                 # lowest exponent in the exponent table
 _ZERO, _MINUS, _POINT, _COMMA = ord("0"), ord("-"), ord("."), ord(",")
+_SPLIT = 2.0 ** 27 + 1  # Dekker's splitter
+# Bound on |y - yh - yl| for y = |v| 10^k near [1e16, 1e17), proven at
+# _scaled; a rounding of yl is certified when it is further from a tie.
+_TIE_MARGIN = 2.0 ** -47
+
+
+def _split(x):
+    # Dekker's split of a double: x = xh + xl exactly, each half of at most
+    # 26 significant bits, so that a product of halves is exact in float64.
+    c = x * _SPLIT
+    xh = c - (c - x)
+    return xh, x - xh
+
+
+def _powers_of_ten():
+    # 10^k as hi + lo for k = _POW_MIN .. _POW_MAX: hi is 10^k correctly
+    # rounded and lo is 10^k - hi correctly rounded, both from exact integer
+    # arithmetic (Python's float(int) and int / int round correctly).
+    hi, lo = [], []
+    for k in range(_POW_MIN, _POW_MAX + 1):
+        if k >= 0:
+            power = 10 ** k
+            high = float(power)
+            low = float(power - int(high))
+        else:
+            scale = 10 ** -k
+            high = 1 / scale
+            num, den = high.as_integer_ratio()
+            low = (den - num * scale) / (den * scale)
+        hi.append(high)
+        lo.append(low)
+    return np.array(hi), np.array(lo)
 
 
 @cache
 def _g17_tables():
     """Lookup tables of the vectorized "%.17g" formatter, built on first use.
 
-    None when long double cannot certify a rounding (it is plain double, or
-    double-double, whose arithmetic is not correctly rounded) or when the
-    byte order is not little-endian, which the cell words assume.
+    None when the byte order is not little-endian, which the cell words
+    assume; the formatter then takes the % operator for every value.
     """
-    info = np.finfo(np.longdouble)
-    if info.nmant not in (63, 112) or sys.byteorder != "little":
+    if sys.byteorder != "little":
         return None
-    ks = np.arange(_POW_MIN, _POW_MAX + 1)
-    # Correctly rounded 10^k from decimal strings; longdouble(10) ** k is
-    # 1 ulp off for some k. 10^k is exact for 0 <= k <= k_exact.
-    powers = np.array([f"1e{k}" for k in ks], dtype=np.longdouble)
-    k_exact = max(k for k in range(64) if 5 ** k < 2 ** (info.nmant + 1))
-    # Bound on |y - x 10^k| / y for y = x * powers[k] in long double: one
-    # rounding when 10^k is exact, two otherwise, each at most eps / 2.
-    bound = np.where((ks >= 0) & (ks <= k_exact), 1.0, 2.0) * float(info.eps)
+    hi, lo = _powers_of_ten()
+    hi_h, hi_l = _split(hi)
     two = np.arange(100, dtype=np.uint8)
     two = np.stack([two // 10, two % 10], axis=1) + np.uint8(_ZERO)
     four = np.concatenate([np.repeat(two, 100, axis=0), np.tile(two, (100, 1))],
@@ -118,9 +148,10 @@ def _g17_tables():
     expo[1:, 4] = mag // 10 % 10 + _ZERO
     expo[1:, 5] = mag % 10 + _ZERO
     expo[:, 7] = _COMMA
-    return (powers, bound, four.view(np.uint32).ravel(),
-            last_digit.astype(np.int8), int_mask, frac_mask, point,
-            lead.view(np.uint64).ravel(), expo.view(np.uint64).ravel())
+    return ((hi, hi_h, hi_l, lo),
+            (four.view(np.uint32).ravel(), last_digit.astype(np.int8),
+             int_mask, frac_mask, point, lead.view(np.uint64).ravel(),
+             expo.view(np.uint64).ravel()))
 
 
 def _percent_cells(values) -> np.ndarray:
@@ -138,53 +169,87 @@ def _percent_cells(values) -> np.ndarray:
                          np.uint8).reshape(-1, CELL_BYTES).copy()
 
 
+def _scaled(a, k, powers):
+    # y = a 10^k as the pair (yh, yl), for hi + lo the table's 10^k (k counted
+    # from _POW_MIN): yh = RN(a hi); p = a hi - yh, exact by Dekker's
+    # TwoProduct; m = RN(a lo); yl = RN(p + m). RN is float64 rounding, with
+    # |RN(x) - x| <= 2^-53 |x|. For y in [1e16 - 1, 1e17 + 1], yh is an
+    # integer (yh >= 2^53) and |y - yh - yl| < 2^-47 = _TIE_MARGIN, since
+    # a hi <= y (1 + 2^-53) < 2^57 and
+    #   |10^k - hi - lo| <= 2^-53 |10^k - hi| <= 2^-106 hi, times a < 2^-49;
+    #   |a lo - m| <= 2^-53 |a lo| <= 2^-106 a hi < 2^-49;
+    #   |p| <= ulp(yh) / 2 <= 8 and |m| <= 16, so |p + m - yl| < 2^-48.
+    hi, hi_h, hi_l, lo = (power.take(k) for power in powers)
+    a_h, a_l = _split(a)
+    yh = a * hi
+    yl = a_h * hi_h - yh
+    yl += a_h * hi_l
+    yl += a_l * hi_h
+    yl += a_l * hi_l
+    yl += a * lo
+    return yh, yl
+
+
+def _outside(yh, yl):
+    # Whether yh + yl lies below 1e16 and whether it lies at or above 1e17,
+    # decided on the pair, not on yh alone: 1e16 - yh and 1e17 - yh are
+    # exact near the bound (Sterbenz), and far from it |yl| <= 24 cannot
+    # change the answer.
+    return yl < 1e16 - yh, yl >= 1e17 - yh
+
+
 def _g17_block(v: np.ndarray) -> np.ndarray:
     # Cells of the "%.17g" texts of a 1-D float64 array. See _g17_cells.
     tables = _g17_tables()
     if tables is None:
         return _percent_cells(v)
-    (powers, bound, four, last_digit, int_mask, frac_mask, point, lead,
-     expo) = tables
+    powers, (four, last_digit, int_mask, frac_mask, point, lead, expo) = tables
     a = np.abs(v)
-    finite = np.isfinite(a)
-    nonzero = finite & (a > 0)
-    safe = np.where(nonzero, a, 1.0)  # no log of 0, no cast of inf or NaN
+    in_range = (a >= _MAG_MIN) & (a <= _MAG_MAX)
+    safe = np.where(in_range, a, 1.0)  # no log of 0, no cast of inf or NaN
     # y = |v| 10^(16 - E) lies in [1e16, 1e17) for the right exponent E.
     k = (16 - _POW_MIN) - np.floor(np.log10(safe)).astype(np.int64)
-    wide = safe.astype(np.longdouble)
-    y = wide * powers.take(k)
-    fix = np.flatnonzero((y < 1e16) | (y >= 1e17))
+    yh, yl = _scaled(safe, k, powers)
+    below, above = _outside(yh, yl)
+    fix = np.flatnonzero(below | above)
     if fix.size:
-        k[fix] += np.where(y[fix] < 1e16, 1, -1)
-        y[fix] = wide[fix] * powers.take(k[fix])
-    digits = y.astype(np.int64)
-    frac = (y - digits).astype(float)
-    # The rounding of y to an integer is certified when y is in range and
-    # its fraction is further from 1/2 than y's error bound, plus 2^-53 for
-    # the rounding of the fraction to double (none in x87's long double,
-    # where y >= 1e16 leaves it 10 bits). Every other value, non-finite
-    # ones included, takes the % operator below.
-    ok = np.abs(frac - 0.5) > y.astype(float) * bound.take(k) + 2.0 ** -53
-    ok &= finite & (digits >= 10 ** 16) & (digits < 10 ** 17)
-    digits += frac > 0.5
+        k[fix] += np.where(below[fix], 1, -1)
+        yh[fix], yl[fix] = _scaled(safe[fix], k[fix], powers)
+        below, above = _outside(yh[fix], yl[fix])
+        in_range[fix[below | above]] = False
+    # D = yh + r, r = round(yl), is y rounded to an integer wherever yl is
+    # further than _TIE_MARGIN from a tie (yl - r is exact: Sterbenz).
+    # Near-ties, values out of range and non-finite values take the %
+    # operator below; 0 takes the digits of 1.0 with the first set to 0.
+    r = np.rint(yl)
+    ok = np.abs(yl - r) < 0.5 - _TIE_MARGIN
+    ok &= in_range | (a == 0)
     exp10 = (16 - _POW_MIN) - k
-    carry = np.flatnonzero(digits == 10 ** 17)
-    digits[carry] = 10 ** 16
-    exp10[carry] += 1
-    digits *= nonzero
-    exp10 *= nonzero
-    # The 17 digits: the first, then four chunks of four by table lookup.
-    first = digits // 10 ** 16
-    rest = digits - first * 10 ** 16
-    high = rest // 10 ** 8
-    low = rest - high * 10 ** 8
+    # The 17 digits of D in float64, where integers below 2^53 are exact: a
+    # high part of 9 digits and a low part of 8, then the first digit and
+    # 8 more from the high part. high may come out one too large from the
+    # rounded quotient; the carry from adding r to low undoes that too.
+    eight = np.empty((v.size, 2))
+    high, low = eight[:, 0], eight[:, 1]
+    np.floor(yh / 1e8, out=high)
+    np.subtract(yh, high * 1e8, out=low)
+    low += r
+    carry = np.floor(low / 1e8)
+    low -= carry * 1e8
+    high += carry
+    first = np.floor(high / 1e8)
+    high -= first * 1e8
+    top = np.flatnonzero(first == 10)  # D = 10^17: 10^16 and E + 1
+    first[top] = 1
+    exp10[top] += 1
+    first *= a > 0
+    # Four chunks of four digits each, by table lookup.
+    quarter = np.floor(eight / 1e4)
     chunks = np.empty((v.size, 4), np.int64)
-    chunks[:, 0] = high // 10 ** 4
-    chunks[:, 1] = high - chunks[:, 0] * 10 ** 4
-    chunks[:, 2] = low // 10 ** 4
-    chunks[:, 3] = low - chunks[:, 2] * 10 ** 4
+    chunks[:, 0::2] = quarter
+    chunks[:, 1::2] = eight - quarter * 1e4
     words = np.zeros((v.size, 4), np.uint64)
-    words[:, 0] = (first + _ZERO).astype(np.uint64) << np.uint64(56)
+    words[:, 0] = (first.astype(np.uint64) + np.uint64(_ZERO)) << np.uint64(56)
     words[:, 1:3] = four.take(chunks).view(np.uint64)
     # Index of the last nonzero digit, 0 when only the first is nonzero.
     last = last_digit.take(chunks)
@@ -218,11 +283,13 @@ def _g17_cells(values) -> np.ndarray:
 
     Returns an array of shape ``values.shape + (CELL_BYTES,)``; the non-NUL
     bytes of a cell, in order, are ``"%.17g" % value`` and then the
-    separator ',' in slot 31, the cell's last. Each finite value v != 0
-    gets its 17 digits D and exponent E from y = |v| 10^(16 - E) in long
-    double, with 10^k from a correctly rounded table; D is y rounded to an
-    integer. That rounding is used only where it is certified; near-ties,
-    values out of range and non-finite values take the % operator.
+    separator ',' in slot 31, the cell's last. Each value v with
+    1e-280 <= |v| <= 1e280 gets its 17 digits D and exponent E from
+    y = |v| 10^(16 - E), formed in float64 as an unevaluated sum yh + yl by
+    Dekker's error-free product with 10^k held as a pair of doubles; D is y
+    rounded to an integer. That rounding is used only where it is certified
+    against a proven error bound; near-ties, values out of that range and
+    non-finite values take the % operator.
     """
     values = np.asarray(values, dtype=float)
     flat = values.reshape(-1)

@@ -129,8 +129,11 @@ class SolverConfig:
                 f"N0 must be even and > N = {self.N}; got {self.N0}"
             )
         _check_rule("M", self.M)
-        if isinstance(self.lam, (bool, np.bool_)):
+        # Any other real, a numpy scalar or a Fraction, is stored as a float,
+        # so that the rule cache can key on it.
+        if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real):
             raise ValueError(f"lam is not a real number; got {self.lam!r}")
+        object.__setattr__(self, "lam", float(self.lam))
         if not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite; got {self.lam}")
         _check_rule("lambda", self.lam)

@@ -175,9 +175,10 @@ def _back_substitute(s: np.ndarray, alpha: np.ndarray, p: np.ndarray,
         j = i
 
 
-def _pivots(s: np.ndarray, alpha: np.ndarray):
+def _pivots(s: np.ndarray, alpha: np.ndarray, scratch: np.ndarray):
     # The smallest eigenvalue modulus of each mode matrix I + alpha_i s, and
     # p = 1 + alpha s_jj and det, formed once for both back-substitutions.
+    # The moduli go to scratch, an array of p's shape.
     # Each 2x2 diagonal block [[a, b], [c, a]] of s, in LAPACK's standard
     # form with b c < 0, holds the pair a +- i sqrt(-b c), so the
     # determinant (1 + alpha a)^2 - alpha^2 b c of its block of I + alpha s
@@ -187,7 +188,7 @@ def _pivots(s: np.ndarray, alpha: np.ndarray):
     p += 1.0
     det = p[starts] * p[starts + 1] - np.multiply.outer(
         s[starts, starts + 1] * s[starts + 1, starts], alpha * alpha)
-    modulus = np.abs(p)
+    modulus = np.abs(p, out=scratch)
     modulus[starts] = modulus[starts + 1] = np.sqrt(det)
     return modulus.min(axis=0), p, det
 
@@ -223,7 +224,8 @@ def _unit_solutions(a: np.ndarray, s: np.ndarray, z: np.ndarray,
     # temporary: it makes the pivot test stricter, and the residual test,
     # which divides by it, a little looser.
     norm = 1.0 + np.abs(alpha) * np.abs(a).sum(axis=1).max()
-    pivot, p, det = _pivots(s, alpha)
+    y = np.empty((len(z), len(alpha)))
+    pivot, p, det = _pivots(s, alpha, scratch=y)
     bad = np.flatnonzero(~(pivot >= PIVOT_RTOL * norm))
     if bad.size:
         i = int(bad[0])
@@ -233,7 +235,6 @@ def _unit_solutions(a: np.ndarray, s: np.ndarray, z: np.ndarray,
             f"{pivot[i]:.3e} below {PIVOT_RTOL:.0e} * (1 + |alpha| ||TQ||) "
             f"= {PIVOT_RTOL * norm[i]:.3e})")
 
-    y = np.empty((len(z), len(alpha)))
     y[:] = z.T.sum(axis=1)[:, None]  # Z^T ones
     _back_substitute(s, alpha, p, det, y)
     x = z @ y
@@ -244,8 +245,9 @@ def _unit_solutions(a: np.ndarray, s: np.ndarray, z: np.ndarray,
     # A zero rate leaves the identity, whose solution is exactly ones.
     x[:, alpha == 0] = 1.0
 
-    resid = np.abs(_residual(a, alpha, x, out=step)).max(axis=0)
-    backward = resid / (norm * np.abs(x).max(axis=0) + 1.0)
+    # The absolute values go to step and y, both free by now.
+    resid = np.abs(_residual(a, alpha, x, out=step), out=step).max(axis=0)
+    backward = resid / (norm * np.abs(x, out=y).max(axis=0) + 1.0)
     bad = np.flatnonzero(~(backward <= PIVOT_RTOL))
     if bad.size:
         i = int(bad[0])

@@ -369,10 +369,9 @@ class TestG17Cells:
         assert _cell_texts(cells) == _percent_texts(values)
         assert _g17_cells(np.empty(0)).shape == (0, CELL_BYTES)
 
-    @pytest.mark.skipif(_g17_tables() is None,
-                        reason="long double cannot certify a rounding here")
-    def test_fast_path_formats_most_values(self, monkeypatch):
-        # Only near-ties and non-finite values take the % operator.
+    @staticmethod
+    def _count_fallbacks(monkeypatch) -> list:
+        # The number of values of each call that takes the % operator.
         fallback = []
 
         def counting(values):
@@ -380,20 +379,53 @@ class TestG17Cells:
             return _percent_cells(values)
 
         monkeypatch.setattr(csvtext, "_percent_cells", counting)
+        return fallback
+
+    def test_fast_path_formats_every_value(self, monkeypatch, tmp_path):
+        # Finite values in range take the % operator only at a near-tie,
+        # which neither standard normals nor a whole solve come near.
+        fallback = self._count_fallbacks(monkeypatch)
         values = np.random.default_rng(3).standard_normal(20_000)
         assert _cell_texts(_g17_cells(values)) == _percent_texts(values)
-        assert sum(fallback) < 0.05 * values.size
+        assert sum(fallback) == 0
+        cfg = _write(tmp_path, "problem_id = 3\nN = 1024\nM = 32\n")
+        assert main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 0
+        assert sum(fallback) == 0
 
-    @pytest.mark.skipif(_g17_tables() is None,
-                        reason="long double cannot certify a rounding here")
-    def test_power_table_is_correctly_rounded(self):
-        powers = _g17_tables()[0]
-        for k, power in zip(range(csvtext._POW_MIN, csvtext._POW_MAX + 1), powers):
+    @pytest.mark.parametrize("value", [
+        1e-280, np.nextafter(1e-280, 0.0), np.nextafter(1e-280, np.inf),
+        1e280, np.nextafter(1e280, 0.0), np.nextafter(1e280, np.inf)],
+        ids=["1e-280", "1e-280-below", "1e-280-above",
+             "1e280", "1e280-below", "1e280-above"])
+    def test_range_boundaries(self, monkeypatch, value):
+        # 1e-280 is "9.9999999999999996e-281": y = |v| 10^296 lies just below
+        # 1e16, where yh alone rounds onto 1e16, so the range is decided on
+        # yh + yl. Values in the range take the fast path, the rest take %.
+        fallback = self._count_fallbacks(monkeypatch)
+        values = np.array([value, -value])
+        assert _cell_texts(_g17_cells(values)) == _percent_texts(values)
+        inside = csvtext._MAG_MIN <= value <= csvtext._MAG_MAX
+        assert sum(fallback) == (0 if inside else 2)
+
+    def test_power_pairs_are_double_double(self):
+        # hi is 10^k correctly rounded and lo the remainder, so that
+        # |10^k - hi - lo| <= 2^-53 |10^k - hi| <= 2^-106 hi; hi_h + hi_l is
+        # hi split into halves of at most 26 significant bits.
+        hi, hi_h, hi_l, lo = _g17_tables()[0]
+        ks = range(csvtext._POW_MIN, csvtext._POW_MAX + 1)
+        for k, high, half_h, half_l, low in zip(ks, hi, hi_h, hi_l, lo):
             exact = Fraction(10) ** k
-            error = abs(Fraction(*power.as_integer_ratio()) - exact)
-            for neighbour in (np.nextafter(power, np.longdouble(0)),
-                              np.nextafter(power, np.longdouble(np.inf))):
-                assert error <= abs(Fraction(*neighbour.as_integer_ratio()) - exact), k
+            error = abs(Fraction(high) - exact)
+            for neighbour in (np.nextafter(high, 0.0), np.nextafter(high, np.inf)):
+                assert error <= abs(Fraction(neighbour) - exact), k
+            remainder = abs(exact - Fraction(high) - Fraction(low))
+            assert remainder <= Fraction(2) ** -53 * error, k
+            assert remainder <= Fraction(2) ** -106 * Fraction(high), k
+            assert Fraction(half_h) + Fraction(half_l) == Fraction(high), k
+            for half in (half_h, half_l):
+                n = abs(half.as_integer_ratio()[0])
+                assert n == 0 or (n // (n & -n)).bit_length() <= 26, k
 
 
 class TestSaCommand:

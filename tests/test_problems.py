@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,6 +202,23 @@ class TestSolverConfig:
         with pytest.raises(ValueError,
                            match=f"^{field} {words}; got {value!r}$"):
             SolverConfig(**{"N": 8, "M": 2, "N0": 10, field: value})
+
+    @pytest.mark.parametrize("value", [np.array(0.2), "0.2", None, 0.2j,
+                                       [0.2]],
+                             ids=["0d-array", "str", "None", "complex", "list"])
+    def test_rejects_non_real_lambda(self, value):
+        # Refused in the rule words, not later as an unhashable key in the
+        # rule cache or a bare TypeError from math.isfinite.
+        with pytest.raises(ValueError,
+                           match=re.escape(f"lam is not a real number; got {value!r}")):
+            SolverConfig(N=8, M=2, lam=value)
+
+    @pytest.mark.parametrize("value", [np.float32(0.25), np.int64(1),
+                                       Fraction(1, 4), 1])
+    def test_real_lambda_stored_as_float(self, value):
+        config = SolverConfig(N=8, M=2, lam=value)
+        assert type(config.lam) is float and config.lam == float(value)
+        hash(config)
 
     @pytest.mark.parametrize("field", ["N", "M", "N0"])
     def test_whole_float_size_stored_as_int(self, field):

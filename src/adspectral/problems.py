@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -38,6 +38,9 @@ class ADProblem:
     g: Callable
     exact: Optional[Callable] = None
     exact_dx: Optional[Callable] = None
+    # spectrum's results by N0; a copy made by replace starts empty.
+    _spectra: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     def __post_init__(self):
         for name in ("mu", "nu", "L", "T"):
@@ -60,9 +63,15 @@ class ADProblem:
         return replace(self, T=T)
 
     def spectrum(self, N0: int) -> InitialSpectrum:
-        """The DFT of u0 sampled at the N0 equispaced points L j / N0 of [0, L)."""
-        x0 = self.L * np.arange(N0) / N0
-        return dft_coefficients(self.u0(x0), N0)
+        """The DFT of u0 sampled at the N0 equispaced points L j / N0 of [0, L).
+
+        u0 is sampled and transformed on the first call for each N0; later
+        calls return the same read-only spectrum. A refused u0 is not kept.
+        """
+        if N0 not in self._spectra:
+            x0 = self.L * np.arange(N0) / N0
+            self._spectra[N0] = dft_coefficients(self.u0(x0), N0)
+        return self._spectra[N0]
 
     def times(self, t) -> np.ndarray:
         """t as a 1-D float array, a scalar as an array of one; ValueError

@@ -19,8 +19,11 @@ same for every mode, so its real Schur form Q = Z S Z^T, cached with the
 rule (S quasi-upper triangular, Z orthogonal; Golub and Van Loan, Matrix
 Computations, sec. 7.4), turns all N/2 systems into one back-substitution
 along the mode axis, one 1x1 or 2x2 diagonal block of S at a time (the
-many-shifts method of Laub, IEEE TAC 26, 1981). One step of iterative
-refinement against TQ follows, and each mode is refused when its
+many-shifts method of Laub, IEEE TAC 26, 1981). The diagonals,
+determinants and pivot moduli of the diagonal blocks of all N/2 shifted
+matrices are formed once per solve, as one kernel, and a 2x2 block solves
+both of its rows in one Cramer step. One step of iterative refinement
+against TQ follows on the same kernel, and each mode is refused when its
 eigenvalues or its refined residual show it numerically singular. The
 solution stores the x_n at the time nodes and the u0_hat_n; the phase is
 applied after interpolation in time, so the oscillation of the lab frame is
@@ -34,6 +37,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,45 +156,83 @@ def assemble_mode(n: int, problem: ADProblem, config: SolverConfig,
     return np.eye(tq.order + 1) + mode_rate(problem, n) * tq.entries
 
 
-def _back_substitute(s: np.ndarray, alpha: np.ndarray, p: np.ndarray,
-                     det: np.ndarray, y: np.ndarray) -> None:
-    # Solve (I + alpha_i s) y_i = b_i in place for every column i, where y
-    # holds b_i on entry, one diagonal block of the quasi-upper triangular s
-    # at a time from the bottom. p and det come from _pivots: a 1x1 block
-    # divides by its p, a 2x2 block takes Cramer's rule with its det.
-    j, k = len(s), len(det)
-    while j:
-        if j > 1 and s[j - 1, j - 2]:
-            i, k = j - 2, k - 1
-            y[i:j] -= alpha * (s[i:j, j:] @ y[j:])
-            top = p[i + 1] * y[i] - alpha * s[i, i + 1] * y[i + 1]
-            y[i + 1] *= p[i]
-            y[i + 1] -= alpha * s[i + 1, i] * y[i]
-            y[i] = top
-            y[i:j] /= det[k]
-        else:
-            i = j - 1
-            y[i] -= alpha * (s[i, j:] @ y[j:])
-            y[i] /= p[i]
-        j = i
+class _Kernel(NamedTuple):
+    # The parts of every mode matrix I + alpha_i s that both
+    # back-substitutions of a unit solve read, by diagonal block of s.
+    # ``starts`` holds the first row i of each 2x2 block, ascending;
+    # ``swapped`` (K, 2, m) its rows p[i + 1] and p[i], where
+    # p = 1 + alpha s_jj; ``offdiag`` (2K, 1) its s[i, i + 1] and
+    # s[i + 1, i]; ``det`` (K, m) the determinant of its block of
+    # I + alpha s. ``single`` holds the p rows of the 1x1 blocks, in order,
+    # and ``pivot`` (m,) the smallest eigenvalue modulus of each matrix.
+    starts: list
+    swapped: np.ndarray
+    offdiag: np.ndarray
+    det: np.ndarray
+    single: np.ndarray
+    pivot: np.ndarray
 
 
-def _pivots(s: np.ndarray, alpha: np.ndarray, scratch: np.ndarray):
-    # The smallest eigenvalue modulus of each mode matrix I + alpha_i s, and
-    # p = 1 + alpha s_jj and det, formed once for both back-substitutions.
-    # The moduli go to scratch, an array of p's shape.
+def _kernel(s: np.ndarray, alpha: np.ndarray, scratch: np.ndarray) -> _Kernel:
     # Each 2x2 diagonal block [[a, b], [c, a]] of s, in LAPACK's standard
     # form with b c < 0, holds the pair a +- i sqrt(-b c), so the
     # determinant (1 + alpha a)^2 - alpha^2 b c of its block of I + alpha s
-    # is the squared modulus of both eigenvalues.
+    # is the squared modulus of both eigenvalues. The moduli go to scratch,
+    # an array of at least len(s) rows of len(alpha).
     starts = np.flatnonzero(s.diagonal(-1))
-    p = alpha * s.diagonal()[:, None]
+    ends = starts + 1
+    diagonal = s.diagonal()
+    paired = np.zeros(len(s), dtype=bool)
+    paired[starts] = paired[ends] = True
+    p = np.multiply.outer(diagonal[~paired], alpha)
     p += 1.0
-    det = p[starts] * p[starts + 1] - np.multiply.outer(
-        s[starts, starts + 1] * s[starts + 1, starts], alpha * alpha)
-    modulus = np.abs(p, out=scratch)
-    modulus[starts] = modulus[starts + 1] = np.sqrt(det)
-    return modulus.min(axis=0), p, det
+    swapped = np.multiply.outer(np.stack((diagonal[ends], diagonal[starts]),
+                                         axis=1), alpha)
+    swapped += 1.0
+    b, c = s[starts, ends], s[ends, starts]
+    det = swapped[:, 1] * swapped[:, 0]
+    det -= np.multiply.outer(b * c, alpha * alpha)
+    singles, pairs = len(p), len(det)
+    np.abs(p, out=scratch[:singles])
+    np.sqrt(det, out=scratch[singles:singles + pairs])
+    return _Kernel(starts=starts.tolist(), swapped=swapped,
+                   offdiag=np.stack((b, c), axis=1).reshape(2 * pairs, 1),
+                   det=det, single=p,
+                   pivot=scratch[:singles + pairs].min(axis=0))
+
+
+def _back_substitute(s: np.ndarray, alpha: np.ndarray, kernel: _Kernel,
+                     y: np.ndarray, work: np.ndarray) -> None:
+    # Solve (I + alpha_i s) y_i = b_i in place for every column i, where y
+    # holds b_i on entry, one diagonal block of the quasi-upper triangular s
+    # at a time from the bottom. A 1x1 block divides by its p; a 2x2 block
+    # takes Cramer's rule, both rows at once: its rows p[i + 1], p[i] times
+    # the block, less its coupling alpha (s[i, i + 1], s[i + 1, i]) times
+    # the block upside down, over its det. The couplings, (K, 2, len(alpha)),
+    # go to work, an array of y's shape whose contents are lost: held by
+    # the kernel, they would add nearly one such array to the solve's peak.
+    starts, swapped, offdiag, det, single, _ = kernel
+    # Filled and then scaled in place: a broadcast product into it would
+    # take a second broadcast buffer.
+    coupling = work[:2 * len(det)]
+    coupling[:] = alpha
+    coupling *= offdiag
+    coupling = coupling.reshape(len(det), 2, len(alpha))
+    j, k, m = len(s), len(starts), len(single)
+    while j:
+        if k and starts[k - 1] == j - 2:
+            i, k = j - 2, k - 1
+            block = y[i:j]
+            block -= alpha * (s[i:j, j:] @ y[j:])
+            num = swapped[k] * block
+            num -= coupling[k] * block[::-1]
+            np.divide(num, det[k], out=block)
+            del num  # not to be alive through the next block's product
+        else:
+            i, m = j - 1, m - 1
+            y[i] -= alpha * (s[i, j:] @ y[j:])
+            y[i] /= single[m]
+        j = i
 
 
 def _residual(a: np.ndarray, alpha: np.ndarray, x: np.ndarray,
@@ -215,8 +257,11 @@ def _unit_solutions(a: np.ndarray, s: np.ndarray, z: np.ndarray,
     # Column i solves (I + alpha_i a) x = ones for the real rate alpha_i,
     # the system of mode i + 1, given a real Schur form a = z s z^T with s
     # quasi-upper triangular (up to rounding; the refinement step works with
-    # a itself). At most three (M + 1, len(alpha)) arrays are alive at once
-    # besides p and det, at most one and a half more, and only the result
+    # a itself). One kernel serves both back-substitutions. It holds about
+    # one and a half (M + 1, len(alpha)) arrays, the p rows and the dets;
+    # besides it, at most three such arrays are alive at once: y, x and the
+    # refinement step. Each back-substitution writes its couplings to one
+    # that is free, x before x is formed and y after. Only the result
     # outlives the call.
     #
     # norm = 1 + |alpha_i| ||a||_inf >= ||I + alpha_i a||_inf stands in for
@@ -225,7 +270,8 @@ def _unit_solutions(a: np.ndarray, s: np.ndarray, z: np.ndarray,
     # which divides by it, a little looser.
     norm = 1.0 + np.abs(alpha) * np.abs(a).sum(axis=1).max()
     y = np.empty((len(z), len(alpha)))
-    pivot, p, det = _pivots(s, alpha, scratch=y)
+    kernel = _kernel(s, alpha, scratch=y)
+    pivot = kernel.pivot
     bad = np.flatnonzero(~(pivot >= PIVOT_RTOL * norm))
     if bad.size:
         i = int(bad[0])
@@ -236,11 +282,12 @@ def _unit_solutions(a: np.ndarray, s: np.ndarray, z: np.ndarray,
             f"= {PIVOT_RTOL * norm[i]:.3e})")
 
     y[:] = z.T.sum(axis=1)[:, None]  # Z^T ones
-    _back_substitute(s, alpha, p, det, y)
-    x = z @ y
+    x = np.empty_like(y)
+    _back_substitute(s, alpha, kernel, y, work=x)
+    np.matmul(z, y, out=x)
     # One step of iterative refinement; y is free once x is formed.
     step = z.T @ _residual(a, alpha, x, out=y)
-    _back_substitute(s, alpha, p, det, step)
+    _back_substitute(s, alpha, kernel, step, work=y)
     x += np.matmul(z, step, out=y)
     # A zero rate leaves the identity, whose solution is exactly ones.
     x[:, alpha == 0] = 1.0

@@ -13,7 +13,7 @@ from adspectral import (ADProblem, ModeSolveError, SolverConfig, bench_solve,
                         conditioning_study, convergence_sweep, error_report,
                         evaluate_u, jacobi_svd, mode_rate, singular_values,
                         solve_modes)
-from adspectral import analysis, gegenbauer, solver
+from adspectral import analysis, gegenbauer, problems, solver
 from adspectral import test_problem as builtin_problem
 from adspectral.analysis import _field_errors, field_report
 from adspectral.gegenbauer import RULE_CACHE_SIZE, build_basis, \
@@ -272,7 +272,8 @@ class TestConvergenceSweep:
 
     def test_one_synthesis_and_exact_sample_per_N(self, monkeypatch):
         counts = dict.fromkeys(["synthesize_field", "complete_half_spectrum",
-                                "evaluate_u", "solve_modes", "exact"], 0)
+                                "evaluate_u", "solve_modes", "exact",
+                                "dft_coefficients"], 0)
 
         def counted(name, function):
             def call(*args, **kwargs):
@@ -289,6 +290,9 @@ class TestConvergenceSweep:
         for name in ("evaluate_u", "solve_modes"):
             monkeypatch.setattr(analysis, name,
                                 counted(name, getattr(analysis, name)))
+        # One u0 spectrum per N: the solves at the largest N share its own.
+        monkeypatch.setattr(problems, "dft_coefficients", counted(
+            "dft_coefficients", problems.dft_coefficients))
         problem = builtin_problem(3)
         problem = dataclasses.replace(problem,
                                       exact=counted("exact", problem.exact))
@@ -297,7 +301,8 @@ class TestConvergenceSweep:
         assert counts == {"synthesize_field": len(SWEEP_NS),
                           "complete_half_spectrum": len(SWEEP_NS),
                           "evaluate_u": 0, "solve_modes": len(SWEEP_MS),
-                          "exact": len(SWEEP_NS)}
+                          "exact": len(SWEEP_NS),
+                          "dft_coefficients": len(SWEEP_NS)}
 
     def test_names_the_lowest_singular_mode(self, rates_with):
         # Modes 2 and 4 are singular at this M; the lowest is named.
@@ -305,6 +310,9 @@ class TestConvergenceSweep:
         with pytest.raises(ModeSolveError, match="mode 2:") as info:
             convergence_sweep(problem, [4, config.N], [config.M], config.lam)
         assert info.value.mode == 2
+        assert str(info.value) == (
+            "mode 2: singular or ill-conditioned system (smallest eigenvalue "
+            "modulus 0.000e+00 below 1e-14 * (1 + |alpha| ||TQ||) = 3.927e-12)")
 
 
 class TestJacobiSvd:

@@ -143,6 +143,54 @@ class TestBuiltinProblems:
                            match="^N0 must be even and >= 4; got 5$"):
             builtin_problem(1).spectrum(5)
 
+    def test_spectrum_sampled_once_per_count(self):
+        problem = builtin_problem(3)
+        samples = []
+
+        def u0(x, u0=problem.u0):
+            samples.append(np.size(x))
+            return u0(x)
+
+        problem = dataclasses.replace(problem, u0=u0)
+        samples.clear()  # the compatibility check's sample at x = 0
+        first = problem.spectrum(10)
+        assert problem.spectrum(10) is first
+        assert not first.values.flags.writeable
+        problem.spectrum(12)
+        assert samples == [10, 12]
+        # The kept spectra take no part in equality, hashing or repr.
+        fresh = dataclasses.replace(problem)
+        assert fresh == problem and hash(fresh) == hash(problem)
+        assert repr(fresh) == repr(problem)
+
+    @pytest.mark.parametrize("copy", [
+        lambda problem: problem.with_horizon(0.1),
+        lambda problem: dataclasses.replace(problem, mu=0.5),
+        lambda problem: dataclasses.replace(
+            problem, u0=lambda x: 2.0 * np.sin(np.pi * x), g=lambda t: 0.0),
+    ], ids=["with_horizon", "replace-mu", "replace-u0"])
+    def test_copies_start_without_spectra(self, copy):
+        problem = builtin_problem(1)
+        kept = problem.spectrum(10)
+        other = copy(problem)
+        spectrum = other.spectrum(10)
+        assert spectrum is not kept
+        x0 = other.L * np.arange(10) / 10
+        assert np.array_equal(spectrum.values,
+                              dft_coefficients(other.u0(x0), 10).values)
+
+    def test_non_finite_u0_refused_on_every_call(self):
+        problem = ADProblem(
+            mu=0.0, nu=1.0, L=2.0, T=0.2,
+            u0=lambda x: np.where(np.isclose(x, 1.0), np.nan, np.sin(np.pi * x)),
+            g=lambda t: 0.0 * np.asarray(t))
+        for _ in range(2):
+            with pytest.raises(ValueError,
+                               match="^u0 is not finite: sample 3 of 6 is nan$"):
+                problem.spectrum(6)
+            with pytest.raises(ValueError, match="^u0 is not finite"):
+                solve_modes(problem, SolverConfig(N=4, M=6))
+
     def test_times_of_a_scalar_and_of_an_array(self):
         problem = builtin_problem(1)
         assert np.array_equal(problem.times(0.1), [0.1])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,8 +20,14 @@ from adspectral import solver
 from adspectral.gegenbauer import build_basis, build_integration_matrix, \
     reference_rule, shift_integration_matrix, time_grid
 from adspectral.problems import config_from_pairs
-from adspectral.solver import PIVOT_RTOL, _back_substitute, _prepare, \
-    _residual, _unit_solutions
+from adspectral.solver import PIVOT_RTOL, _back_substitute, _kernel, \
+    _prepare, _residual, _unit_solutions
+
+
+# The text of the pivot test's ModeSolveError for the modes that the
+# rates_with fixture puts at the threshold, with the modulus left open.
+PIVOT_MESSAGE = ("singular or ill-conditioned system (smallest eigenvalue "
+                 "modulus {} below 1e-14 * (1 + |alpha| ||TQ||) = 3.927e-12)")
 
 
 def _degenerate_problem(u0=None, g=None):
@@ -210,6 +217,7 @@ class TestSolveModes:
         with pytest.raises(ModeSolveError, match="mode 3: singular") as info:
             solve_modes(problem, config)
         assert info.value.mode == 3
+        assert str(info.value) == "mode 3: " + PIVOT_MESSAGE.format("0.000e+00")
 
 
 class TestDirectLapack:
@@ -238,6 +246,7 @@ class TestDirectLapack:
         with pytest.raises(ModeSolveError, match="mode 2: singular") as info:
             solve_modes(problem, config)
         assert info.value.mode == 2
+        assert str(info.value) == "mode 2: " + PIVOT_MESSAGE.format("1.964e-12")
 
     def test_pivot_above_the_threshold_is_solved(self, rates_with):
         problem, config, rates = rates_with({2: 2.0})
@@ -256,6 +265,7 @@ class TestDirectLapack:
         with pytest.raises(ModeSolveError, match="mode 2:") as info:
             solve_modes(problem, config)
         assert info.value.mode == 2
+        assert str(info.value) == "mode 2: " + PIVOT_MESSAGE.format("0.000e+00")
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
                         reason="the oracle needs an extended long double")
@@ -298,8 +308,8 @@ class TestDirectLapack:
         # residual that the refinement step cannot remove.
         back_substitute = solver._back_substitute
 
-        def off_in_column_one(s, alpha, p, det, y):
-            back_substitute(s, alpha, p, det, y)
+        def off_in_column_one(s, alpha, kernel, y, work):
+            back_substitute(s, alpha, kernel, y, work)
             y[:, 1] *= 1.001
 
         monkeypatch.setattr(solver, "_back_substitute", off_in_column_one)
@@ -307,6 +317,10 @@ class TestDirectLapack:
                            match="mode 2: refined residual") as info:
             solve_modes(builtin_problem(pid), SolverConfig(N=8, M=6))
         assert info.value.mode == 2
+        residual = {1: "1.030e-07", 3: "4.180e-07"}[pid]
+        assert str(info.value) == (
+            f"mode 2: refined residual {residual} exceeds 1e-14 "
+            f"* ((1 + |alpha| ||TQ||) ||x|| + 1)")
 
 
 def _complex_schur_solve(q: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -316,15 +330,14 @@ def _complex_schur_solve(q: np.ndarray, zs: np.ndarray) -> np.ndarray:
     r, u = schur(q, output="complex")
     r[np.tril_indices_from(r, -1)] = 0.0
     zs = zs.astype(complex)
-    p = zs * r.diagonal()[:, None]
-    p += 1.0
-    det = np.empty((0, len(zs)), dtype=complex)
     uh = u.conj().T
-    y = np.repeat(uh.sum(axis=1)[:, None], len(zs), axis=1)
-    _back_substitute(r, zs, p, det, y)
+    y = np.empty((len(q), len(zs)), dtype=complex)
+    kernel = _kernel(r, zs, scratch=y)
+    y[:] = uh.sum(axis=1)[:, None]
+    _back_substitute(r, zs, kernel, y, work=np.empty_like(y))
     x = u @ y
     step = uh @ _residual(q, zs, x, out=y)
-    _back_substitute(r, zs, p, det, step)
+    _back_substitute(r, zs, kernel, step, work=y)
     return x + u @ step
 
 
@@ -338,6 +351,94 @@ def _long_double_solve(q: np.ndarray, z: float) -> np.ndarray:
         residual = 1 - x - np.longdouble(z) * (q_ld @ x)
         x += lu_solve(lu, residual.astype(float))
     return x
+
+
+def _former_pivots(s, alpha, scratch):
+    # The pivots, p = 1 + alpha s_jj and det as the solver formed them
+    # before it built one kernel per unit solve.
+    starts = np.flatnonzero(s.diagonal(-1))
+    p = alpha * s.diagonal()[:, None]
+    p += 1.0
+    det = p[starts] * p[starts + 1] - np.multiply.outer(
+        s[starts, starts + 1] * s[starts + 1, starts], alpha * alpha)
+    modulus = np.abs(p, out=scratch)
+    modulus[starts] = modulus[starts + 1] = np.sqrt(det)
+    return modulus.min(axis=0), p, det
+
+
+def _former_back_substitute(s, alpha, p, det, y):
+    # The back-substitution that updated the two rows of a 2x2 block one at
+    # a time.
+    j, k = len(s), len(det)
+    while j:
+        if j > 1 and s[j - 1, j - 2]:
+            i, k = j - 2, k - 1
+            y[i:j] -= alpha * (s[i:j, j:] @ y[j:])
+            top = p[i + 1] * y[i] - alpha * s[i, i + 1] * y[i + 1]
+            y[i + 1] *= p[i]
+            y[i + 1] -= alpha * s[i + 1, i] * y[i]
+            y[i] = top
+            y[i:j] /= det[k]
+        else:
+            i = j - 1
+            y[i] -= alpha * (s[i, j:] @ y[j:])
+            y[i] /= p[i]
+        j = i
+
+
+def _former_unit_solutions(a, s, z, alpha):
+    # The unit solve on the two functions above, without its checks.
+    y = np.empty((len(z), len(alpha)))
+    _, p, det = _former_pivots(s, alpha, scratch=y)
+    y[:] = z.T.sum(axis=1)[:, None]
+    _former_back_substitute(s, alpha, p, det, y)
+    x = z @ y
+    step = z.T @ _residual(a, alpha, x, out=y)
+    _former_back_substitute(s, alpha, p, det, step)
+    x += np.matmul(z, step, out=y)
+    x[:, alpha == 0] = 1.0
+    return x
+
+
+class TestKernel:
+    """The kernel's back-substitution makes the roundings of the former one."""
+
+    @pytest.mark.parametrize("pid", [1, 3])
+    @pytest.mark.parametrize("lam", [-0.45, 0.0, 0.5, 2.0])
+    def test_units_bit_identical_to_the_former_solve(self, pid, lam):
+        problem = builtin_problem(pid)
+        for M in (1, 2, 3, 4, 7, 8, 16, 32, 40, 64):
+            q = reference_rule(lam, M)[1]
+            # At lam = -0.45 and 0, M = 1 has no 2x2 block; at lam = 0.5
+            # and 2, every odd M has no 1x1 block.
+            s, z = q.real_schur
+            s = 0.5 * problem.T * s
+            tq = shift_integration_matrix(q, problem.T).entries
+            for N in (4, 64, 1024):
+                sol = solve_modes(problem, SolverConfig(N=N, M=M, lam=lam))
+                rates = np.ascontiguousarray(
+                    mode_rate(problem, np.arange(1, N // 2 + 1)).real)
+                want = _former_unit_solutions(tq, s, z, rates)
+                assert np.array_equal(sol.units, want), (M, N)
+                pivot = _kernel(s, rates, scratch=np.empty_like(want)).pivot
+                assert np.array_equal(
+                    pivot, _former_pivots(s, rates, np.empty_like(want))[0])
+
+    def test_solve_peak_traced_memory(self):
+        # One solve at the rough_modes size, N = 4096 and M = 32, peaked at
+        # 2692794 traced bytes with the former pivots and back-substitution.
+        # A kernel that kept its couplings through the solve peaked about
+        # 0.5 MB higher.
+        config = SolverConfig(N=4096, M=32)
+        solve_modes(builtin_problem(1), config)  # warm: the rule cache
+        problem = builtin_problem(1)
+        tracemalloc.start()
+        try:
+            solve_modes(problem, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2692794
 
 
 class TestRealSchurPath:

@@ -6,10 +6,9 @@ package also ships a closed-form variant and an analysis toolkit for error,
 convergence, and conditioning studies.
 """
 
-from .analysis import (BenchResult, ConditioningReport, ErrorReport,
-                       SweepResult, bench_solve, conditioning_study,
-                       convergence_sweep, error_report, jacobi_svd,
-                       singular_values)
+from .analysis import (ConditioningReport, ErrorReport, SweepResult,
+                       conditioning_study, convergence_sweep, error_report,
+                       jacobi_svd, singular_values)
 from .fourier import (FourierGrid, InitialSpectrum, dft_coefficients,
                       synthesize_derivative, synthesize_field)
 from .gegenbauer import (GegenbauerBasis, IntegrationMatrix, TimeGrid,
@@ -27,11 +26,11 @@ from .solver import (ModeSolveError, SpectralSolution, assemble_mode,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADProblem", "BenchResult", "ConditioningReport", "ConfigError",
+    "ADProblem", "ConditioningReport", "ConfigError",
     "ErrorReport", "FourierGrid", "GegenbauerBasis", "InitialSpectrum",
     "IntegrationMatrix", "ModeSolveError", "SAField",
     "SolverConfig", "SpectralSolution", "SweepResult", "TimeGrid",
-    "assemble_mode", "bary_interpolate", "bench_solve", "build_basis",
+    "assemble_mode", "bary_interpolate", "build_basis",
     "build_integration_matrix", "coefficients_at", "conditioning_study",
     "convergence_sweep", "dft_coefficients", "error_report", "evaluate_u",
     "evaluate_ux", "jacobi_svd", "load_config",

@@ -1,8 +1,7 @@
-"""Error metrics, convergence sweeps, conditioning studies, and timing."""
+"""Error metrics, convergence sweeps and conditioning studies."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,14 +42,6 @@ class SweepResult:
 
     rows: list
     slopes: dict
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    """Median wall-clock seconds, total and per stage; informational only."""
-
-    median_total: float
-    stages: dict
 
 
 def _check_entries(caller: str, name: str, values, kind: str) -> None:
@@ -399,30 +390,3 @@ def conditioning_study(problem: ADProblem, config: SolverConfig,
     }
     return reports, flags
 
-
-def bench_solve(problem: ADProblem, config: SolverConfig,
-                repeats: int) -> BenchResult:
-    """Median wall-clock time of the stages of solve_modes, then one synthesis.
-
-    Each repeat is one solve_modes call and one evaluate_u call at every
-    time node. "assembly" and "solve" are the solution's own ``stage_s``:
-    the rule lookup, TQ, time grid and u0 spectrum, then the unit solves of
-    the modes. "synthesis" is the evaluate_u call, which scales and
-    completes the coefficients it synthesizes.
-    """
-    if repeats < 3:
-        raise ValueError(f"repeats must be >= 3; got {repeats}")
-    samples = {name: [] for name in ("assembly", "solve", "synthesis")}
-    totals = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        sol = solve_modes(problem, config)
-        t1 = time.perf_counter()
-        evaluate_u(sol, sol.grid, sol.time_grid.nodes)
-        t2 = time.perf_counter()
-        for name, seconds in sol.stage_s.items():
-            samples[name].append(seconds)
-        samples["synthesis"].append(t2 - t1)
-        totals.append(t2 - t0)
-    stages = {name: float(np.median(vals)) for name, vals in samples.items()}
-    return BenchResult(median_total=float(np.median(totals)), stages=stages)

@@ -218,9 +218,12 @@ def _g17_block(v: np.ndarray) -> np.ndarray:
         below, above = _outside(yh[fix], yl[fix])
         in_range[fix[below | above]] = False
     # D = yh + r, r = round(yl), is y rounded to an integer wherever yl is
-    # further than _TIE_MARGIN from a tie (yl - r is exact: Sterbenz).
-    # Near-ties, values out of range and non-finite values take the %
-    # operator below; 0 takes the digits of 1.0 with the first set to 0.
+    # further than _TIE_MARGIN from a tie (yl - r is exact: Sterbenz). Where
+    # 10^k is exact (lo = 0, k = 0 .. 22), so is the product: y = yh + yl,
+    # and yh >= 2^53 is even, so rint's half to even on yl is %'s on y, ties
+    # included. Other near-ties, values out of range and non-finite values
+    # take the % operator below; 0 takes the digits of 1.0 with the first
+    # set to 0.
     r = np.rint(yl)
     ok = np.abs(yl - r) < 0.5 - _TIE_MARGIN
     ok &= in_range | (a == 0)
@@ -274,6 +277,9 @@ def _g17_block(v: np.ndarray) -> np.ndarray:
     cells = cells.view(np.uint8)
     uncertified = np.flatnonzero(~ok)
     if uncertified.size:
+        # Near-ties in range at an exact 10^k keep their digits.
+        inexact = powers[3].take(k[uncertified]) != 0
+        uncertified = uncertified[inexact | ~in_range[uncertified]]
         cells[uncertified] = _percent_cells(v[uncertified])
     return cells
 
@@ -288,8 +294,9 @@ def _g17_cells(values) -> np.ndarray:
     y = |v| 10^(16 - E), formed in float64 as an unevaluated sum yh + yl by
     Dekker's error-free product with 10^k held as a pair of doubles; D is y
     rounded to an integer. That rounding is used only where it is certified
-    against a proven error bound; near-ties, values out of that range and
-    non-finite values take the % operator.
+    against a proven error bound, or where 10^k is exact and so is y;
+    other near-ties, values out of that range and non-finite values take
+    the % operator.
     """
     values = np.asarray(values, dtype=float)
     flat = values.reshape(-1)

@@ -86,14 +86,16 @@ class ADProblem:
         return times
 
 
-# Per kind of N, M or lambda value: its tests, each with its words, for all
-# readers alike. An M of 2.5 would be truncated; is_integer() is False for NaN.
+# Per kind of N, M, lambda or repeats value: its tests, each with its words,
+# for all readers alike. An M of 2.5 would be truncated; is_integer() is
+# False for NaN. Fewer than 3 repeats give no robust median.
 _ENTRY_RULES = {
     "N": ((lambda n: n >= 2 and n % 2 == 0, "even and >= 2"),),
     "M": ((lambda m: m >= 1, ">= 1"),
           (lambda m: float(m).is_integer(), "a whole number")),
     "lambda": ((lambda lam: lam > -0.5 + LAMBDA_MIN_GUARD,
                 f"> {-0.5 + LAMBDA_MIN_GUARD}"),),
+    "repeats": ((lambda r: r >= 3, ">= 3"),),
 }
 
 
@@ -274,23 +276,23 @@ def _parse_int_list(text: str) -> list:
     return [_whole(p) for p in text.split(",") if p.strip()]
 
 
-# Per list key: its parser and the kind of its entries. The lists are
-# checked before any rule is built, so a bad entry is reported with its key
-# rather than by the solver stage that refuses it.
-_LIST_KEYS = {
+# Per run-level key: its parser, to a list, and the kind of its entries. The
+# values are checked before any rule is built or file written, so a bad
+# entry is reported with its key rather than by the stage that refuses it.
+_RUN_KEYS = {
     "N_range": (_parse_range, "N"),
     "M_range": (_parse_range, "M"),
     "M_list": (_parse_int_list, "M"),
     "lambda_list": (_parse_float_list, "lambda"),
+    "repeats": (lambda text: [int(text)], "repeats"),
 }
 
 
 def run_value(pairs: dict, key: str, default):
-    """A run-level key's value or default: ``repeats``, an int, or a list
-    whose every entry passes the rules of its kind, N, M or lambda."""
-    if key == "repeats":
-        return _get(pairs, key, int, default=default)
-    parse, kind = _LIST_KEYS[key]
+    """A run-level key's value or default, as a list whose every entry
+    passes the rules of its kind: N, M, lambda or, for ``repeats``, the
+    one whole number of runs, at least 3."""
+    parse, kind = _RUN_KEYS[key]
     text = pairs.get(key, str(default))
     try:
         values = parse(text)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from adspectral import (ADProblem, ModeSolveError, SolverConfig, bench_solve,
+from adspectral import (ADProblem, ModeSolveError, SolverConfig,
                         conditioning_study, convergence_sweep, error_report,
                         evaluate_u, jacobi_svd, mode_rate, singular_values,
                         solve_modes)
@@ -816,35 +816,3 @@ class TestCertifiedStudyValues:
             with pytest.raises(ValueError, match=message):
                 conditioning_study(problem, SolverConfig(N=8, M=4, N0=10),
                                    [-0.4], [4])
-
-class TestBench:
-    def test_stage_breakdown_structure(self):
-        result = bench_solve(builtin_problem(1), SolverConfig(N=4, M=10, N0=6),
-                             repeats=3)
-        assert set(result.stages) == {"assembly", "solve", "synthesis"}
-        assert result.median_total > 0.0
-        assert all(v >= 0.0 for v in result.stages.values())
-
-    def test_reads_the_stage_times_of_solve_modes(self, monkeypatch):
-        # Each repeat is one solve_modes call; bench_solve builds no stage of
-        # it from the solver's private helpers.
-        counts = dict.fromkeys(["solve_modes", "_prepare"], 0)
-
-        def counted(name, function):
-            def call(*args, **kwargs):
-                counts[name] += 1
-                return function(*args, **kwargs)
-            return call
-
-        for name in counts:
-            monkeypatch.setattr(analysis, name, counted(
-                name, getattr(solver, name)), raising=False)
-        result = bench_solve(builtin_problem(3), SolverConfig(N=8, M=6),
-                             repeats=4)
-        assert counts == {"solve_modes": 4, "_prepare": 0}
-        assert set(result.stages) == {"assembly", "solve", "synthesis"}
-
-    def test_repeats_floor(self):
-        with pytest.raises(ValueError, match="repeats"):
-            bench_solve(builtin_problem(1), SolverConfig(N=4, M=4, N0=6),
-                        repeats=2)

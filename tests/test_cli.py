@@ -14,7 +14,7 @@ from adspectral import (FourierGrid, SAField, SpectralSolution, build_basis,
                         synthesize_derivative, synthesize_field, time_grid)
 from adspectral import gegenbauer
 from adspectral import test_problem as builtin_problem
-from adspectral import csvtext
+from adspectral import cli, csvtext
 from adspectral.cli import main
 from adspectral.csvtext import (CELL_BYTES, FLOAT, INT, _g17_cells,
                                 _g17_tables, _packed, _percent_cells,
@@ -408,6 +408,36 @@ class TestG17Cells:
         inside = csvtext._MAG_MIN <= value <= csvtext._MAG_MAX
         assert sum(fallback) == (0 if inside else 2)
 
+    def test_exact_ties_take_the_fast_path(self, monkeypatch):
+        # 10^2 is exact, so y = |v| 10^2 is yh + yl exactly, and the 17th
+        # digit of these ties rounds half to even, as % rounds it.
+        fallback = self._count_fallbacks(monkeypatch)
+        values = np.array([732286862943450.375, 123456789012345.625])
+        assert _cell_texts(_g17_cells(values)) == _percent_texts(values)
+        assert sum(fallback) == 0
+
+    def test_short_decimals_match_percent_operator(self, monkeypatch):
+        # Exact ties at the 17th digit, m + j / 2^d with 18 - d digits in m
+        # and j odd, take the fast path; decimal strings of 1 to 17 digits
+        # over a wide range of exponents come out as % writes them.
+        fallback = self._count_fallbacks(monkeypatch)
+        rng = np.random.default_rng(20261021)
+        ties = []
+        for d in range(2, 10):
+            m = rng.integers(10 ** (17 - d), min(10 ** (18 - d), 2 ** (53 - d)),
+                             2000)
+            j = 2 * rng.integers(0, 2 ** (d - 1), 2000) + 1
+            ties.append((m * 2 ** d + j) / 2.0 ** d)
+        ties = np.concatenate(ties)
+        ties = np.concatenate([ties, -ties])
+        assert _cell_texts(_g17_cells(ties)) == _percent_texts(ties)
+        assert sum(fallback) == 0
+        digits = rng.integers(1, 10 ** rng.integers(1, 18, 20_000))
+        exps = rng.integers(-40, 41, 20_000)
+        short = np.array([float(f"{m}e{e}") for m, e in zip(digits, exps)])
+        got = _cell_texts(_g17_cells(short))
+        assert got == _percent_texts(short), _first_mismatch(short, got)
+
     def test_power_pairs_are_double_double(self):
         # hi is 10^k correctly rounded and lo the remainder, so that
         # |10^k - hi - lo| <= 2^-53 |10^k - hi| <= 2^-106 hi; hi_h + hi_l is
@@ -581,9 +611,42 @@ class TestSweepCommands:
         assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
         rows = _read_rows(out / "bench.csv")
         assert rows[0] == ["repeats", "median_total_s", "assembly_s",
-                           "solve_s", "synthesis_s"]
+                           "solve_s", "output_s"]
+        assert len(rows) == 2
         assert rows[1][0] == "5"
         assert float(rows[1][1]) > 0.0
+
+    def test_bench_runs_the_solve_command_repeats_times(self, tmp_path,
+                                                       monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_modes(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_modes", counted)
+        cfg = _write(tmp_path, "problem_id = 3\nN = 8\nM = 6\nrepeats = 4\n")
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(calls) == 4
+        total, assembly, solve, output = map(
+            float, _read_rows(out / "bench.csv")[1][1:])
+        assert min(assembly, solve, output) >= 0.0
+        assert total >= assembly + solve
+
+    @pytest.mark.parametrize("pid", [1, 2, 3])
+    @pytest.mark.parametrize("N,M", [(8, 4), (64, 12)])
+    def test_bench_leaves_the_csvs_of_solve(self, tmp_path, pid, N, M):
+        cfg = _write(tmp_path, f"problem_id = {pid}\nN = {N}\nM = {M}\n"
+                               "repeats = 3\n")
+        solve_out, bench_out = tmp_path / "solve", tmp_path / "bench"
+        assert main(["solve", "--config", str(cfg), "--out", str(solve_out)]) == 0
+        assert main(["bench", "--config", str(cfg), "--out", str(bench_out)]) == 0
+        assert sorted(p.name for p in bench_out.iterdir()) == [
+            "bench.csv", "coefficients.csv", "report.csv", "solution.csv"]
+        for name in ("solution.csv", "coefficients.csv", "report.csv"):
+            assert ((bench_out / name).read_bytes()
+                    == (solve_out / name).read_bytes()), name
 
 
 class TestFailureModes:
@@ -673,13 +736,14 @@ class TestFailureModes:
         code = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
         assert f"invalid value for key 'repeats': '{value}'" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "bench.csv").exists()
+        assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize("command,key,value,entry", [
         ("convergence", "N_range", "5:2:9", "5"),
         ("convergence", "M_range", "0:2", "0"),
         ("conditioning", "M_list", "0,4", "0"),
         ("conditioning", "lambda_list", "-0.7", "-0.7"),
+        ("bench", "repeats", "2", "2"),
     ])
     def test_bad_list_entry_names_the_key(self, tmp_path, capsys, monkeypatch,
                                           command, key, value, entry):

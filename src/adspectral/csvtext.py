@@ -2,17 +2,18 @@
 
 Floats carry 17 significant digits, so reruns round-trip doubles exactly;
 integers are "%d". Small tables take one ``template % values`` operation.
-``solution.csv`` and ``coefficients.csv`` are written from fixed cells, one
-per field, which ``_g17_cells`` fills with exact "%.17g" bytes and a comma;
-NULs between texts are dropped on write. ``solution.csv`` goes in whole
-time slabs, as many per formatter call as fit in ``BLOCK_CELLS`` values,
-into one reused block whose x cells are copied once and whose t cell is
-broadcast per slab. Repeated x, t, t_node, k and l values are formatted
-and packed once, with their comma set once; a writer then sets only the
-newline that ends each row. The digits come from float64 arithmetic alone:
-an error-free product with a power of ten held as two doubles (Dekker,
-Numer. Math. 18, 1971), so every little-endian IEEE-754 platform takes
-the same path. It reads no solution: the callers pass the values."""
+``solution.csv`` and ``coefficients.csv`` are written in blocks of rows,
+each field a fixed cell of exact "%.17g" bytes and a comma; NULs between
+texts are dropped on write. A row starts with its repeated x and t (or k,
+l and t_node) cells, formatted and packed once and padded with NULs to a
+whole number of 64-bit words, and the formatter writes the cells of the
+row's values into the block in place. ``solution.csv`` goes in whole time
+slabs, as many per formatter call as fit in ``BLOCK_CELLS`` values; a
+writer then sets only the newline that ends each row. The digits come
+from float64 and int64 arithmetic alone: an error-free product with a
+power of ten held as two doubles (Dekker, Numer. Math. 18, 1971), so
+every little-endian IEEE-754 platform takes the same path. It reads no
+solution: the callers pass the values."""
 
 from __future__ import annotations
 
@@ -45,18 +46,19 @@ def write_table(path: Path, header, formats, rows) -> None:
 # Every field of solution.csv and coefficients.csv is one cell: the "%.17g"
 # text of its value, NUL where the text has no byte, and a last slot for the
 # separator that ends the field. A formatted value takes CELL_BYTES byte
-# slots, which _packed narrows for a repeated column. Slot 0 holds the
-# sign; slots 1-5 the "0." and up to three zeros that lead a fixed-notation
-# value below 1; slot 7 + j digit j of the 17 significant digits, with the
-# point and every digit after it one slot later; slots 25-29 the exponent;
-# slot 31 the separator, a comma from the formatter. Slots 6 and 30 stay
-# NUL. A cell is four little-endian 64-bit words, so the point goes in by
-# one shift of those words.
+# slots, which _packed narrows for a repeated column. Every value uses the
+# same slots: slot 0 holds the sign; slots 1-5 the "0." and up to three
+# zeros that lead a fixed-notation value below 1; slot 7 the first of the
+# 17 significant digits; slot 8 the point, or NUL; slot 8 + j digit j for
+# j = 1 .. 16; slots 25-29 the exponent; slot 31 the separator, a comma
+# from the formatter. Slots 6 and 30 stay NUL. A value with E + 1 >= 2
+# integer digits has digits 1 .. E one slot to the left, at slots 8 .. 7 + E,
+# and its point at slot 8 + E. A cell is four little-endian 64-bit words.
 CELL_BYTES = 32
-# Values per formatter call. A block of cells (256 kB) and the formatter's
-# temporaries for it are all the text a writer holds at a time, besides the
-# cells of the values it reuses: x, t, t_node, k, l and modes 0 .. N/2 of
-# the table.
+# Values per formatter call. The formatter's temporaries for a block are
+# all the text a writer holds at a time, besides its block of rows (one
+# call's worth for solution.csv, modes 0 .. N/2 for coefficients.csv) and
+# the cells of the values it reuses: x, t, t_node, k and l.
 BLOCK_CELLS = 8192
 # Values v with _MAG_MIN <= |v| <= _MAG_MAX take the vectorized digits; the
 # bounds keep 10^k, |v| 10^k and every partial product in _scaled far from
@@ -65,6 +67,7 @@ _MAG_MIN, _MAG_MAX = 1e-280, 1e280
 _POW_MIN, _POW_MAX = -270, 300  # range of k in the 10^k table
 _EXP_MIN = -330                 # lowest exponent in the exponent table
 _ZERO, _MINUS, _POINT, _COMMA = ord("0"), ord("-"), ord("."), ord(",")
+_POINTS = np.uint64(0x2E2E2E2E2E2E2E2E)  # a point in every byte of a word
 _SPLIT = 2.0 ** 27 + 1  # Dekker's splitter
 # Bound on |y - yh - yl| for y = |v| 10^k near [1e16, 1e17), proven at
 # _scaled; a rounding of yl is certified when it is further from a tie.
@@ -115,43 +118,34 @@ def _g17_tables():
     four = np.concatenate([np.repeat(two, 100, axis=0), np.tile(two, (100, 1))],
                           axis=1)  # the 4 digits of 0 .. 9999
     nonzero = four != _ZERO
-    # 1-based position of the last nonzero digit of each 4-digit chunk, 0 for 0
+    # 1-based position of the last nonzero digit of each 4-digit chunk, 0 for
+    # 0, and per chunk j of digits 1 .. 16 the index of that digit, 4 j + it.
     last_digit = np.where(nonzero.any(axis=1),
                           4 - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    # Per (integer digit count, index of the last nonzero digit): the integer
-    # digits, the fraction digits and the point, as cell words.
-    slot = np.arange(CELL_BYTES)
-    n_int = np.arange(18)[:, None, None]
-    last = np.arange(17)[None, :, None]
-
-    def table(mask, byte):
-        return (np.broadcast_to(mask, (18, 17, CELL_BYTES)) * np.uint8(byte)
-                ).reshape(-1, CELL_BYTES).view(np.uint64)
-
-    int_mask = table((slot >= 7) & (slot < 7 + n_int), 255)
-    frac_mask = table((slot >= 7 + n_int) & (slot <= 7 + last), 255)
-    point = table((slot == 7 + n_int) & (n_int >= 1) & (last >= n_int), _POINT)
-    # Word 0 per (sign, leading zeros): "", "0.", "0.0", ... then with "-".
-    lead = np.zeros((10, 8), np.uint8)
-    for zeros in range(1, 5):
-        lead[zeros, 1:zeros + 2] = list(b"0." + b"0" * (zeros - 1))
-    lead[5:] = lead[:5]
-    lead[5:, 0] = _MINUS
-    # Word 3 per exponent from _EXP_MIN up, after a row for no exponent,
-    # each ending in the separator.
+    last_digit = (last_digit + 4 * np.arange(4)[:, None]) * (last_digit > 0)
+    # Row j keeps digits 1 .. j of the two words that hold digits 1 .. 16.
+    keep = (np.arange(17)[:, None] > np.arange(16)) * np.uint8(255)
+    # Per sign, then per exponent E from _EXP_MIN up: word 0 with the sign
+    # and the "0." and zeros that lead a fixed-notation value below 1; word 1
+    # with the point after a lone integer digit; word 3 with the exponent,
+    # none for -4 <= E < 17, and the separator.
     exps = np.arange(_EXP_MIN, -_EXP_MIN + 1)
     mag = np.abs(exps)
-    expo = np.zeros((exps.size + 1, 8), np.uint8)
-    expo[1:, 1] = ord("e")
-    expo[1:, 2] = np.where(exps < 0, _MINUS, ord("+"))
-    expo[1:, 3] = (mag // 100 + _ZERO) * (mag >= 100)
-    expo[1:, 4] = mag // 10 % 10 + _ZERO
-    expo[1:, 5] = mag % 10 + _ZERO
-    expo[:, 7] = _COMMA
+    sci = (exps < -4) | (exps >= 17)
+    frame = np.zeros((2, exps.size, 3, 8), np.uint8)
+    for zeros in range(1, 5):
+        frame[:, exps == -zeros, 0, 1:zeros + 2] = list(b"0." + b"0" * (zeros - 1))
+    frame[1, :, 0, 0] = _MINUS
+    frame[:, sci | (exps >= 0), 1, 0] = _POINT
+    exponent = np.stack([np.full(exps.size, ord("e")),
+                         np.where(exps < 0, _MINUS, ord("+")),
+                         (mag // 100 + _ZERO) * (mag >= 100),
+                         mag // 10 % 10 + _ZERO, mag % 10 + _ZERO], axis=1)
+    frame[:, sci, 2, 1:6] = exponent[sci]
+    frame[:, :, 2, 7] = _COMMA
     return ((hi, hi_h, hi_l, lo),
             (four.view(np.uint32).ravel(), last_digit.astype(np.int8),
-             int_mask, frac_mask, point, lead.view(np.uint64).ravel(),
-             expo.view(np.uint64).ravel()))
+             keep.view(np.uint64), frame.reshape(-1, 24).view(np.uint64)))
 
 
 def _percent_cells(values) -> np.ndarray:
@@ -198,12 +192,15 @@ def _outside(yh, yl):
     return yl < 1e16 - yh, yl >= 1e17 - yh
 
 
-def _g17_block(v: np.ndarray) -> np.ndarray:
-    # Cells of the "%.17g" texts of a 1-D float64 array. See _g17_cells.
+def _g17_block(v: np.ndarray, out: np.ndarray) -> None:
+    # Write the cells of the "%.17g" texts of the float64 values v to out,
+    # as words: an array of shape v.shape + (4,). See _g17_cells.
     tables = _g17_tables()
     if tables is None:
-        return _percent_cells(v)
-    powers, (four, last_digit, int_mask, frac_mask, point, lead, expo) = tables
+        out[...] = _percent_cells(v).view(np.uint64).reshape(out.shape)
+        return
+    powers, (four, last_digit, keep, frame) = tables
+    v = v.reshape(-1)
     a = np.abs(v)
     in_range = (a >= _MAG_MIN) & (a <= _MAG_MAX)
     safe = np.where(in_range, a, 1.0)  # no log of 0, no cast of inf or NaN
@@ -228,60 +225,73 @@ def _g17_block(v: np.ndarray) -> np.ndarray:
     ok = np.abs(yl - r) < 0.5 - _TIE_MARGIN
     ok &= in_range | (a == 0)
     exp10 = (16 - _POW_MIN) - k
-    # The 17 digits of D in float64, where integers below 2^53 are exact: a
-    # high part of 9 digits and a low part of 8, then the first digit and
-    # 8 more from the high part. high may come out one too large from the
-    # rounded quotient; the carry from adding r to low undoes that too.
-    eight = np.empty((v.size, 2))
-    high, low = eight[:, 0], eight[:, 1]
-    np.floor(yh / 1e8, out=high)
-    np.subtract(yh, high * 1e8, out=low)
-    low += r
-    carry = np.floor(low / 1e8)
-    low -= carry * 1e8
-    high += carry
-    first = np.floor(high / 1e8)
-    high -= first * 1e8
-    top = np.flatnonzero(first == 10)  # D = 10^17: 10^16 and E + 1
-    first[top] = 1
+    # D in int64, exact since yh is an integer below 2^57. Row 0 of split
+    # takes its first digit, rows 1-4 digits 1 .. 16 in chunks of four.
+    digits = yh.astype(np.int64)
+    digits += r.astype(np.int64)
+    top = np.flatnonzero(digits == 10 ** 17)  # D = 10^17: 10^16 and E + 1
+    digits[top] = 10 ** 16
     exp10[top] += 1
+    split = np.empty((5, v.size), np.int64)
+    for row, power in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)):
+        np.floor_divide(digits, power, out=split[row])
+    split[4] = digits
+    split[1:] -= split[:-1] * 10 ** 4
+    first, chunks = split[0], split[1:]
     first *= a > 0
-    # Four chunks of four digits each, by table lookup.
-    quarter = np.floor(eight / 1e4)
-    chunks = np.empty((v.size, 4), np.int64)
-    chunks[:, 0::2] = quarter
-    chunks[:, 1::2] = eight - quarter * 1e4
-    words = np.zeros((v.size, 4), np.uint64)
-    words[:, 0] = (first.astype(np.uint64) + np.uint64(_ZERO)) << np.uint64(56)
-    words[:, 1:3] = four.take(chunks).view(np.uint64)
-    # Index of the last nonzero digit, 0 when only the first is nonzero.
-    last = last_digit.take(chunks)
-    last += np.arange(0, 16, 4, dtype=np.int8) * (last > 0)
-    last = np.maximum(np.maximum(last[:, 0], last[:, 1]),
-                      np.maximum(last[:, 2], last[:, 3]))
+    # Digits 1 .. 8 and 9 .. 16 as two words of ASCII, by table lookup, and
+    # the index of the last nonzero digit, 0 when only the first is nonzero.
+    pairs = four.take(chunks.T).view(np.uint64)
+    last = np.maximum(
+        np.maximum(last_digit[0].take(chunks[0]), last_digit[1].take(chunks[1])),
+        np.maximum(last_digit[2].take(chunks[2]), last_digit[3].take(chunks[3])))
     # Fixed notation for -4 <= E < 17, with E + 1 integer digits (none below
     # 1, where the lead holds "0."); otherwise one integer digit and an
-    # exponent. Trailing zeros after the point, and a bare point, are cut.
-    fixed = (exp10 >= -4) & (exp10 < 17)
-    pattern = np.where(fixed, np.maximum(exp10 + 1, 0), 1) * 17 + last
-    fraction = words & frac_mask.take(pattern, axis=0)
-    cells = words & int_mask.take(pattern, axis=0)
-    cells |= point.take(pattern, axis=0)
-    cells |= fraction << np.uint64(8)
-    # The top byte of each word moves to the next word. The last word of a
-    # cell holds no digit, so nothing crosses into the next cell.
-    cells.reshape(-1)[1:] |= fraction.reshape(-1)[:-1] >> np.uint64(56)
-    cells[:, 0] |= lead.take(np.where(fixed & (exp10 < 0), -exp10, 0)
-                             + 5 * np.signbit(v))
-    cells[:, 3] |= expo.take(np.where(fixed, 0, exp10 - _EXP_MIN + 1))
-    cells = cells.view(np.uint8)
+    # exponent. Trailing zeros after the point, and a bare point, are cut:
+    # digits 1 .. last follow the point slot, and the point needs last > 0.
+    shown = pairs & keep.take(last, axis=0)
+    row = exp10 - _EXP_MIN
+    row += len(frame) // 2 * np.signbit(v)
+    ends = frame.take(row, axis=0)
+    words = np.empty((v.size, 4), np.uint64).T  # a cell's words adjacent
+    np.bitwise_or(ends[:, 0], ((first + _ZERO) << 56).view(np.uint64),
+                  out=words[0])
+    np.left_shift(shown[:, 0], 8, out=words[1])
+    words[1] |= ends[:, 1] * (last > 0)
+    np.right_shift(shown[:, 0], 56, out=words[2])
+    words[2] |= shown[:, 1] << 8
+    np.right_shift(shown[:, 1], 56, out=words[3])
+    words[3] |= ends[:, 2]
+    wide = np.flatnonzero((exp10 > 0) & (exp10 < 17))
+    if wide.size:
+        # E >= 1: digits 1 .. E go one slot to the left, to slots 8 .. 7 + E.
+        # If last > E, the point takes the byte of digit E, which the shift
+        # moves to slot 8 + E, just before digits E + 1 .. last.
+        n, pair, tail = exp10[wide], pairs[wide], last[wide]
+        whole = pair & keep[n]
+        part = pair & keep[tail] & ~keep[n]
+        part |= (keep[n] ^ keep[n - 1]) & (_POINTS * (tail > n)[:, None])
+        words[1, wide] = whole[:, 0] | part[:, 0] << 8
+        words[2, wide] = whole[:, 1] | part[:, 0] >> 56 | part[:, 1] << 8
+        words[3, wide] = part[:, 1] >> 56 | ends[wide, 2]
     uncertified = np.flatnonzero(~ok)
     if uncertified.size:
         # Near-ties in range at an exact 10^k keep their digits.
         inexact = powers[3].take(k[uncertified]) != 0
         uncertified = uncertified[inexact | ~in_range[uncertified]]
-        cells[uncertified] = _percent_cells(v[uncertified])
-    return cells
+        words[:, uncertified] = _percent_cells(v[uncertified]).view(np.uint64).T
+    out[...] = words.T.reshape(out.shape)
+
+
+def _format_into(values: np.ndarray, rows: np.ndarray, lead: int) -> None:
+    # Write the cells of the (n, columns) values into rows, a C-contiguous
+    # block of n rows whose value cells start at byte lead, a multiple of 8:
+    # whole rows, as many per formatter call as fit in BLOCK_CELLS values.
+    rows = rows.reshape(-1, rows.shape[-1])
+    words = rows[:, lead:].view(np.uint64).reshape(values.shape + (4,))
+    step = max(1, BLOCK_CELLS // values.shape[1])
+    for start in range(0, len(values), step):
+        _g17_block(values[start:start + step], words[start:start + step])
 
 
 def _g17_cells(values) -> np.ndarray:
@@ -299,22 +309,26 @@ def _g17_cells(values) -> np.ndarray:
     the % operator.
     """
     values = np.asarray(values, dtype=float)
-    flat = values.reshape(-1)
-    cells = np.empty((flat.size, CELL_BYTES), np.uint8)
-    for start in range(0, flat.size, BLOCK_CELLS):
-        block = slice(start, start + BLOCK_CELLS)
-        cells[block] = _g17_block(flat[block])
-    return cells.reshape(values.shape + (CELL_BYTES,))
+    cells = np.empty(values.shape + (CELL_BYTES,), np.uint8)
+    _format_into(values.reshape(-1, 1), cells, 0)
+    return cells
 
 
 def _packed(cells: np.ndarray) -> np.ndarray:
     # The (n, CELL_BYTES) cells of a repeated column with each text moved to
     # the left of a cell as wide as the longest text plus the separator slot;
-    # NULs fill the rest, the separator slot included.
+    # NULs fill the rest, the separator slot included. The texts, joined in
+    # order, go to the packed rows: byte i of the joined texts, in the text
+    # of cell j, moves by j width minus the bytes of the texts before cell j.
     text = cells[:, :-1] != 0
-    width = int(text.sum(axis=1).max()) + 1
-    order = np.argsort(~text, axis=1, kind="stable")[:, :width]
-    return np.take_along_axis(cells, order, axis=1)
+    counts = text.sum(axis=1)
+    width = int(counts.max()) + 1
+    ends = np.cumsum(counts)
+    shift = np.arange(len(cells)) * width - (ends - counts)
+    packed = np.zeros((len(cells), width), np.uint8)
+    packed.reshape(-1)[np.arange(ends[-1]) + np.repeat(shift, counts)] = (
+        cells[:, :-1][text])
+    return packed
 
 
 def _separated(cells: np.ndarray) -> np.ndarray:
@@ -339,49 +353,55 @@ def write_grid(path: Path, header, x, t, columns) -> None:
     x_cells = _separated(_g17_cells(x))
     t_cells = _separated(_g17_cells(t))
     x_end = x_cells.shape[1]
-    lead = x_end + t_cells.shape[1]
+    t_end = x_end + t_cells.shape[1]
+    lead = -(-t_end // 8) * 8  # NULs pad the lead to whole words
     # One slab is the rows of one time; a block is as many as the formatter
     # takes in one call, and its x cells never change.
     slabs = max(1, BLOCK_CELLS // (len(x) * len(columns)))
-    block = np.empty((slabs, len(x), lead + CELL_BYTES * len(columns)), np.uint8)
+    block = np.zeros((slabs, len(x), lead + CELL_BYTES * len(columns)),
+                     np.uint8)
     block[:, :, :x_end] = x_cells
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\n").encode())
         for start in range(0, len(t), slabs):
             stop = min(start + slabs, len(t))
             rows = block[:stop - start]
-            rows[:, :, x_end:lead] = t_cells[start:stop, None]
-            rows[:, :, lead:] = _g17_cells(np.stack(
-                [column[start:stop] for column in columns], axis=-1)
-            ).reshape(stop - start, len(x), -1)
+            rows[:, :, x_end:t_end] = t_cells[start:stop, None]
+            values = np.stack([column[start:stop] for column in columns],
+                              axis=-1)
+            _format_into(values.reshape(-1, len(columns)), rows, lead)
             _write_rows(handle, rows.reshape(-1, rows.shape[-1]))
 
 
 def write_coefficients(path: Path, table, nodes) -> None:
     """Write ``coefficients.csv`` from the (M + 1, N/2 + 1) table of modes
     0 .. N/2 at ``nodes``: rows k = -N/2 .. N/2, then l = 0 .. M. Mode -n
-    takes mode n's cells with the sign of the imaginary part toggled."""
+    takes mode n's row with the sign of the imaginary part toggled."""
     half = table.shape[1] - 1
-    psi_cells = _g17_cells(np.stack([table.real.T, table.imag.T], axis=-1)
-                           ).reshape(half + 1, len(nodes), 2 * CELL_BYTES)
     # k and l as floats: their "%.17g" text is their "%d" text.
     k_cells = _separated(_g17_cells(np.arange(-half, half + 1, dtype=float)))
     l_cells = _separated(_g17_cells(np.arange(len(nodes), dtype=float)))
     t_cells = _separated(_g17_cells(nodes))
     k_end = k_cells.shape[1]
     l_end = k_end + l_cells.shape[1]
-    lead = l_end + t_cells.shape[1]
+    t_end = l_end + t_cells.shape[1]
+    lead = -(-t_end // 8) * 8  # NULs pad the lead to whole words
+    # The rows of modes 0 .. N/2, each value formatted once, in place.
+    rows = np.zeros((half + 1, len(nodes), lead + 2 * CELL_BYTES), np.uint8)
+    rows[:, :, :k_end] = k_cells[half:, None]
+    rows[:, :, k_end:l_end] = l_cells
+    rows[:, :, l_end:t_end] = t_cells
+    values = np.stack([table.real.T, table.imag.T], axis=-1)
+    _format_into(values.reshape(-1, 2), rows, lead)
     modes = max(1, BLOCK_CELLS // (5 * len(nodes)))
-    # The l and t_node cells of a block never change.
-    block = np.empty((modes, len(nodes), lead + 2 * CELL_BYTES), np.uint8)
-    block[:, :, k_end:l_end] = l_cells
-    block[:, :, l_end:lead] = t_cells
     with open(path, "wb") as handle:
         handle.write(b"k,l,t_node,re_psi,im_psi\n")
-        for start in range(-half, half + 1, modes):
-            ks = np.arange(start, min(start + modes, half + 1))
-            rows = block[:ks.size]
-            rows[:, :, :k_end] = k_cells[ks + half, None]
-            rows[:, :, lead:] = psi_cells[np.abs(ks)]
-            rows[ks < 0, :, lead + CELL_BYTES] ^= _MINUS
-            _write_rows(handle, rows.reshape(-1, rows.shape[-1]))
+        for start in range(-half, 0, modes):
+            ks = np.arange(start, min(start + modes, 0))
+            block = rows[-ks]
+            block[:, :, :k_end] = k_cells[ks + half, None]
+            block[:, :, lead + CELL_BYTES] ^= _MINUS
+            _write_rows(handle, block.reshape(-1, block.shape[-1]))
+        for start in range(0, half + 1, modes):
+            block = rows[start:start + modes]
+            _write_rows(handle, block.reshape(-1, block.shape[-1]))

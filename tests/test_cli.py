@@ -4,6 +4,7 @@ import csv
 import io
 import tracemalloc
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -143,7 +144,13 @@ class TestFieldWriters:
              for pid in (1, 2, 3) for N, M in ((2, 1), (8, 4), (64, 16))] + [
         {"mu": 0.5, "nu": 0.1, "L": 2, "T": 1, "u0": "first_harmonic",
          "N": 8, "M": 16},
-        {"problem_id": 3, "N": 32, "M": 12, "t_final": 0.37, "lambda": 1.5}]
+        {"problem_id": 3, "N": 32, "M": 12, "t_final": 0.37, "lambda": 1.5},
+        # x up to 35 and t up to 250: cells with two and three integer digits
+        {"mu": 0.5, "nu": 0.1, "L": 40, "T": 250, "u0": "first_harmonic",
+         "N": 8, "M": 16},
+        # |ux| up to 2 pi / L = 125.7
+        {"mu": 0.5, "nu": 0.0001, "L": 0.05, "T": 0.1, "u0": "first_harmonic",
+         "N": 8, "M": 16}]
 
     @staticmethod
     def _generic_coefficients(table, nodes):
@@ -216,14 +223,17 @@ class TestFieldWriters:
     def test_csv_bytes_match_generic_writer(self, tmp_path, command, pairs):
         self._check_against_generic(tmp_path, command, pairs)
 
-    @pytest.mark.parametrize("block_cells", [1, 128, csvtext.BLOCK_CELLS],
-                             ids=["one-slab", "partial-block", "default"])
+    @pytest.mark.parametrize("block_cells", [1, 20, 128, csvtext.BLOCK_CELLS],
+                             ids=["one-slab", "mid-slab", "partial-block",
+                                  "default"])
     @pytest.mark.parametrize("command", ["solve", "sa"])
     def test_bytes_independent_of_block_size(self, tmp_path, monkeypatch,
                                              command, block_cells):
         # Problem 3 at N = 8, M = 4 has 6 times of 8 rows of 4 value columns:
         # 128 values make blocks of 4 slabs, the last one of 2, and blocks
-        # of 5 modes of coefficients.csv, the last one of 4.
+        # of 5 modes of coefficients.csv, the last one of 4. 20 values, less
+        # than the 32 of a slab, format each slab in 5 rows and then 3, and
+        # the 25 coefficient rows in 10, 10 and 5.
         monkeypatch.setattr(csvtext, "BLOCK_CELLS", block_cells)
         self._check_against_generic(tmp_path, command,
                                     {"problem_id": 3, "N": 8, "M": 4})
@@ -368,6 +378,60 @@ class TestG17Cells:
         assert cells.shape == (3, 2, 2, CELL_BYTES)
         assert _cell_texts(cells) == _percent_texts(values)
         assert _g17_cells(np.empty(0)).shape == (0, CELL_BYTES)
+
+    @staticmethod
+    def _layout_values():
+        # For each exponent E from -6 to 30 and each index `last` of the last
+        # nonzero digit, a double parsed from a seeded decimal d 10^(E - last)
+        # of last + 1 digits whose "%.17g" text keeps exactly those digits.
+        # 1e20 is left out: an exact power of ten that lands on both bounds
+        # of y, it takes the % operator by the range rule.
+        rng = np.random.default_rng(20261021)
+        values = [0.0, 1.25e-100, 7e250]
+        for e in range(-6, 31):
+            for last in range(17):
+                for _ in range(200):
+                    text = f"{rng.integers(10 ** last, 10 ** (last + 1))}e{e - last}"
+                    v = float(text)
+                    if (text[last] != "0" and v != 1e20
+                            and Decimal(FLOAT % v) == Decimal(text)):
+                        values.append(v)
+                        break
+        return np.array(values + [-v for v in values])
+
+    @staticmethod
+    def _layout(text):
+        # (exponent notation, integer digits, zeros after "0.", index of the
+        # last nonzero digit) of a positive "%.17g" text.
+        mantissa = text.split("e")[0]
+        whole, _, fraction = mantissa.partition(".")
+        scientific = "e" in text
+        integer = 1 if scientific else len(whole.lstrip("0"))
+        zeros = len(fraction) - len(fraction.lstrip("0")) if not integer else 0
+        significant = mantissa.replace(".", "").strip("0")
+        return scientific, integer, zeros, max(len(significant) - 1, 0)
+
+    def test_every_layout_class_takes_the_fast_path(self, monkeypatch):
+        # Fixed notation with no integer digit and 0 .. 3 zeros after the
+        # point, or with 1 .. 17 integer digits, and exponent notation, each
+        # with every index of the last nonzero digit from 0 to 16; exponents
+        # of two and three digits; +0 and -0. All of them take the fast path.
+        values = self._layout_values()
+        layouts = {self._layout(FLOAT % abs(v)) for v in values}
+        assert {(False, i, z, last) for last in range(17)
+                for i, z in [(0, 0), (0, 1), (0, 2), (0, 3), *(
+                    (i, 0) for i in range(1, 18))]} <= layouts
+        assert {(True, 1, 0, last) for last in range(17)} <= layouts
+        texts = [FLOAT % v for v in values]
+        assert {"0", "-0"} <= set(texts)
+        assert any(text[-5:-3] in ("e-", "e+") for text in texts)  # |E| >= 100
+        fallback = self._count_fallbacks(monkeypatch)
+        cells = _g17_cells(values)
+        assert _cell_texts(cells) == _percent_texts(values)
+        assert sum(fallback) == 0
+        # coefficients.csv toggles the sign slot for mode -n.
+        cells[:, 0] ^= ord("-")
+        assert _cell_texts(cells) == _percent_texts(-values)
 
     @staticmethod
     def _count_fallbacks(monkeypatch) -> list:

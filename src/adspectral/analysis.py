@@ -116,17 +116,18 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
     solve_modes. The unit solutions x_n depend on M and not on N, so each M
     takes one solve_modes call at the largest N, whose ``units_at`` the
     horizon T, where the error is taken, gives one row of x_n for
-    n = 1 .. max(N)/2. Each N takes the leading N/2 entries of the rows of
+    n = 1 .. max(N)/2, and the phase exp(-i Im(alpha_n) T) is formed once
+    for the same modes. Each N takes the leading N/2 entries of the rows of
     all M, scales them by its u0 spectrum, sampled once at N0 = N + 2
-    points, and by the phase exp(-i Im(alpha_n) T), as
-    SpectralSolution.coefficients does, and takes one completion of the half
-    spectrum, one synthesis and one sample of problem.exact. Rows are
-    ordered N outer, M inner, and the least-squares slope of each N's
-    log10 dne against M is fitted over its finite logs (NaN below two). A
-    problem without an exact solution, an N that is not even and >= 2, an
-    M that is not a whole number >= 1 or a lam outside the rule table's
-    range is refused before any solve or rule build; sweep another horizon
-    with problem.with_horizon(t).
+    points, and by the phase, as SpectralSolution.coefficients does, and
+    takes one completion of the half spectrum, one synthesis, one sample of
+    problem.exact and one log10 of its dnes. Rows are ordered N outer, M
+    inner, and the least-squares slope of each N's log10 dne against M is
+    fitted over its finite logs (NaN below two). A problem without an exact
+    solution, an N that is not even and >= 2, an M that is not a whole
+    number >= 1 or a lam outside the rule table's range is refused before
+    any solve or rule build; sweep another horizon with
+    problem.with_horizon(t).
     """
     if not len(N_range) or not len(M_range):
         raise ValueError("N_range and M_range must be nonempty")
@@ -141,6 +142,7 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
         solve_modes(problem, SolverConfig(N=Ns[-1], M=M, lam=lam)).units_at(T)
         for M in Ms])
     shift = mode_rate(problem, np.arange(1, Ns[-1] // 2 + 1)).imag
+    phase = np.exp(-1j * (T * shift))
     g_final = float(problem.g(T))
     ms = np.array(Ms, dtype=float)
     rows, slopes = [], {}
@@ -148,10 +150,10 @@ def convergence_sweep(problem: ADProblem, N_range: Sequence[int],
         half = N // 2
         coeffs = complete_half_spectrum(
             ends[:, :half] * problem.spectrum(N + 2).values[1:half + 1]
-            * np.exp(-1j * (T * shift[:half])))
+            * phase[:half])
         field = synthesize_field(coeffs, FourierGrid(L=problem.L, N=N), g_final)
         _, dnes = _field_errors(problem, field, T)
-        logs = np.array([np.log10(dne) if dne > 0 else -np.inf for dne in dnes])
+        logs = np.log10(dnes, out=np.full(len(dnes), -np.inf), where=dnes > 0)
         rows.extend((N, M, float(dne), float(log))
                     for M, dne, log in zip(Ms, dnes, logs))
         finite = np.isfinite(logs)

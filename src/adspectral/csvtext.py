@@ -185,11 +185,16 @@ def _scaled(a, k, powers):
 
 
 def _outside(yh, yl):
-    # Whether yh + yl lies below 1e16 and whether it lies at or above 1e17,
-    # decided on the pair, not on yh alone: 1e16 - yh and 1e17 - yh are
-    # exact near the bound (Sterbenz), and far from it |yl| <= 24 cannot
-    # change the answer.
-    return yl < 1e16 - yh, yl >= 1e17 - yh
+    # Whether yh + yl lies below 1e16 and whether it lies at or above
+    # 1e17 + 1/2, decided on the pair, not on yh alone: 1e16 - yh and
+    # 1e17 - yh are exact near the bound (Sterbenz), and so is adding 1/2
+    # to the latter; far from it |yl| <= 24 cannot change the answer. A
+    # pair in [1e17, 1e17 + 1/2) rounds to D = 10^17, which _g17_block
+    # takes as 10^16 at the next exponent: the digits of y / 10. So a
+    # y = 1e16 that the pair puts just below 1e16, an exact power of ten
+    # such as 1e20 with an inexact 10^k, lands on 1e17 at the next k and
+    # stays there.
+    return yl < 1e16 - yh, yl >= (1e17 - yh) + 0.5
 
 
 def _g17_block(v: np.ndarray, out: np.ndarray) -> None:
@@ -229,7 +234,8 @@ def _g17_block(v: np.ndarray, out: np.ndarray) -> None:
     # takes its first digit, rows 1-4 digits 1 .. 16 in chunks of four.
     digits = yh.astype(np.int64)
     digits += r.astype(np.int64)
-    top = np.flatnonzero(digits == 10 ** 17)  # D = 10^17: 10^16 and E + 1
+    # D = 10^17, from y in [1e17 - 1/2, 1e17 + 1/2): 10^16 and E + 1
+    top = np.flatnonzero(digits == 10 ** 17)
     digits[top] = 10 ** 16
     exp10[top] += 1
     split = np.empty((5, v.size), np.int64)

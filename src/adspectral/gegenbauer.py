@@ -7,7 +7,12 @@ whose row l maps nodal samples f(z_j) to the primitive value at z_l:
 
     (Q f)_l  ~  integral of f from -1 to z_l.
 
-All values are plain numpy arrays, frozen after construction.
+All values are plain numpy arrays, frozen after construction. The cached
+reference rule of a (lam, M) keeps, besides the nodes and Q, what every
+solve and interpolation at the end of the interval derives from the rule
+alone, each built on first use: the Lagrange row l(1) at s = 1 with the
+basis; the real Schur factors of Q, the 1x1 and 2x2 diagonal blocks of S
+and Z^T 1 with Q.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, schur as _schur
@@ -34,6 +40,11 @@ NODE_COINCIDENCE_TOL = 1e-14
 # Gauss-Legendre rules that build Q share this bound; one holds about 2 kB
 # at M = 256.
 RULE_CACHE_SIZE = 32
+
+# Products of Lagrange values and nodal values that bary_interpolate forms
+# at a time (256 kB of doubles), so that many points at a large N never
+# take more than about one copy of the nodal values.
+BARY_BLOCK_DOUBLES = 2 ** 15
 
 # Doubles in one row block's Lagrange values while Q is built (256 kB): M <= 38
 # takes one block. Larger blocks measured slower from M = 40 up, as each
@@ -66,6 +77,50 @@ class GegenbauerBasis:
     christoffel: np.ndarray
     bary_weights: np.ndarray
 
+    @functools.cached_property
+    def end_row(self) -> np.ndarray:
+        """The Lagrange row l_j(1) at the end of the interval, read-only.
+
+        The row ``bary_interpolate`` reads at t = 1, the horizon of every
+        time grid: built on first use, with the same operations as any
+        other row.
+        """
+        row = _lagrange_matrix(self, 1.0)[0]
+        row.setflags(write=False)
+        return row
+
+
+class SchurBlocks(NamedTuple):
+    """The diagonal blocks of a quasi-upper triangular Schur factor S, by kind.
+
+    ``starts`` holds the first row i of each 2x2 block, ascending, as a
+    tuple of ints; ``single`` (J,) the entries of the 1x1 blocks, in order;
+    ``paired`` (K, 2) the diagonal s[i + 1, i + 1], s[i, i] of each 2x2
+    block, and ``coupling`` (K, 2) its s[i, i + 1], s[i + 1, i]. The
+    arrays are read-only.
+    """
+
+    starts: tuple
+    single: np.ndarray
+    paired: np.ndarray
+    coupling: np.ndarray
+
+    @classmethod
+    def of(cls, s: np.ndarray) -> SchurBlocks:
+        """The blocks of s: a nonzero s[i + 1, i] starts a 2x2 block at row i."""
+        starts = np.flatnonzero(s.diagonal(-1))
+        ends = starts + 1
+        diagonal = s.diagonal()
+        paired = np.zeros(len(s), dtype=bool)
+        paired[starts] = paired[ends] = True
+        blocks = cls(starts=tuple(starts.tolist()),
+                     single=diagonal[~paired],
+                     paired=np.stack((diagonal[ends], diagonal[starts]), axis=1),
+                     coupling=np.stack((s[starts, ends], s[ends, starts]), axis=1))
+        for arr in blocks[1:]:
+            arr.setflags(write=False)
+        return blocks
+
 
 @dataclass(frozen=True, eq=False)
 class IntegrationMatrix:
@@ -88,6 +143,18 @@ class IntegrationMatrix:
         for arr in (s, z):
             arr.setflags(write=False)
         return s, z
+
+    @functools.cached_property
+    def schur_blocks(self) -> SchurBlocks:
+        """The diagonal blocks of the real Schur factor S, built on first use."""
+        return SchurBlocks.of(self.real_schur[0])
+
+    @functools.cached_property
+    def schur_ones(self) -> np.ndarray:
+        """Z^T 1, the ones vector in the real Schur basis, read-only."""
+        ones = self.real_schur[1].T.sum(axis=1)
+        ones.setflags(write=False)
+        return ones
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +240,8 @@ def bary_interpolate(basis: GegenbauerBasis, nodal_values, t):
     Lagrange matrix; each value sums weight times nodal value in node
     order, so it does not depend on the shape asked for, as a BLAS
     product's last bits do. Uses the second barycentric form; a point
-    within NODE_COINCIDENCE_TOL of a node takes the nodal value itself.
+    within NODE_COINCIDENCE_TOL of a node takes the nodal value itself. A
+    lone point t = 1 reads the basis's ``end_row``.
     """
     values = np.asarray(nodal_values)
     if values.shape[:1] != (basis.order + 1,):
@@ -183,15 +251,24 @@ def bary_interpolate(basis: GegenbauerBasis, nodal_values, t):
     if np.ndim(t) > 1:
         raise ValueError(
             f"t must be a scalar or a 1-D array; got shape {np.shape(t)}")
-    rows = _lagrange_matrix(basis, t)
+    points = np.asarray(t, dtype=float)
+    rows = (basis.end_row[None] if points.size == 1 and points.item() == 1.0
+            else _lagrange_matrix(basis, points))
     out = values[rows.argmax(axis=1)].astype(np.result_type(rows, values))
-    far = np.count_nonzero(rows, axis=1) > 1  # the other rows take the sum
-    if far.any():
-        lagrange = rows[far].reshape(-1, len(values), *(1,) * (values.ndim - 1))
-        sums = lagrange[:, 0] * values[0]
-        for j in range(1, len(values)):
-            sums += lagrange[:, j] * values[j]
-        out[far] = sums
+    # The rows off the nodes take the sum, as many points at a time as fit
+    # in BARY_BLOCK_DOUBLES products (at least one). Node axis outermost, in
+    # C order: numpy reduces it by adding whole rows in node order, but sums
+    # a lone column in pairs, so that one is accumulated, which numpy always
+    # does in order.
+    far = np.flatnonzero(np.count_nonzero(rows, axis=1) > 1)
+    step = max(1, BARY_BLOCK_DOUBLES // max(1, values.size))
+    for start in range(0, len(far), step):
+        block = far[start:start + step]
+        terms = np.multiply(
+            rows[block].T.reshape(len(values), -1, *(1,) * (values.ndim - 1)),
+            values[:, None], order="C")
+        out[block] = (np.add.reduce(terms) if terms[0].size > 1
+                      else np.add.accumulate(terms)[-1])
     return out[0] if np.ndim(t) == 0 else out
 
 

@@ -19,16 +19,19 @@ same for every mode, so its real Schur form Q = Z S Z^T, cached with the
 rule (S quasi-upper triangular, Z orthogonal; Golub and Van Loan, Matrix
 Computations, sec. 7.4), turns all N/2 systems into one back-substitution
 along the mode axis, one 1x1 or 2x2 diagonal block of S at a time (the
-many-shifts method of Laub, IEEE TAC 26, 1981). The diagonals,
+many-shifts method of Laub, IEEE TAC 26, 1981). The rule also keeps what
+a solve derives from (lam, M) alone: the 1x1 and 2x2 diagonal blocks of
+S and Z^T ones. A solve scales the blocks by T/2, which gives the same
+doubles as reading them from (T/2) S, and forms the diagonals,
 determinants and pivot moduli of the diagonal blocks of all N/2 shifted
-matrices are formed once per solve, as one kernel, and a 2x2 block solves
-both of its rows in one Cramer step. One step of iterative refinement
-against TQ follows on the same kernel, and each mode is refused when its
-eigenvalues or its refined residual show it numerically singular. The
-solution stores the x_n at the time nodes and the u0_hat_n; the phase is
-applied after interpolation in time, so the oscillation of the lab frame is
-never interpolated. Field evaluation takes it or a ``semianalytic.SAField``:
-both have a ``grid`` and ``coefficients(times)``.
+matrices once, as one kernel. A 2x2 block solves both of its rows in one
+Cramer step. One step of iterative refinement against TQ follows on the
+same kernel, and each mode is refused when its eigenvalues or its refined
+residual show it numerically singular. The solution stores the x_n at the
+time nodes and the u0_hat_n; the phase is applied after interpolation in
+time, so the oscillation of the lab frame is never interpolated. Field
+evaluation takes it or a ``semianalytic.SAField``: both have a ``grid`` and
+``coefficients(times)``.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ import numpy as np
 
 from .fourier import FourierGrid, complete_half_spectrum, \
     synthesize_derivative, synthesize_field
-from .gegenbauer import GegenbauerBasis, IntegrationMatrix, TimeGrid, \
-    bary_interpolate, reference_rule, shift_integration_matrix, time_grid
+from .gegenbauer import GegenbauerBasis, IntegrationMatrix, SchurBlocks, \
+    TimeGrid, bary_interpolate, reference_rule, shift_integration_matrix, \
+    time_grid
 from .problems import ADProblem, SolverConfig
 
 # A mode whose smallest eigenvalue modulus min_j |1 + alpha_n (T/2) r_jj|
@@ -157,15 +161,16 @@ def assemble_mode(n: int, problem: ADProblem, config: SolverConfig,
 
 
 class _Kernel(NamedTuple):
-    # The parts of every mode matrix I + alpha_i s that both
-    # back-substitutions of a unit solve read, by diagonal block of s.
+    # The parts of every mode matrix I + alpha_i h S that both
+    # back-substitutions of a unit solve read, by diagonal block of h S.
     # ``starts`` holds the first row i of each 2x2 block, ascending;
     # ``swapped`` (K, 2, m) its rows p[i + 1] and p[i], where
-    # p = 1 + alpha s_jj; ``offdiag`` (2K, 1) its s[i, i + 1] and
-    # s[i + 1, i]; ``det`` (K, m) the determinant of its block of
-    # I + alpha s. ``single`` holds the p rows of the 1x1 blocks, in order,
-    # and ``pivot`` (m,) the smallest eigenvalue modulus of each matrix.
-    starts: list
+    # p = 1 + alpha (h S)_jj; ``offdiag`` (2K, 1) its (h S)[i, i + 1] and
+    # (h S)[i + 1, i]; ``det`` (K, m) the determinant of its block of
+    # I + alpha h S. ``single`` holds the p rows of the 1x1 blocks, in
+    # order, and ``pivot`` (m,) the smallest eigenvalue modulus of each
+    # matrix.
+    starts: tuple
     swapped: np.ndarray
     offdiag: np.ndarray
     det: np.ndarray
@@ -173,31 +178,26 @@ class _Kernel(NamedTuple):
     pivot: np.ndarray
 
 
-def _kernel(s: np.ndarray, alpha: np.ndarray, scratch: np.ndarray) -> _Kernel:
-    # Each 2x2 diagonal block [[a, b], [c, a]] of s, in LAPACK's standard
-    # form with b c < 0, holds the pair a +- i sqrt(-b c), so the
-    # determinant (1 + alpha a)^2 - alpha^2 b c of its block of I + alpha s
-    # is the squared modulus of both eigenvalues. The moduli go to scratch,
-    # an array of at least len(s) rows of len(alpha).
-    starts = np.flatnonzero(s.diagonal(-1))
-    ends = starts + 1
-    diagonal = s.diagonal()
-    paired = np.zeros(len(s), dtype=bool)
-    paired[starts] = paired[ends] = True
-    p = np.multiply.outer(diagonal[~paired], alpha)
+def _kernel(blocks: SchurBlocks, h: float, alpha: np.ndarray,
+            scratch: np.ndarray) -> _Kernel:
+    # The blocks of S, scaled by h: the same doubles as the blocks of h S.
+    # Each 2x2 diagonal block [[a, b], [c, a]], in LAPACK's standard form
+    # with b c < 0, holds the pair a +- i sqrt(-b c), so the determinant
+    # (1 + alpha a)^2 - alpha^2 b c of its block of I + alpha h S is the
+    # squared modulus of both eigenvalues. The moduli go to scratch, an
+    # array of at least len(S) rows of len(alpha).
+    p = np.multiply.outer(h * blocks.single, alpha)
     p += 1.0
-    swapped = np.multiply.outer(np.stack((diagonal[ends], diagonal[starts]),
-                                         axis=1), alpha)
+    swapped = np.multiply.outer(h * blocks.paired, alpha)
     swapped += 1.0
-    b, c = s[starts, ends], s[ends, starts]
+    offdiag = h * blocks.coupling
     det = swapped[:, 1] * swapped[:, 0]
-    det -= np.multiply.outer(b * c, alpha * alpha)
+    det -= np.multiply.outer(offdiag[:, 0] * offdiag[:, 1], alpha * alpha)
     singles, pairs = len(p), len(det)
     np.abs(p, out=scratch[:singles])
     np.sqrt(det, out=scratch[singles:singles + pairs])
-    return _Kernel(starts=starts.tolist(), swapped=swapped,
-                   offdiag=np.stack((b, c), axis=1).reshape(2 * pairs, 1),
-                   det=det, single=p,
+    return _Kernel(starts=blocks.starts, swapped=swapped,
+                   offdiag=offdiag.reshape(2 * pairs, 1), det=det, single=p,
                    pivot=scratch[:singles + pairs].min(axis=0))
 
 
@@ -252,25 +252,27 @@ def _prepare(problem: ADProblem, config: SolverConfig):
             time_grid(basis, problem.T), problem.spectrum(config.N0))
 
 
-def _unit_solutions(a: np.ndarray, s: np.ndarray, z: np.ndarray,
+def _unit_solutions(a: np.ndarray, q: IntegrationMatrix, h: float,
                     alpha: np.ndarray) -> np.ndarray:
     # Column i solves (I + alpha_i a) x = ones for the real rate alpha_i,
-    # the system of mode i + 1, given a real Schur form a = z s z^T with s
-    # quasi-upper triangular (up to rounding; the refinement step works with
-    # a itself). One kernel serves both back-substitutions. It holds about
-    # one and a half (M + 1, len(alpha)) arrays, the p rows and the dets;
-    # besides it, at most three such arrays are alive at once: y, x and the
-    # refinement step. Each back-substitution writes its couplings to one
-    # that is free, x before x is formed and y after. Only the result
-    # outlives the call.
+    # the system of mode i + 1, with a = h Q, from the real Schur form
+    # a = Z (h S) Z^T whose factors, blocks and Z^T ones the rule q keeps
+    # (up to rounding; the refinement step works with a itself). One kernel
+    # serves both back-substitutions. It holds about one and a half
+    # (M + 1, len(alpha)) arrays, the p rows and the dets; besides it, at
+    # most three such arrays are alive at once: y, x and the refinement
+    # step. Each back-substitution writes its couplings to one that is free,
+    # x before x is formed and y after. Only the result outlives the call.
     #
     # norm = 1 + |alpha_i| ||a||_inf >= ||I + alpha_i a||_inf stands in for
     # the norm in both tests, so that neither needs an (M + 1, len(alpha))
     # temporary: it makes the pivot test stricter, and the residual test,
     # which divides by it, a little looser.
     norm = 1.0 + np.abs(alpha) * np.abs(a).sum(axis=1).max()
+    s, z = q.real_schur
+    s = h * s
     y = np.empty((len(z), len(alpha)))
-    kernel = _kernel(s, alpha, scratch=y)
+    kernel = _kernel(q.schur_blocks, h, alpha, scratch=y)
     pivot = kernel.pivot
     bad = np.flatnonzero(~(pivot >= PIVOT_RTOL * norm))
     if bad.size:
@@ -281,7 +283,7 @@ def _unit_solutions(a: np.ndarray, s: np.ndarray, z: np.ndarray,
             f"{pivot[i]:.3e} below {PIVOT_RTOL:.0e} * (1 + |alpha| ||TQ||) "
             f"= {PIVOT_RTOL * norm[i]:.3e})")
 
-    y[:] = z.T.sum(axis=1)[:, None]  # Z^T ones
+    y[:] = q.schur_ones[:, None]
     x = np.empty_like(y)
     _back_substitute(s, alpha, kernel, y, work=x)
     np.matmul(z, y, out=x)
@@ -335,8 +337,8 @@ def solve_modes(problem: ADProblem, config: SolverConfig,
                 f"|Re(alpha_n)| T = {abs(rates[i]) * problem.T:.6g} is too "
                 f"large: the real Schur solve needs |Re(alpha_n)| (M + 1) "
                 f"max |TQ| below {REAL_SOLVE_LIMIT:.0e}")
-    s, z = reference_rule(config.lam, config.M)[1].real_schur
-    units = _unit_solutions(tq.entries, 0.5 * problem.T * s, z, rates)
+    units = _unit_solutions(tq.entries, reference_rule(config.lam, config.M)[1],
+                            0.5 * problem.T, rates)
     units.setflags(write=False)
     t2 = time.perf_counter()
     return SpectralSolution(

@@ -304,6 +304,40 @@ class TestConvergenceSweep:
                           "exact": len(SWEEP_NS),
                           "dft_coefficients": len(SWEEP_NS)}
 
+    def test_warm_sweep_builds_no_rule_only_work(self, monkeypatch):
+        # The real Schur factors, the diagonal blocks of S, Z^T ones and the
+        # Lagrange row at s = 1 are kept with the cached rule: a second
+        # 320-cell sweep on a warm rule cache builds none of them.
+        problem = builtin_problem(3)
+        first = convergence_sweep(problem, SWEEP_NS, SWEEP_MS, -0.4)
+        counts = dict.fromkeys(["schur", "blocks", "end_rows"], 0)
+        schur, blocks = gegenbauer._schur, gegenbauer.SchurBlocks.of.__func__
+        lagrange = gegenbauer._lagrange_matrix
+
+        def counted_schur(*args, **kwargs):
+            counts["schur"] += 1
+            return schur(*args, **kwargs)
+
+        def counted_blocks(cls, s):
+            counts["blocks"] += 1
+            return blocks(cls, s)
+
+        def counted_lagrange(basis, points):
+            counts["end_rows"] += int(np.any(np.asarray(points) == 1.0))
+            return lagrange(basis, points)
+
+        monkeypatch.setattr(gegenbauer, "_schur", counted_schur)
+        monkeypatch.setattr(gegenbauer.SchurBlocks, "of",
+                            classmethod(counted_blocks))
+        monkeypatch.setattr(gegenbauer, "_lagrange_matrix", counted_lagrange)
+        second = convergence_sweep(problem, SWEEP_NS, SWEEP_MS, -0.4)
+        assert second.rows == first.rows
+        assert counts == {"schur": 0, "blocks": 0, "end_rows": 0}
+        # The counters see a cold rule's builds.
+        reference_rule.cache_clear()
+        convergence_sweep(problem, [4], [2], -0.4)
+        assert counts == {"schur": 1, "blocks": 1, "end_rows": 1}
+
     def test_names_the_lowest_singular_mode(self, rates_with):
         # Modes 2 and 4 are singular at this M; the lowest is named.
         problem, config, _ = rates_with({2: 0.0, 4: 0.0})
@@ -480,6 +514,18 @@ class TestConditioning:
         sq = singular_values(q.entries)
         stq = singular_values(tq.entries)
         assert sq[0] / sq[-1] == pytest.approx(stq[0] / stq[-1], rel=1e-12)
+
+    def test_forms_no_solve_parts_of_the_rule(self):
+        # The study reads Q alone: no real Schur factor, no blocks of S,
+        # no Z^T ones and no Lagrange row at s = 1 are formed.
+        reference_rule.cache_clear()
+        conditioning_study(builtin_problem(3), SolverConfig(N=16, M=8),
+                           [-0.25, 1.5], [8, 16])
+        for lam in (-0.25, 1.5):
+            for M in (8, 16):
+                basis, q = reference_rule(lam, M)
+                assert set(vars(q)) == {"order", "entries"}
+                assert "end_row" not in vars(basis)
 
     def test_fundamental_mode_well_conditioned(self):
         # Comparison-table settings: horizon 0.1.

@@ -384,16 +384,16 @@ class TestG17Cells:
         # For each exponent E from -6 to 30 and each index `last` of the last
         # nonzero digit, a double parsed from a seeded decimal d 10^(E - last)
         # of last + 1 digits whose "%.17g" text keeps exactly those digits.
-        # 1e20 is left out: an exact power of ten that lands on both bounds
-        # of y, it takes the % operator by the range rule.
+        # 1e20, an exact power of ten whose y the pair puts just below 1e16
+        # at 10^-4 and on 1e17 at 10^-3, is in too.
         rng = np.random.default_rng(20261021)
-        values = [0.0, 1.25e-100, 7e250]
+        values = [0.0, 1.25e-100, 7e250, 1e20]
         for e in range(-6, 31):
             for last in range(17):
                 for _ in range(200):
                     text = f"{rng.integers(10 ** last, 10 ** (last + 1))}e{e - last}"
                     v = float(text)
-                    if (text[last] != "0" and v != 1e20
+                    if (text[last] != "0"
                             and Decimal(FLOAT % v) == Decimal(text)):
                         values.append(v)
                         break
@@ -432,6 +432,15 @@ class TestG17Cells:
         # coefficients.csv toggles the sign slot for mode -n.
         cells[:, 0] ^= ord("-")
         assert _cell_texts(cells) == _percent_texts(-values)
+
+    def test_every_power_of_ten_takes_the_fast_path(self, monkeypatch):
+        # 10^m for m = -279 .. 279, and their negatives: where 10^k is
+        # inexact, y = |v| 10^k may fall just below 1e16 or on 1e17.
+        values = np.array([float(f"1e{m}") for m in range(-279, 280)])
+        values = np.concatenate([values, -values])
+        fallback = self._count_fallbacks(monkeypatch)
+        assert _cell_texts(_g17_cells(values)) == _percent_texts(values)
+        assert sum(fallback) == 0
 
     @staticmethod
     def _count_fallbacks(monkeypatch) -> list:

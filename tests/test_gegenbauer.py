@@ -171,6 +171,62 @@ class TestBaryInterpolate:
             assert np.array_equal(bary_interpolate(basis, values, basis.nodes[l]),
                                   values[l])
 
+    @staticmethod
+    def _node_order_sums(basis, values, points):
+        # The interpolant at 1-D points, summed one node at a time in node
+        # order, as a loop over the nodes adds.
+        lagrange = _lagrange_matrix(basis, points).reshape(
+            len(points), len(values), *(1,) * (values.ndim - 1))
+        sums = lagrange[:, 0] * values[0]
+        for j in range(1, len(values)):
+            sums += lagrange[:, j] * values[j]
+        return sums
+
+    @pytest.mark.parametrize("tail", [(), (1,), (32,)],
+                             ids=["1-D", "one-column", "32-columns"])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_sums_in_node_order(self, tail, kind):
+        # numpy sums a lone column in pairs, not in order: the sum must not
+        # depend on the number of columns or points, bit for bit.
+        rng = np.random.default_rng(20261022)
+        for case in range(100):
+            order = int(rng.integers(1, 65))
+            basis = build_basis(float(rng.choice(LAMBDAS)), order)
+            values = rng.standard_normal((order + 1, *tail))
+            if kind is complex:
+                values = values + 1j * rng.standard_normal(values.shape)
+            points = rng.uniform(-1, 1, int(rng.integers(1, 4)))
+            if case % 4 == 0:
+                points[0] = 1.0
+            want = self._node_order_sums(basis, values, points)
+            got = bary_interpolate(basis, values, points)
+            assert got.dtype == want.dtype and np.array_equal(got, want), case
+            for t, row in zip(points, want):
+                got = bary_interpolate(basis, values, t)
+                assert got.shape == tail and np.array_equal(got, row), case
+
+    @pytest.mark.parametrize("block", [1, 40, 2 ** 15])
+    def test_sums_do_not_depend_on_the_block_of_points(self, monkeypatch,
+                                                       block):
+        # Points are summed a block at a time: 1 and 40 products give one
+        # or a few points per block, 2 ** 15 one block for all.
+        monkeypatch.setattr(gegenbauer, "BARY_BLOCK_DOUBLES", block)
+        rng = np.random.default_rng(7)
+        basis = build_basis(-0.4, 12)
+        points = rng.uniform(-1, 1, 9)
+        for tail in [(), (1,), (5,)]:
+            values = (rng.standard_normal((13, *tail))
+                      + 1j * rng.standard_normal((13, *tail)))
+            assert np.array_equal(bary_interpolate(basis, values, points),
+                                  self._node_order_sums(basis, values, points))
+
+    def test_end_row_is_the_row_at_one(self):
+        basis = build_basis(-0.4, 12)
+        row = basis.end_row
+        assert basis.end_row is row and not row.flags.writeable
+        assert np.array_equal(row, _lagrange_matrix(basis, [1.0])[0])
+        assert np.array_equal(row, _lagrange_matrix(basis, [0.3, 1.0])[1])
+
     @pytest.mark.parametrize("t", [0.1, np.array([0.1, -0.5])])
     def test_rejects_wrong_leading_axis(self, t):
         basis = build_basis(0.0, 4)

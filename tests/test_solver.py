@@ -17,8 +17,9 @@ from adspectral import (ADProblem, FourierGrid, ModeSolveError, SolverConfig,
                         sa_field, solve_modes)
 from adspectral import test_problem as builtin_problem
 from adspectral import solver
-from adspectral.gegenbauer import build_basis, build_integration_matrix, \
-    reference_rule, shift_integration_matrix, time_grid
+from adspectral.gegenbauer import SchurBlocks, build_basis, \
+    build_integration_matrix, reference_rule, shift_integration_matrix, \
+    time_grid
 from adspectral.problems import config_from_pairs
 from adspectral.solver import PIVOT_RTOL, _back_substitute, _kernel, \
     _prepare, _residual, _unit_solutions
@@ -288,7 +289,7 @@ class TestDirectLapack:
             for M in (10, 16, 32, 40, 48, 64):
                 q = reference_rule(lam, M)[1]
                 solved = {
-                    "real": _unit_solutions(q.entries, *q.real_schur, zs),
+                    "real": _unit_solutions(q.entries, q, 1.0, zs),
                     "complex": _complex_schur_solve(q.entries, zs)}
                 for i, z in enumerate(zs):
                     a = np.eye(M + 1) + z * q.entries
@@ -332,7 +333,7 @@ def _complex_schur_solve(q: np.ndarray, zs: np.ndarray) -> np.ndarray:
     zs = zs.astype(complex)
     uh = u.conj().T
     y = np.empty((len(q), len(zs)), dtype=complex)
-    kernel = _kernel(r, zs, scratch=y)
+    kernel = _kernel(SchurBlocks.of(r), 1.0, zs, scratch=y)
     y[:] = uh.sum(axis=1)[:, None]
     _back_substitute(r, zs, kernel, y, work=np.empty_like(y))
     x = u @ y
@@ -420,7 +421,8 @@ class TestKernel:
                     mode_rate(problem, np.arange(1, N // 2 + 1)).real)
                 want = _former_unit_solutions(tq, s, z, rates)
                 assert np.array_equal(sol.units, want), (M, N)
-                pivot = _kernel(s, rates, scratch=np.empty_like(want)).pivot
+                pivot = _kernel(q.schur_blocks, 0.5 * problem.T, rates,
+                                scratch=np.empty_like(want)).pivot
                 assert np.array_equal(
                     pivot, _former_pivots(s, rates, np.empty_like(want))[0])
 
@@ -445,9 +447,9 @@ class TestRealSchurPath:
     """Every mode solves its real rate through the real Schur form of Q."""
 
     @pytest.mark.parametrize("pid,horizon,factors", [
-        (1, None, {"real_schur"}),
-        (2, None, {"real_schur"}),
-        (3, None, {"real_schur"}),
+        (1, None, {"real_schur", "schur_blocks", "schur_ones"}),
+        (2, None, {"real_schur", "schur_blocks", "schur_ones"}),
+        (3, None, {"real_schur", "schur_blocks", "schur_ones"}),
         # max |Re alpha_n| (M + 1) max |TQ| passes REAL_SOLVE_LIMIT from
         # mode 1 on: refused before the factor is formed.
         (1, 1e200, set()),
